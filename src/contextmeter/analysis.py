@@ -485,16 +485,12 @@ def correlation_grid(samples: Iterable[GridSample]) -> dict:
     for column in columns:
         dataset, stance_value = column.split("|", 1)
         of_column = [
-            s
+            (characteristic_values(s.vector), s.acu)
             for s in materialized
             if s.dataset == dataset and s.stance.value == stance_value
         ]
         for row in GRID_CHARACTERISTICS:
-            pairs = []
-            for sample in of_column:
-                value = characteristic_values(sample.vector)[row]
-                if value is not None:
-                    pairs.append((value, sample.acu))
+            pairs = [(values[row], acu) for values, acu in of_column if values[row] is not None]
             if len(pairs) < 3:
                 continue
             xs = [p[0] for p in pairs]

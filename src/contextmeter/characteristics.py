@@ -12,6 +12,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
@@ -71,14 +72,15 @@ def claim_evidence_overlap(claim_text: str, evidence_text: str) -> float:
     return len(claim_words & word_set(evidence_text)) / len(claim_words)
 
 
-def _contains_token_run(haystack: Sequence[str], needle: Sequence[str]) -> bool:
-    if not needle:
-        return False
-    limit = len(haystack) - len(needle)
-    for start in range(limit + 1):
-        if haystack[start : start + len(needle)] == list(needle):
-            return True
-    return False
+def _padded(tokens: Iterable[str]) -> str:
+    """Tokens as " t1 … tn ": they hold no spaces, so a token run occurs in a
+    text exactly when its padded form is a substring of the text's."""
+    return " " + " ".join(tokens) + " "
+
+
+def _has_run(padded_text: str, run: Sequence[str]) -> bool:
+    """Whether a non-empty token run occurs contiguously in a padded text."""
+    return bool(run) and _padded(run) in padded_text
 
 
 def repeats_claim(claim_text: str, evidence_text: str) -> bool:
@@ -93,7 +95,7 @@ def repeats_claim(claim_text: str, evidence_text: str) -> bool:
     claim_tokens = words(claim_text)
     if not claim_tokens:
         return False
-    return _contains_token_run(words(evidence_text), claim_tokens)
+    return _has_run(_padded(words(evidence_text)), claim_tokens)
 
 
 # -- readability ----------------------------------------------------------------
@@ -188,10 +190,8 @@ def entity_overlap(
     entities = ner(claim_text)
     if not entities:
         return 1.0, True
-    evidence_tokens = words(evidence_text)
-    found = sum(
-        1 for entity in entities if _contains_token_run(evidence_tokens, words(entity))
-    )
+    evidence_padded = _padded(words(evidence_text))
+    found = sum(1 for entity in entities if _has_run(evidence_padded, words(entity)))
     return found / len(entities), False
 
 
@@ -249,24 +249,24 @@ class HedgeLexicon:
     def default(cls) -> "HedgeLexicon":
         return cls.from_files(_data_path("hedges.txt"), _data_path("hedging_discourse.txt"))
 
+    @cached_property
+    def _needles(self) -> tuple[tuple[str, ...], ...]:
+        """(hedge words, discourse markers) as padded token runs, built once."""
+        return tuple(
+            tuple(_padded(entry.split()) for entry in entries if entry.split())
+            for entries in (self.hedge_words, self.hedging_discourse_markers)
+        )
+
 
 def hedging_flags(evidence_text: str, lexicon: HedgeLexicon) -> tuple[bool, bool]:
     """(contains hedge word, contains hedging discourse marker).
 
-    Matching is case-insensitive and whole-word; discourse markers match as
-    contiguous phrases.
+    Matching is case-insensitive and whole-word: every entry, hedge word or
+    discourse marker, matches as a contiguous run of word tokens.
     """
-    tokens = words(evidence_text)
-    token_set = set(tokens)
-    has_hedge = any(
-        word in token_set if " " not in word else _contains_token_run(tokens, word.split())
-        for word in lexicon.hedge_words
-    )
-    has_discourse = any(
-        _contains_token_run(tokens, marker.split())
-        for marker in lexicon.hedging_discourse_markers
-    )
-    return has_hedge, has_discourse
+    text = _padded(words(evidence_text))
+    hedges, markers = lexicon._needles
+    return any(n in text for n in hedges), any(n in text for n in markers)
 
 
 # -- source reliability -------------------------------------------------------------
@@ -446,6 +446,8 @@ def profile(
     providers: Optional[DetectorProviders] = None,
 ) -> tuple[list[CharacteristicVector], ProfileReport]:
     """Compute vectors for every pair plus the corpus aggregate report."""
+    lexicon = lexicon or HedgeLexicon.default()
+    reliability = reliability or ReliabilityList.default()
     providers = providers or DetectorProviders()
     vectors = [
         characteristic_vector(claim, evidence, lexicon, reliability, providers)

@@ -282,7 +282,8 @@ def cmd_retrieve(config: RunConfig, run_dir: Path) -> list[str]:
         try:
             return retrieval.run_pipeline(claim, engines, reranker, fact_check_domains=domains)
         except ContextMeterError as exc:
-            raise type(exc)(f"claim {claim.id}: {exc}") from exc
+            exc.args = (f"claim {claim.id}: {exc}",)
+            raise
 
     with ThreadPoolExecutor(max_workers=config.max_concurrency) as pool:
         outcomes = list(pool.map(run_one, claims))
@@ -371,7 +372,8 @@ def cmd_score(config: RunConfig, run_dir: Path) -> list[str]:
         try:
             return scorer.score(claim_template, claim)
         except ContextMeterError as exc:
-            raise type(exc)(f"claim {claim.id}: {exc}") from exc
+            exc.args = (f"claim {claim.id}: {exc}",)
+            raise
 
     with ThreadPoolExecutor(max_workers=config.max_concurrency) as pool:
         claim_records = list(pool.map(score_claim, claims))
@@ -384,7 +386,8 @@ def cmd_score(config: RunConfig, run_dir: Path) -> list[str]:
         try:
             with_record = scorer.score(evidence_template, claim, piece)
         except ContextMeterError as exc:
-            raise type(exc)(f"claim {claim.id} evidence {piece.id}: {exc}") from exc
+            exc.args = (f"claim {claim.id} evidence {piece.id}: {exc}",)
+            raise
         return metrics.score_sample(
             claim_id=claim.id,
             evidence_id=piece.id,

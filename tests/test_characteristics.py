@@ -21,6 +21,39 @@ WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
 TEXTS = st.lists(st.sampled_from(WORDS), min_size=1, max_size=12).map(" ".join)
 
 
+def reference_has_run(haystack, needle):
+    """Oracle for the substring matcher: slide the needle over the tokens."""
+    if not needle:
+        return False
+    for start in range(len(haystack) - len(needle) + 1):
+        if haystack[start : start + len(needle)] == list(needle):
+            return True
+    return False
+
+
+def reference_hedging_flags(text, lexicon):
+    tokens = ch.words(text)
+    has_hedge = any(
+        word in set(tokens) if " " not in word else reference_has_run(tokens, word.split())
+        for word in lexicon.hedge_words
+    )
+    has_discourse = any(
+        reference_has_run(tokens, marker.split())
+        for marker in lexicon.hedging_discourse_markers
+    )
+    return has_hedge, has_discourse
+
+
+# Tokens that are substrings of one another, so partial-word hits are common.
+RUN_TOKENS = ["a", "b", "ab", "ba"]
+TOKEN_LISTS = st.lists(st.sampled_from(RUN_TOKENS), max_size=8)
+NEEDLES = st.lists(st.sampled_from(RUN_TOKENS), max_size=3)
+LEXICON_ENTRIES = st.frozensets(
+    st.tuples(NEEDLES, st.sampled_from([" ", "  "])).map(lambda t: t[1].join(t[0])),
+    max_size=4,
+)
+
+
 def brute_force_jaccard(a, b):
     sa, sb = set(a.lower().split()), set(b.lower().split())
     union = sa | sb
@@ -97,6 +130,44 @@ class TestRepeatsClaim:
         text = " ".join(evidence)
         assert ch.repeats_claim(claim, text) is True
         assert ch.claim_evidence_overlap(claim, text) == pytest.approx(1.0)
+
+
+class TestTokenRunMatcher:
+    @given(haystack=TOKEN_LISTS, needle=NEEDLES)
+    def test_matches_reference_scan(self, haystack, needle):
+        assert ch._has_run(ch._padded(haystack), needle) is reference_has_run(haystack, needle)
+
+    @given(
+        tokens=TOKEN_LISTS,
+        hedge_words=LEXICON_ENTRIES,
+        markers=LEXICON_ENTRIES,
+        separator=st.sampled_from([" ", ", ", " - "]),
+    )
+    def test_hedging_matches_reference_scan(self, tokens, hedge_words, markers, separator):
+        lexicon = ch.HedgeLexicon(hedge_words=hedge_words, hedging_discourse_markers=markers)
+        text = separator.join(tokens)
+        assert ch.hedging_flags(text, lexicon) == reference_hedging_flags(text, lexicon)
+
+    def test_doubled_internal_spaces_still_match(self):
+        lexicon = ch.HedgeLexicon(
+            hedge_words=frozenset({"more  or less"}),
+            hedging_discourse_markers=frozenset({"in  my   view"}),
+        )
+        assert ch.hedging_flags("It is, in my view, more or less right.", lexicon) == (
+            True,
+            True,
+        )
+
+    def test_punctuated_entry_never_matches(self):
+        lexicon = ch.HedgeLexicon(
+            hedge_words=frozenset({"so-called"}),
+            hedging_discourse_markers=frozenset({"so-called expert"}),
+        )
+        assert ch.hedging_flags("A so-called expert said so.", lexicon) == (False, False)
+
+    def test_entity_partial_word_does_not_count(self):
+        value, _ = ch.entity_overlap("Ann Lee met Bob Ray.", "Joann Lee met Bob Ray.")
+        assert value == pytest.approx(0.5)
 
 
 class TestReadability:
@@ -357,3 +428,38 @@ class TestProfile:
         report = ch.aggregate_profile([vector], perplexity_model="llama")
         assert "llama: Perplexity" in report.rows
         assert report.rows["llama: Perplexity"]["mean"] == pytest.approx(5.0)
+
+
+class TestProfileLexiconLoads:
+    PAIRS = [
+        (make_claim(), make_evidence(id=f"e{i}", text="It might be so.", url="https://satire.example/a"))
+        for i in range(4)
+    ]
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        counts = {}
+        for cls in (ch.HedgeLexicon, ch.ReliabilityList):
+            original = cls.default
+
+            def default(name=cls.__name__, original=original):
+                counts[name] = counts.get(name, 0) + 1
+                return original()
+
+            monkeypatch.setattr(cls, "default", default)
+        return counts
+
+    def test_defaults_loaded_once_per_call(self, loads):
+        vectors, _ = ch.profile(self.PAIRS)
+        assert len(vectors) == 4
+        assert loads == {"HedgeLexicon": 1, "ReliabilityList": 1}
+
+    def test_explicit_lexicons_used_without_loading_defaults(self, loads):
+        lexicon = ch.HedgeLexicon(
+            hedge_words=frozenset({"so"}), hedging_discourse_markers=frozenset({"be so"})
+        )
+        reliability = ch.ReliabilityList(flagged={"satire.example": "satire"})
+        vectors, _ = ch.profile(self.PAIRS, lexicon=lexicon, reliability=reliability)
+        assert loads == {}
+        assert all(v.hedging and v.hedging_discourse for v in vectors)
+        assert all(v.unreliable is Reliability.UNRELIABLE for v in vectors)

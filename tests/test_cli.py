@@ -17,9 +17,10 @@ from pathlib import Path
 import pytest
 
 from conftest import HashLogprobProvider
-from contextmeter import cli, lm
+from contextmeter import cli, lm, retrieval
 from contextmeter._version import __version__
 from contextmeter.analysis import GRID_CHARACTERISTICS
+from contextmeter.errors import InvariantViolation, ParseError
 from contextmeter.model import ClaimRecord, EvidencePiece, read_jsonl
 
 
@@ -311,6 +312,38 @@ class TestFailureExitCode:
         payload = json.loads(stderr)
         assert payload["error"] == "ProviderError"
         assert "CONTEXTMETER_TEST_TOKEN" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "error,args,message",
+        [
+            (InvariantViolation, ("x", "y"), "x: y"),
+            (ParseError, ("pages.jsonl", 3, "bad row"), "pages.jsonl:3: bad row"),
+        ],
+    )
+    def test_multi_argument_error_keeps_contract(
+        self, druid_fixture_paths, fixture_corpus_dir, tmp_path, monkeypatch, error, args, message
+    ):
+        # The claim id is added without calling the error's constructor,
+        # which for these takes more than a message.
+        claims_path, _ = druid_fixture_paths
+        first_claim = next(read_jsonl(claims_path))[1]["id"]
+
+        def run_pipeline(*_args, **_kwargs):
+            raise error(*args)
+
+        monkeypatch.setattr(retrieval, "run_pipeline", run_pipeline)
+        code, _, stderr = run_cli(
+            "retrieve",
+            "--claims", str(claims_path),
+            "--fixture-corpus", str(fixture_corpus_dir),
+            "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert len(stderr.splitlines()) == 1
+        assert json.loads(stderr) == {
+            "error": error.__name__,
+            "message": f"claim {first_claim}: {message}",
+        }
 
     def test_replay_miss_exits_one(self, druid_fixture_paths, tmp_path):
         claims_path, evidence_path = druid_fixture_paths
