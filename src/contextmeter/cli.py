@@ -22,12 +22,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from . import analysis, characteristics, ingest, lm, metrics, retrieval
 from ._version import __version__
-from .errors import ConfigError, ContextMeterError, NoPairableValues
+from .errors import ConfigError, ContextMeterError, InvariantViolation, NoPairableValues, ParseError
 from .model import (
+    CharacteristicVector,
     ClaimRecord,
     EvidencePiece,
     ScoredSample,
@@ -120,15 +121,6 @@ def load_config(path: Optional[str], overrides: dict[str, Any]) -> RunConfig:
 
 # -- artifact helpers --------------------------------------------------------------
 
-def _header(config: RunConfig) -> dict[str, Any]:
-    return {
-        "kind": "header",
-        "config_hash": config.config_hash,
-        "acu_form": config.acu_form,
-        "version": __version__,
-    }
-
-
 def _meta(config: RunConfig) -> dict[str, Any]:
     return {
         "config_hash": config.config_hash,
@@ -174,12 +166,33 @@ def _require(config: RunConfig, **paths: Optional[str]) -> None:
         raise ConfigError(f"missing required settings: {', '.join(missing)}")
 
 
-def _load_claims(path: str) -> list[ClaimRecord]:
-    return [ClaimRecord.from_dict(row) for _, row in read_jsonl(Path(path))]
+def _load_records(path: str, cls: type) -> list:
+    """Decode every row of a JSON Lines file; a bad row is a ParseError."""
+    records = []
+    for line_no, row in read_jsonl(Path(path)):
+        try:
+            records.append(cls.from_dict(row))
+        except (InvariantViolation, TypeError) as exc:
+            raise ParseError(path, line_no, str(exc)) from exc
+    return records
 
 
-def _load_evidence(path: str) -> list[EvidencePiece]:
-    return [EvidencePiece.from_dict(row) for _, row in read_jsonl(Path(path))]
+def _parallel_map(fn: Callable, items: list, label: Callable[[Any], str], workers: int) -> list:
+    """``fn`` over ``items`` on a thread pool, results in input order.
+
+    A package error raised for an item gets ``label(item)`` prefixed to its
+    message, on the same exception object.
+    """
+
+    def run(item):
+        try:
+            return fn(item)
+        except ContextMeterError as exc:
+            exc.args = (f"{label(item)}: {exc}",)
+            raise
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, items))
 
 
 def _load_field_map(config: RunConfig) -> Optional[dict]:
@@ -192,16 +205,8 @@ def _load_field_map(config: RunConfig) -> Optional[dict]:
 
 
 def _write_corpus(corpus: ingest.Corpus, run_dir: Path, config: RunConfig) -> list[str]:
-    write_jsonl(
-        run_dir / "claims.jsonl",
-        (claim.to_dict() for claim in corpus.claims.values()),
-        header=_header(config),
-    )
-    write_jsonl(
-        run_dir / "evidence.jsonl",
-        (piece.to_dict() for piece in corpus.evidence),
-        header=_header(config),
-    )
+    write_jsonl(run_dir / "claims.jsonl", corpus.claims.values(), header=_meta(config))
+    write_jsonl(run_dir / "evidence.jsonl", corpus.evidence, header=_meta(config))
     n_claims, n_evidence = corpus.totals()
     stats = {
         "claims": n_claims,
@@ -268,7 +273,7 @@ def _build_search_clients(config: RunConfig) -> list:
 
 def cmd_retrieve(config: RunConfig, run_dir: Path) -> list[str]:
     _require(config, claims_path=config.claims_path)
-    claims = _load_claims(config.claims_path)
+    claims = _load_records(config.claims_path, ClaimRecord)
     engines = _build_search_clients(config)
     if config.rerank_endpoint:
         reranker = retrieval.HttpRerankClient(
@@ -278,30 +283,27 @@ def cmd_retrieve(config: RunConfig, run_dir: Path) -> list[str]:
         reranker = retrieval.LexicalOverlapReranker()
     domains = frozenset(config.fact_check_domains)
 
-    def run_one(claim: ClaimRecord):
-        try:
-            return retrieval.run_pipeline(claim, engines, reranker, fact_check_domains=domains)
-        except ContextMeterError as exc:
-            exc.args = (f"claim {claim.id}: {exc}",)
-            raise
-
-    with ThreadPoolExecutor(max_workers=config.max_concurrency) as pool:
-        outcomes = list(pool.map(run_one, claims))
+    outcomes = _parallel_map(
+        lambda claim: retrieval.run_pipeline(claim, engines, reranker, fact_check_domains=domains),
+        claims,
+        lambda claim: f"claim {claim.id}",
+        config.max_concurrency,
+    )
 
     evidence_rows = []
     traces = []
     for evidences, trace in outcomes:
-        evidence_rows.extend(piece.to_dict() for piece in evidences)
+        evidence_rows.extend(evidences)
         traces.append(trace)
-    write_jsonl(run_dir / "evidence.jsonl", evidence_rows, header=_header(config))
-    write_jsonl(run_dir / "traces.jsonl", traces, header=_header(config))
+    write_jsonl(run_dir / "evidence.jsonl", evidence_rows, header=_meta(config))
+    write_jsonl(run_dir / "traces.jsonl", traces, header=_meta(config))
     return ["evidence.jsonl", "traces.jsonl"]
 
 
 def cmd_profile(config: RunConfig, run_dir: Path) -> list[str]:
     _require(config, claims_path=config.claims_path, evidence_path=config.evidence_path)
-    claims = {claim.id: claim for claim in _load_claims(config.claims_path)}
-    evidence = _load_evidence(config.evidence_path)
+    claims = {claim.id: claim for claim in _load_records(config.claims_path, ClaimRecord)}
+    evidence = _load_records(config.evidence_path, EvidencePiece)
     pairs = []
     for piece in evidence:
         claim = claims.get(piece.claim_id)
@@ -314,11 +316,7 @@ def cmd_profile(config: RunConfig, run_dir: Path) -> list[str]:
         perplexity_model=config.provider_id or "model"
     )
     vectors, report = characteristics.profile(pairs, providers=providers)
-    write_jsonl(
-        run_dir / "characteristics.jsonl",
-        (vector.to_dict() for vector in vectors),
-        header=_header(config),
-    )
+    write_jsonl(run_dir / "characteristics.jsonl", vectors, header=_meta(config))
     write_json_artifact(run_dir / "profile.json", {"profile": report.to_dict()}, config)
     return ["characteristics.jsonl", "profile.json"]
 
@@ -363,31 +361,24 @@ def cmd_score(config: RunConfig, run_dir: Path) -> list[str]:
     scorer = _build_scorer(config)
     acu_config = metrics.AcuConfig(form=config.acu_form)
 
-    claims = _load_claims(config.claims_path)
-    evidence = [e for e in _load_evidence(config.evidence_path) if e.stance is not None]
+    claims = _load_records(config.claims_path, ClaimRecord)
+    evidence = [e for e in _load_records(config.evidence_path, EvidencePiece) if e.stance is not None]
     claims_by_id = {claim.id: claim for claim in claims}
     prompt_id = f"{claim_template.id}+{evidence_template.id}"
 
-    def score_claim(claim: ClaimRecord) -> lm.ScoreRecord:
-        try:
-            return scorer.score(claim_template, claim)
-        except ContextMeterError as exc:
-            exc.args = (f"claim {claim.id}: {exc}",)
-            raise
-
-    with ThreadPoolExecutor(max_workers=config.max_concurrency) as pool:
-        claim_records = list(pool.map(score_claim, claims))
+    claim_records = _parallel_map(
+        lambda claim: scorer.score(claim_template, claim),
+        claims,
+        lambda claim: f"claim {claim.id}",
+        config.max_concurrency,
+    )
     without = {claim.id: record for claim, record in zip(claims, claim_records)}
 
     def score_pair(piece: EvidencePiece) -> Optional[ScoredSample]:
         claim = claims_by_id.get(piece.claim_id)
         if claim is None:
             return None
-        try:
-            with_record = scorer.score(evidence_template, claim, piece)
-        except ContextMeterError as exc:
-            exc.args = (f"claim {claim.id} evidence {piece.id}: {exc}",)
-            raise
+        with_record = scorer.score(evidence_template, claim, piece)
         return metrics.score_sample(
             claim_id=claim.id,
             evidence_id=piece.id,
@@ -399,25 +390,21 @@ def cmd_score(config: RunConfig, run_dir: Path) -> list[str]:
             config=acu_config,
         )
 
-    with ThreadPoolExecutor(max_workers=config.max_concurrency) as pool:
-        samples = [s for s in pool.map(score_pair, evidence) if s is not None]
-
-    write_jsonl(
-        run_dir / "scored.jsonl",
-        (sample.to_dict() for sample in samples),
-        header=_header(config),
+    outcomes = _parallel_map(
+        score_pair,
+        evidence,
+        lambda piece: f"claim {piece.claim_id} evidence {piece.id}",
+        config.max_concurrency,
     )
+    samples = [sample for sample in outcomes if sample is not None]
+    write_jsonl(run_dir / "scored.jsonl", samples, header=_meta(config))
     return ["scored.jsonl"]
-
-
-def _load_scored(path: str) -> list[ScoredSample]:
-    return [ScoredSample.from_dict(row) for _, row in read_jsonl(Path(path))]
 
 
 def cmd_analyze(config: RunConfig, run_dir: Path) -> list[str]:
     _require(config, scored_path=config.scored_path, evidence_path=config.evidence_path)
-    scored = _load_scored(config.scored_path)
-    evidence = {piece.id: piece for piece in _load_evidence(config.evidence_path)}
+    scored = _load_records(config.scored_path, ScoredSample)
+    evidence = {piece.id: piece for piece in _load_records(config.evidence_path, EvidencePiece)}
 
     kept: list[ScoredSample] = []
     acus, stances = [], []
@@ -473,12 +460,10 @@ def cmd_analyze(config: RunConfig, run_dir: Path) -> list[str]:
     outputs = ["analysis.json"]
 
     if config.characteristics_path:
-        from .model import CharacteristicVector
-
-        vectors = {}
-        for _, row in read_jsonl(Path(config.characteristics_path)):
-            vector = CharacteristicVector.from_dict(row)
-            vectors[vector.evidence_id] = vector
+        vectors = {
+            vector.evidence_id: vector
+            for vector in _load_records(config.characteristics_path, CharacteristicVector)
+        }
         grid_samples = []
         for sample, stance in zip(kept, stances):
             vector = vectors.get(sample.evidence_id)
@@ -508,7 +493,12 @@ def cmd_report(config: RunConfig, run_dir: Path) -> list[str]:
     for name in ("corpus_stats", "profile", "analysis", "grid"):
         artifact = source / f"{name}.json"
         if artifact.exists():
-            document = json.loads(artifact.read_text(encoding="utf-8"))
+            try:
+                document = json.loads(artifact.read_text(encoding="utf-8"))
+            except json.JSONDecodeError as exc:
+                raise ParseError(str(artifact), exc.lineno, exc.msg) from exc
+            if not isinstance(document, dict):
+                raise ParseError(str(artifact), 1, "not a JSON object")
             document.pop("meta", None)
             sections[name] = document
     write_json_artifact(run_dir / "report.json", {"sections": sections}, config)
@@ -640,6 +630,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         )
         return 2
     except ContextMeterError as exc:
+        _discard_if_empty(run_dir)
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,

@@ -40,6 +40,7 @@ from .model import (
     ClaimRecord,
     EvidencePiece,
     PromptMode,
+    Record,
     VerdictLabel,
     VerdictProbabilities,
     canonical_json,
@@ -320,7 +321,7 @@ def perplexity(provider: LogprobProvider, text: str) -> float:
 # -- record / replay ---------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ScoreRecord:
+class ScoreRecord(Record):
     """One scored prompt, checksummed for store-integrity verification."""
 
     prompt_hash: str
@@ -334,13 +335,7 @@ class ScoreRecord:
         return (self.prompt_hash, self.provider_id)
 
     def _payload(self) -> dict:
-        return {
-            "prompt_hash": self.prompt_hash,
-            "surface_probs": self.surface_probs,
-            "probs": self.probs.to_dict(),
-            "provider_id": self.provider_id,
-            "timestamp": self.timestamp,
-        }
+        return super().to_dict()
 
     def checksum(self) -> str:
         return hashlib.sha256(canonical_json(self._payload()).encode("utf-8")).hexdigest()
@@ -353,19 +348,13 @@ class ScoreRecord:
     @classmethod
     def from_dict(cls, data: dict) -> "ScoreRecord":
         try:
-            record = cls(
-                prompt_hash=data["prompt_hash"],
-                surface_probs=dict(data["surface_probs"]),
-                probs=VerdictProbabilities.from_dict(data["probs"]),
-                provider_id=data["provider_id"],
-                timestamp=data["timestamp"],
-            )
-        except (KeyError, TypeError) as exc:
+            record = super().from_dict(data)
+        except InvariantViolation as exc:
             raise StoreCorruption(f"malformed score record: {exc}") from exc
         stored = data.get("checksum")
         if stored != record.checksum():
             raise StoreCorruption(
-                f"checksum mismatch for prompt_hash {record.prompt_hash[:12]}"
+                f"checksum mismatch for prompt_hash {str(record.prompt_hash)[:12]}"
             )
         return record
 

@@ -108,6 +108,16 @@ class AcuConfig:
             raise InvariantViolation("form", f"must be 'sum' or 'mean': {self.form!r}")
 
 
+def _signed_sum(deltas: Iterable[float], stance: StanceLabel, config: AcuConfig) -> float:
+    """ACU from a ΔP vector in canonical (True, None, False) order."""
+    total = 0.0
+    for label, value in zip(CANONICAL_LABELS, deltas):
+        total += desirability(label, stance) * value
+    if config.form == "mean":
+        return total / len(CANONICAL_LABELS)
+    return total
+
+
 def acu(
     probs_without: VerdictProbabilities,
     probs_with: VerdictProbabilities,
@@ -115,14 +125,12 @@ def acu(
     config: AcuConfig = AcuConfig(),
 ) -> float:
     """Accumulated context usage for one (claim, evidence) sample."""
-    total = 0.0
-    for label in CANONICAL_LABELS:
-        total += desirability(label, stance) * delta_p(
-            probs_with.get(label), probs_without.get(label)
-        )
-    if config.form == "mean":
-        return total / len(CANONICAL_LABELS)
-    return total
+    return acu_from_triples(
+        [probs_without.get(label) for label in CANONICAL_LABELS],
+        [probs_with.get(label) for label in CANONICAL_LABELS],
+        stance,
+        config,
+    )
 
 
 def acu_from_triples(
@@ -136,12 +144,11 @@ def acu_from_triples(
     Unlike VerdictProbabilities inputs, the triples need not sum to 1;
     printed or otherwise rounded values feed straight into the formulas.
     """
-    total = 0.0
-    for label, p_without, p_with in zip(CANONICAL_LABELS, triple_without, triple_with):
-        total += desirability(label, stance) * delta_p(p_with, p_without)
-    if config.form == "mean":
-        return total / len(CANONICAL_LABELS)
-    return total
+    deltas = [
+        delta_p(p_with, p_without)
+        for _, p_without, p_with in zip(CANONICAL_LABELS, triple_without, triple_with)
+    ]
+    return _signed_sum(deltas, stance, config)
 
 
 def score_sample(
@@ -155,13 +162,14 @@ def score_sample(
     config: AcuConfig = AcuConfig(),
 ) -> ScoredSample:
     """Bundle ΔP vector and ACU into a ScoredSample record."""
+    deltas = delta_p_vector(probs_without, probs_with)
     return ScoredSample(
         claim_id=claim_id,
         evidence_id=evidence_id,
         probs_without=probs_without,
         probs_with=probs_with,
-        delta_p=delta_p_vector(probs_without, probs_with),
-        acu=acu(probs_without, probs_with, stance, config),
+        delta_p=deltas,
+        acu=_signed_sum(deltas, stance, config),
         model_id=model_id,
         prompt_id=prompt_id,
     )

@@ -11,11 +11,23 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from datetime import date
 from enum import Enum
+from functools import lru_cache
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Optional,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from .errors import DanglingReference, InvariantViolation, ParseError
 
@@ -93,21 +105,108 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
-def _parse_date(value: Optional[str], field: str) -> Optional[date]:
-    if value is None:
+def _optional(convert: Optional[Callable]) -> Optional[Callable]:
+    if convert is None:
         return None
-    try:
-        return date.fromisoformat(value)
-    except ValueError as exc:
-        raise InvariantViolation(field, f"not an ISO-8601 date: {value!r}") from exc
+    return lambda value: None if value is None else convert(value)
 
 
-def _isoformat(value: Optional[date]) -> Optional[str]:
-    return None if value is None else value.isoformat()
+def _sequence(converters: tuple[Optional[Callable], ...], build: Callable, each: bool) -> Callable:
+    """Convert a homogeneous (``each``) or a fixed-length tuple to ``build``."""
+    if all(convert is None for convert in converters):
+        return build
+    if each:
+        (convert,) = converters
+        return lambda value: build([convert(x) for x in value])
+
+    def convert_fixed(value):
+        if len(value) != len(converters):
+            raise ValueError(f"expected {len(converters)} entries, got {len(value)}")
+        return build([x if c is None else c(x) for c, x in zip(converters, value)])
+
+    return convert_fixed
+
+
+def _type_codec(tp: Any) -> tuple[Optional[Callable], Optional[Callable]]:
+    """(encode, decode) for one annotated type; None means "pass as is"."""
+    args = get_args(tp)
+    if get_origin(tp) is Union:
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        encode, decode = _type_codec(inner)
+        return _optional(encode), _optional(decode)
+    if get_origin(tp) is tuple:
+        each = args[-1] is Ellipsis
+        encodes, decodes = zip(*(_type_codec(arg) for arg in args if arg is not Ellipsis))
+        return _sequence(encodes, list, each), _sequence(decodes, tuple, each)
+    if get_origin(tp) is dict or tp is dict:
+        return None, dict
+    if isinstance(tp, type):
+        if issubclass(tp, Enum):
+            return attrgetter("value"), tp
+        if issubclass(tp, Record):
+            return tp.to_dict, tp.from_dict
+        if tp is date:
+            return date.isoformat, date.fromisoformat
+        if tp is bool:
+            return None, bool
+    return None, None
+
+
+@lru_cache(maxsize=None)
+def _plan(cls: type) -> tuple[tuple, tuple]:
+    """Per dataclass field of ``cls``: (name, encode) and (name, decode, default)."""
+    hints = get_type_hints(cls)
+    encoders, decoders = [], []
+    for spec in fields(cls):
+        tp = hints[spec.name]
+        encode, decode = _type_codec(tp)
+        default = spec.default
+        if default is MISSING and type(None) in get_args(tp):
+            default = None
+        encoders.append((spec.name, encode))
+        decoders.append((spec.name, decode, default))
+    return tuple(encoders), tuple(decoders)
+
+
+class Record:
+    """Base of the JSON Lines record types: one codec for every dataclass.
+
+    Encoding maps enums to their values, dates to ISO-8601 strings, tuples
+    to lists and nested records to dicts; decoding inverts each step and
+    coerces ``bool`` fields with ``bool()``. A missing key takes the
+    field's default, or None for an ``Optional`` field. A missing required
+    key or a value that does not convert raises InvariantViolation naming
+    the field.
+    """
+
+    def to_dict(self) -> dict[str, Any]:
+        values = self.__dict__
+        return {
+            name: values[name] if encode is None else encode(values[name])
+            for name, encode in _plan(type(self))[0]
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]):
+        if not isinstance(data, dict):
+            raise InvariantViolation(cls.__name__, f"not a JSON object: {data!r}")
+        kwargs = {}
+        try:
+            for name, decode, default in _plan(cls)[1]:
+                value = data.get(name, MISSING)
+                if value is MISSING:
+                    if default is MISSING:
+                        raise InvariantViolation(name, "missing")
+                    kwargs[name] = default
+                else:
+                    kwargs[name] = value if decode is None else decode(value)
+        except (TypeError, ValueError) as exc:
+            raise InvariantViolation(name, str(exc)) from exc
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
-class ClaimRecord:
+class ClaimRecord(Record):
     """A real-world claim with claimant, source, date, and mapped verdict."""
 
     id: str
@@ -128,40 +227,15 @@ class ClaimRecord:
         if not self.source:
             raise InvariantViolation("source", "must be non-empty")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "text": self.text,
-            "claimant": self.claimant,
-            "source": self.source,
-            "claim_date": _isoformat(self.claim_date),
-            "verdict": self.verdict.value,
-            "raw_verdict": self.raw_verdict,
-        }
-
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ClaimRecord":
-        try:
-            verdict = ClaimVerdict(data["verdict"])
-        except ValueError as exc:
-            raise InvariantViolation(
-                "verdict", f"unmapped label: {data.get('verdict')!r}"
-            ) from exc
-        except KeyError as exc:
-            raise InvariantViolation("verdict", "missing") from exc
-        return cls(
-            id=data["id"],
-            text=data["text"],
-            claimant=data.get("claimant"),
-            source=data["source"],
-            claim_date=_parse_date(data.get("claim_date"), "claim_date"),
-            verdict=verdict,
-            raw_verdict=data.get("raw_verdict", verdict.value),
-        )
+        if isinstance(data, dict) and "raw_verdict" not in data:
+            data = {**data, "raw_verdict": data.get("verdict")}
+        return super().from_dict(data)
 
 
 @dataclass(frozen=True)
-class EvidencePiece:
+class EvidencePiece(Record):
     """A retrieved context chunk with URL, dates, source flags, annotations.
 
     The 300-word cap applies to evidence produced by the retrieval pipeline
@@ -171,7 +245,7 @@ class EvidencePiece:
     id: str
     claim_id: str
     text: str
-    url: str
+    url: str = ""
     pub_date: Optional[date] = None
     is_fact_check_source: bool = False
     is_gold_source: bool = False
@@ -190,63 +264,10 @@ class EvidencePiece:
                 "stance", "stance present requires relevance = relevant"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "claim_id": self.claim_id,
-            "text": self.text,
-            "url": self.url,
-            "pub_date": _isoformat(self.pub_date),
-            "is_fact_check_source": self.is_fact_check_source,
-            "is_gold_source": self.is_gold_source,
-            "pub_after_claim": self.pub_after_claim,
-            "relevance": None if self.relevance is None else self.relevance.value,
-            "stance": None if self.stance is None else self.stance.value,
-            "annotator_labels": [
-                [
-                    None if rel is None else rel.value,
-                    None if st is None else st.value,
-                ]
-                for rel, st in self.annotator_labels
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "EvidencePiece":
-        def parse_enum(enum_cls, value, field):
-            if value is None:
-                return None
-            try:
-                return enum_cls(value)
-            except ValueError as exc:
-                raise InvariantViolation(field, f"unknown value: {value!r}") from exc
-
-        labels = []
-        for pair in data.get("annotator_labels", []):
-            rel, st = pair[0], pair[1]
-            labels.append(
-                (
-                    parse_enum(Relevance, rel, "annotator_labels"),
-                    parse_enum(StanceLabel, st, "annotator_labels"),
-                )
-            )
-        return cls(
-            id=data["id"],
-            claim_id=data["claim_id"],
-            text=data["text"],
-            url=data.get("url", ""),
-            pub_date=_parse_date(data.get("pub_date"), "pub_date"),
-            is_fact_check_source=bool(data.get("is_fact_check_source", False)),
-            is_gold_source=bool(data.get("is_gold_source", False)),
-            pub_after_claim=data.get("pub_after_claim"),
-            relevance=parse_enum(Relevance, data.get("relevance"), "relevance"),
-            stance=parse_enum(StanceLabel, data.get("stance"), "stance"),
-            annotator_labels=tuple(labels),
-        )
 
 
 @dataclass(frozen=True)
-class VerdictProbabilities:
+class VerdictProbabilities(Record):
     """Normalized probabilities over {True, None, False} for one prompt mode."""
 
     p_true: float
@@ -287,26 +308,10 @@ class VerdictProbabilities:
             VerdictLabel.FALSE: self.p_false,
         }[label]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "p_true": self.p_true,
-            "p_none": self.p_none,
-            "p_false": self.p_false,
-            "mode": self.mode.value,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "VerdictProbabilities":
-        return cls(
-            p_true=data["p_true"],
-            p_none=data["p_none"],
-            p_false=data["p_false"],
-            mode=PromptMode(data["mode"]),
-        )
 
 
 @dataclass(frozen=True)
-class ScoredSample:
+class ScoredSample(Record):
     """ΔP / ACU scores of one (claim, evidence, model, prompt) combination.
 
     ``delta_p`` follows CANONICAL_LABELS order: (True, None, False).
@@ -332,34 +337,10 @@ class ScoredSample:
         if not -3.0 - self._TOL <= self.acu <= 3.0 + self._TOL:
             raise InvariantViolation("acu", f"outside [-3, 3]: {self.acu}")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "claim_id": self.claim_id,
-            "evidence_id": self.evidence_id,
-            "probs_without": self.probs_without.to_dict(),
-            "probs_with": self.probs_with.to_dict(),
-            "delta_p": list(self.delta_p),
-            "acu": self.acu,
-            "model_id": self.model_id,
-            "prompt_id": self.prompt_id,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ScoredSample":
-        return cls(
-            claim_id=data["claim_id"],
-            evidence_id=data["evidence_id"],
-            probs_without=VerdictProbabilities.from_dict(data["probs_without"]),
-            probs_with=VerdictProbabilities.from_dict(data["probs_with"]),
-            delta_p=tuple(data["delta_p"]),
-            acu=data["acu"],
-            model_id=data["model_id"],
-            prompt_id=data["prompt_id"],
-        )
 
 
 @dataclass(frozen=True)
-class CharacteristicVector:
+class CharacteristicVector(Record):
     """Per-sample values of every context-characteristic detector.
 
     Detector fields are None when the detector was disabled or errored for
@@ -397,55 +378,6 @@ class CharacteristicVector:
         if self.perplexity is not None and self.perplexity <= 0.0:
             raise InvariantViolation("perplexity", "must be positive")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "claim_id": self.claim_id,
-            "evidence_id": self.evidence_id,
-            "jaccard": self.jaccard,
-            "claim_evidence_overlap": self.claim_evidence_overlap,
-            "repeats_claim": self.repeats_claim,
-            "flesch": self.flesch,
-            "claim_len_chars": self.claim_len_chars,
-            "evidence_len_chars": self.evidence_len_chars,
-            "perplexity": self.perplexity,
-            "entity_overlap": self.entity_overlap,
-            "no_entity_flag": self.no_entity_flag,
-            "refers_external": self.refers_external,
-            "hedging": self.hedging,
-            "hedging_discourse": self.hedging_discourse,
-            "unreliable": None if self.unreliable is None else self.unreliable.value,
-            "contains_true_word": self.contains_true_word,
-            "contains_false_word": self.contains_false_word,
-            "pub_after_claim": self.pub_after_claim,
-            "fact_check_source": self.fact_check_source,
-            "gold_source": self.gold_source,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CharacteristicVector":
-        unreliable = data.get("unreliable")
-        return cls(
-            claim_id=data["claim_id"],
-            evidence_id=data["evidence_id"],
-            jaccard=data["jaccard"],
-            claim_evidence_overlap=data.get("claim_evidence_overlap"),
-            repeats_claim=data["repeats_claim"],
-            flesch=data.get("flesch"),
-            claim_len_chars=data["claim_len_chars"],
-            evidence_len_chars=data["evidence_len_chars"],
-            perplexity=data.get("perplexity"),
-            entity_overlap=data.get("entity_overlap"),
-            no_entity_flag=bool(data.get("no_entity_flag", False)),
-            refers_external=data.get("refers_external"),
-            hedging=bool(data.get("hedging", False)),
-            hedging_discourse=bool(data.get("hedging_discourse", False)),
-            unreliable=None if unreliable is None else Reliability(unreliable),
-            contains_true_word=bool(data.get("contains_true_word", False)),
-            contains_false_word=bool(data.get("contains_false_word", False)),
-            pub_after_claim=data.get("pub_after_claim"),
-            fact_check_source=bool(data.get("fact_check_source", False)),
-            gold_source=bool(data.get("gold_source", False)),
-        )
 
 
 def validate_sample(
@@ -489,8 +421,15 @@ def write_jsonl(path: Path, records: Iterable[Any], header: Optional[dict] = Non
 
 
 def read_jsonl(path: Path, skip_header: bool = True) -> Iterator[tuple[int, dict]]:
-    """Yield (line_no, object) pairs; raises ParseError with the line number."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Yield (line_no, object) pairs; raises ParseError with the line number.
+
+    A file that cannot be opened is a ParseError at line 0.
+    """
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(str(path), 0, f"cannot open: {exc.strerror or exc}") from exc
+    with fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

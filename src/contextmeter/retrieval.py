@@ -32,7 +32,6 @@ from .errors import InvariantViolation, RerankBackendError, SearchBackendError
 from .model import (
     ClaimRecord,
     EvidencePiece,
-    canonical_json,
     fallback_id,
     word_count,
 )
@@ -252,43 +251,6 @@ class HttpRerankClient:
         if not isinstance(scores, list) or len(scores) != len(texts):
             raise RerankBackendError("malformed scores payload", retryable=False)
         return [float(s) for s in scores]
-
-
-class ReplayReranker:
-    """Serves recorded rerank scores from a JSON file keyed by (query, text)."""
-
-    def __init__(self, store_path: Path):
-        self._store = json.loads(Path(store_path).read_text(encoding="utf-8"))
-
-    @staticmethod
-    def key(query: str, text: str) -> str:
-        return fallback_id(query, text)
-
-    def score(self, query: str, texts: Sequence[str]) -> list[float]:
-        try:
-            return [self._store[self.key(query, text)] for text in texts]
-        except KeyError as exc:
-            raise RerankBackendError(f"no recorded score for {exc}", retryable=False)
-
-
-class RecordingReranker:
-    """Wraps a live reranker and persists every score for later replay."""
-
-    def __init__(self, inner: RerankClient, store_path: Path):
-        self._inner = inner
-        self._store_path = Path(store_path)
-        self._store: dict[str, float] = {}
-        if self._store_path.exists():
-            self._store = json.loads(self._store_path.read_text(encoding="utf-8"))
-
-    def score(self, query: str, texts: Sequence[str]) -> list[float]:
-        scores = self._inner.score(query, texts)
-        for text, value in zip(texts, scores):
-            self._store[ReplayReranker.key(query, text)] = value
-        self._store_path.write_text(
-            canonical_json(self._store), encoding="utf-8"
-        )
-        return scores
 
 
 # -- pipeline stages ---------------------------------------------------------------

@@ -241,16 +241,55 @@ class TestConfigErrors:
             "provider endpoint or a replay store",
         )
 
-    def test_config_error_leaves_no_run_dir(self, druid_fixture_paths, tmp_path):
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "no-templates", "missing-claims-file", "claim-without-id", "bad-scored-mode",
+            "report-artifact-not-json", "report-artifact-not-object",
+        ],
+    )
+    def test_config_error_leaves_no_run_dir(self, druid_fixture_paths, tmp_path, case):
         claims_path, evidence_path = druid_fixture_paths
         out = tmp_path / "runs"
-        code, _, _ = run_cli(
-            "score",
-            "--claims", str(claims_path),
-            "--evidence", str(evidence_path),
-            "--out", str(out),
-        )
-        assert code == 2
+        bad = tmp_path / "bad.jsonl"
+        probs = {"p_true": 0.5, "p_none": 0.25, "p_false": 0.25, "mode": "claim-only"}
+        scored = {
+            "claim_id": "c1", "evidence_id": "e1", "delta_p": [0.0, 0.0, 0.0],
+            "acu": 0.0, "model_id": "m", "prompt_id": "p",
+            "probs_without": probs, "probs_with": {**probs, "mode": "claim+context"},
+        }
+        # case: (exit code, {input file: content}, argv)
+        cases = {
+            "no-templates": (2, {}, ["score", "--claims", claims_path, "--evidence", evidence_path]),
+            "missing-claims-file": (
+                1, {}, ["ingest", "--claims", tmp_path / "nope.jsonl", "--evidence", evidence_path],
+            ),
+            "claim-without-id": (
+                1,
+                {bad: json.dumps({"text": "A claim.", "source": "politifact", "verdict": "True"})},
+                ["profile", "--claims", bad, "--evidence", evidence_path],
+            ),
+            "bad-scored-mode": (
+                1, {bad: json.dumps(scored)}, ["analyze", "--scored", bad, "--evidence", evidence_path],
+            ),
+            "report-artifact-not-json": (
+                1, {tmp_path / "profile.json": "{broken"}, ["report", "--run-dir", tmp_path],
+            ),
+            "report-artifact-not-object": (
+                1, {tmp_path / "profile.json": "[1, 2]"}, ["report", "--run-dir", tmp_path],
+            ),
+        }
+        expected_code, files, argv = cases[case]
+        for path, text in files.items():
+            path.write_text(text + "\n", encoding="utf-8")
+        code, _, stderr = run_cli(*map(str, argv), "--out", str(out))
+        assert code == expected_code
+        assert len(stderr.strip().splitlines()) == 1
+        payload = json.loads(stderr)
+        assert "Traceback" not in stderr
+        if expected_code == 1:
+            assert payload["error"] == "ParseError"
+            assert re.search(r"\.jsonl?:\d+: ", payload["message"])
         assert not out.exists()
 
     def test_replay_requires_provider_id(self, druid_fixture_paths, replay_store):

@@ -303,6 +303,27 @@ class TestScoreRecord:
         with pytest.raises(StoreCorruption):
             lm.ScoreRecord.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda data: data.pop("timestamp"),
+            lambda data: data["probs"].update(mode="claim+context"),
+            lambda data: data["probs"].update(p_true=0.9),
+            lambda data: data["probs"].update(p_true="high"),
+            lambda data: data.update(probs=[0.2, 0.3, 0.5]),
+        ],
+        ids=["missing-key", "bad-mode", "sum-not-one", "string-prob", "probs-not-object"],
+    )
+    def test_malformed_record_is_store_corruption(self, tamper):
+        data = json.loads(json.dumps(self._record().to_dict()))
+        tamper(data)
+        with pytest.raises(StoreCorruption):
+            lm.ScoreRecord.from_dict(data)
+
+    def test_non_object_line_is_store_corruption(self):
+        with pytest.raises(StoreCorruption):
+            lm.ScoreRecord.from_dict(["prompt_hash"])
+
 
 class TestReplayStore:
     def test_record_then_replay_identical(self, tmp_path):

@@ -4,6 +4,8 @@ import json
 from datetime import date
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from contextmeter.errors import (
     DanglingReference,
@@ -13,11 +15,13 @@ from contextmeter.errors import (
 )
 from contextmeter.model import (
     CANONICAL_LABELS,
+    CharacteristicVector,
     ClaimRecord,
     ClaimVerdict,
     EvidencePiece,
     PromptMode,
     Relevance,
+    Reliability,
     ScoredSample,
     StanceLabel,
     VerdictLabel,
@@ -301,3 +305,185 @@ class TestHelpers:
     def test_word_count(self):
         assert word_count("one  two\tthree\nfour") == 4
         assert word_count("") == 0
+
+
+# -- record codec --------------------------------------------------------------
+
+NAMES = st.text(min_size=1, max_size=8)
+DATES = st.none() | st.dates()
+UNIT = st.floats(0.0, 1.0)
+OPT_BOOLS = st.none() | st.booleans()
+OPT_UNIT = st.none() | UNIT
+
+CLAIMS = st.builds(
+    ClaimRecord,
+    id=NAMES,
+    text=NAMES,
+    claimant=st.none() | st.text(max_size=8),
+    source=NAMES,
+    claim_date=DATES,
+    verdict=st.sampled_from(ClaimVerdict),
+    raw_verdict=st.text(max_size=8),
+)
+
+
+@st.composite
+def evidence_pieces(draw):
+    relevance = draw(st.none() | st.sampled_from(Relevance))
+    stance = draw(st.none() | st.sampled_from(StanceLabel)) if relevance is Relevance.RELEVANT else None
+    return EvidencePiece(
+        id=draw(NAMES),
+        claim_id=draw(NAMES),
+        text=draw(NAMES),
+        url=draw(st.text(max_size=8)),
+        pub_date=draw(DATES),
+        is_fact_check_source=draw(st.booleans()),
+        is_gold_source=draw(st.booleans()),
+        pub_after_claim=draw(OPT_BOOLS),
+        relevance=relevance,
+        stance=stance,
+        annotator_labels=draw(
+            st.lists(
+                st.tuples(st.none() | st.sampled_from(Relevance), st.none() | st.sampled_from(StanceLabel)),
+                max_size=3,
+            ).map(tuple)
+        ),
+    )
+
+
+PROBS = st.builds(
+    VerdictProbabilities.from_weights,
+    st.fixed_dictionaries({label: st.floats(0.01, 1.0) for label in CANONICAL_LABELS}),
+    st.sampled_from(PromptMode),
+)
+SAMPLES = st.builds(
+    ScoredSample,
+    claim_id=NAMES,
+    evidence_id=NAMES,
+    probs_without=PROBS,
+    probs_with=PROBS,
+    delta_p=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    acu=st.floats(-3.0, 3.0),
+    model_id=NAMES,
+    prompt_id=NAMES,
+)
+VECTORS = st.builds(
+    CharacteristicVector,
+    claim_id=NAMES,
+    evidence_id=NAMES,
+    jaccard=UNIT,
+    claim_evidence_overlap=OPT_UNIT,
+    repeats_claim=st.booleans(),
+    flesch=st.none() | st.floats(-200.0, 200.0),
+    claim_len_chars=st.integers(0, 10_000),
+    evidence_len_chars=st.integers(0, 10_000),
+    perplexity=st.none() | st.floats(0.5, 1e6),
+    entity_overlap=OPT_UNIT,
+    no_entity_flag=st.booleans(),
+    refers_external=OPT_BOOLS,
+    hedging=st.booleans(),
+    hedging_discourse=st.booleans(),
+    unreliable=st.none() | st.sampled_from(Reliability),
+    contains_true_word=st.booleans(),
+    contains_false_word=st.booleans(),
+    pub_after_claim=OPT_BOOLS,
+    fact_check_source=st.booleans(),
+    gold_source=st.booleans(),
+)
+
+
+class TestRecordCodec:
+    @pytest.mark.parametrize(
+        "records",
+        [CLAIMS, evidence_pieces(), PROBS, SAMPLES, VECTORS],
+        ids=["claim", "evidence", "probs", "scored", "vector"],
+    )
+    @given(data=st.data())
+    def test_round_trip_and_stable_line(self, records, data):
+        record = data.draw(records)
+        cls = type(record)
+        assert cls.from_dict(record.to_dict()) == record
+        line = encode_line(record)
+        decoded = cls.from_dict(json.loads(line))
+        assert decoded == record
+        assert encode_line(decoded) == line
+
+    MINIMAL = {
+        ClaimRecord: {"id": "c", "text": "t", "source": "s", "verdict": "Half-true"},
+        EvidencePiece: {"id": "e", "claim_id": "c", "text": "t"},
+        CharacteristicVector: {
+            "claim_id": "c", "evidence_id": "e", "jaccard": 0.5, "repeats_claim": False,
+            "claim_len_chars": 3, "evidence_len_chars": 4,
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "cls,field,expected",
+        [
+            (ClaimRecord, "claimant", None),
+            (ClaimRecord, "claim_date", None),
+            (ClaimRecord, "raw_verdict", "Half-true"),
+            (EvidencePiece, "url", ""),
+            (EvidencePiece, "pub_date", None),
+            (EvidencePiece, "is_fact_check_source", False),
+            (EvidencePiece, "pub_after_claim", None),
+            (EvidencePiece, "relevance", None),
+            (EvidencePiece, "stance", None),
+            (EvidencePiece, "annotator_labels", ()),
+            (CharacteristicVector, "claim_evidence_overlap", None),
+            (CharacteristicVector, "flesch", None),
+            (CharacteristicVector, "perplexity", None),
+            (CharacteristicVector, "entity_overlap", None),
+            (CharacteristicVector, "refers_external", None),
+            (CharacteristicVector, "unreliable", None),
+            (CharacteristicVector, "pub_after_claim", None),
+            (CharacteristicVector, "hedging", False),
+            (CharacteristicVector, "gold_source", False),
+        ],
+    )
+    def test_missing_key_default(self, cls, field, expected):
+        assert getattr(cls.from_dict(self.MINIMAL[cls]), field) == expected
+
+    def test_bool_fields_coerced(self):
+        piece = EvidencePiece.from_dict({**self.MINIMAL[EvidencePiece], "is_gold_source": 1})
+        assert piece.is_gold_source is True
+
+    @pytest.mark.parametrize("cls", [ClaimRecord, EvidencePiece, CharacteristicVector])
+    def test_missing_required_key_names_field(self, cls):
+        row = dict(self.MINIMAL[cls])
+        field = next(iter(row))
+        del row[field]
+        with pytest.raises(InvariantViolation) as exc_info:
+            cls.from_dict(row)
+        assert exc_info.value.field == field
+
+    def test_bad_mode_rejected(self):
+        row = {"p_true": 0.5, "p_none": 0.25, "p_false": 0.25, "mode": "claim+context"}
+        with pytest.raises(InvariantViolation) as exc_info:
+            VerdictProbabilities.from_dict(row)
+        assert exc_info.value.field == "mode"
+
+    def test_bad_unreliable_rejected(self):
+        row = {**self.MINIMAL[CharacteristicVector], "unreliable": "dubious"}
+        with pytest.raises(InvariantViolation) as exc_info:
+            CharacteristicVector.from_dict(row)
+        assert exc_info.value.field == "unreliable"
+
+    def test_bad_annotator_pair_rejected(self):
+        row = {**self.MINIMAL[EvidencePiece], "annotator_labels": [["relevant"]]}
+        with pytest.raises(InvariantViolation) as exc_info:
+            EvidencePiece.from_dict(row)
+        assert exc_info.value.field == "annotator_labels"
+
+    def test_non_object_row_rejected(self):
+        with pytest.raises(InvariantViolation):
+            ClaimRecord.from_dict(["id", "verdict"])
+
+
+class TestReadJsonlMissingFile:
+    def test_unopenable_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "absent.jsonl"
+        with pytest.raises(ParseError) as exc_info:
+            list(read_jsonl(path))
+        assert exc_info.value.line_no == 0
+        assert str(path) in str(exc_info.value)

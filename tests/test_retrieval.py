@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from contextmeter import retrieval as rt
-from contextmeter.errors import InvariantViolation, RerankBackendError, SearchBackendError
+from contextmeter.errors import InvariantViolation, SearchBackendError
 from contextmeter.retrieval import Chunk, SearchResult
 
 from conftest import make_claim
@@ -202,22 +202,6 @@ class TestRerank:
             ("zz", 1),
         ]
         assert all(c.rerank_score == pytest.approx(0.2) for c in ranked)
-
-    def test_replay_round_trip(self, tmp_path):
-        claim = lighthouse_claim()
-        store = tmp_path / "rerank.json"
-        recording = rt.RecordingReranker(rt.LexicalOverlapReranker(), store)
-        live = recording.score(claim.text, ["island red lighthouse", "soup"])
-        replayed = rt.ReplayReranker(store).score(
-            claim.text, ["island red lighthouse", "soup"]
-        )
-        assert replayed == live
-
-    def test_replay_miss_raises(self, tmp_path):
-        store = tmp_path / "rerank.json"
-        rt.RecordingReranker(rt.LexicalOverlapReranker(), store).score("q", ["a"])
-        with pytest.raises(RerankBackendError):
-            rt.ReplayReranker(store).score("q", ["unseen text"])
 
 
 class TestSelectPages:
