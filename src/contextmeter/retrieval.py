@@ -144,21 +144,24 @@ class FixtureSearchClient:
     The manifest is a list of objects with ``file``, ``url`` and optional
     ``title`` / ``pub_date`` fields. Pages are ranked by how many distinct
     query words they contain; pages sharing no word with the query do not
-    match.
+    match. The manifest and every page are read, and each page's word set
+    built, once, when the client is built.
     """
 
     def __init__(self, corpus_dir: Path, name: str = "fixture"):
         self.name = name
-        self._corpus_dir = Path(corpus_dir)
-        manifest_path = self._corpus_dir / "manifest.json"
-        self._manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        corpus_dir = Path(corpus_dir)
+        manifest = json.loads((corpus_dir / "manifest.json").read_text(encoding="utf-8"))
+        self._pages: list[tuple[dict, str, frozenset[str]]] = []
+        for entry in manifest:
+            text = (corpus_dir / entry["file"]).read_text(encoding="utf-8")
+            self._pages.append((entry, text, word_set(text)))
 
     def search(self, query: str) -> list[SearchResult]:
         query_words = word_set(query)
         scored: list[tuple[int, str, dict, str]] = []
-        for entry in self._manifest:
-            text = (self._corpus_dir / entry["file"]).read_text(encoding="utf-8")
-            overlap = len(query_words & word_set(text))
+        for entry, text, page_words in self._pages:
+            overlap = len(query_words & page_words)
             if overlap > 0:
                 scored.append((overlap, entry["url"], entry, text))
         scored.sort(key=lambda item: (-item[0], item[1]))
@@ -313,19 +316,22 @@ def split_sentences(text: str) -> list[str]:
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Longest common subsequence length via the standard DP recurrence."""
-    if not a or not b:
-        return 0
-    previous = [0] * (len(b) + 1)
+    """Longest common subsequence length, bit-parallel over ``b``.
+
+    Allison–Dix (1986) / Hyyrö (2004): bit j of ``row`` is 0 where the DP
+    row of LCS lengths against ``b`` steps up by one at column j. One add,
+    one subtract and a mask per token of ``a`` advance the whole row, and
+    the 0 bits of the last row count the LCS.
+    """
+    masks: dict[str, int] = {}
+    for j, token in enumerate(b):
+        masks[token] = masks.get(token, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    row = full
     for token in a:
-        current = [0]
-        for j, other in enumerate(b, start=1):
-            if token == other:
-                current.append(previous[j - 1] + 1)
-            else:
-                current.append(max(previous[j], current[j - 1]))
-        previous = current
-    return previous[-1]
+        matches = row & masks.get(token, 0)
+        row = ((row + matches) | (row - matches)) & full
+    return len(b) - row.bit_count()
 
 
 def rouge_l(candidate: str, reference: str) -> float:

@@ -1,13 +1,16 @@
 """Retrieval pipeline: chunking, claim-repeat filtering, rerank, assembly."""
 
+import json
 import random
 from datetime import date
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from contextmeter import retrieval as rt
+from contextmeter.characteristics import word_set
 from contextmeter.errors import InvariantViolation, SearchBackendError
 from contextmeter.retrieval import Chunk, SearchResult
 
@@ -105,6 +108,105 @@ class TestRouge:
             assert rt.lcs_length(a, b) == brute(a, b)
 
 
+def dp_lcs_length(a, b):
+    """The row-by-row DP that ``lcs_length`` replaced, kept as the reference."""
+    if not a or not b:
+        return 0
+    previous = [0] * (len(b) + 1)
+    for token in a:
+        current = [0]
+        for j, other in enumerate(b, start=1):
+            if token == other:
+                current.append(previous[j - 1] + 1)
+            else:
+                current.append(max(previous[j], current[j - 1]))
+        previous = current
+    return previous[-1]
+
+
+def dp_rouge_l(candidate, reference):
+    candidate_words = candidate.split()
+    reference_words = reference.split()
+    lcs = dp_lcs_length(candidate_words, reference_words)
+    if lcs == 0:
+        return 0.0
+    precision = lcs / len(candidate_words)
+    recall = lcs / len(reference_words)
+    return 2 * precision * recall / (precision + recall)
+
+
+SMALL_VOCAB = st.sampled_from(["a", "b", "c", "d"])
+
+
+class TestBitParallelLcs:
+    @given(
+        a=st.lists(SMALL_VOCAB, max_size=40),
+        b=st.lists(SMALL_VOCAB, max_size=150),
+    )
+    def test_matches_dp(self, a, b):
+        assert rt.lcs_length(a, b) == dp_lcs_length(a, b)
+
+    @given(
+        a=st.lists(SMALL_VOCAB, min_size=1, max_size=30),
+        b=st.lists(SMALL_VOCAB, min_size=65, max_size=200),
+    )
+    def test_matches_dp_beyond_one_machine_word(self, a, b):
+        assert rt.lcs_length(a, b) == dp_lcs_length(a, b)
+        assert rt.lcs_length(b, a) == dp_lcs_length(b, a)
+
+    def test_empty_sides(self):
+        assert rt.lcs_length([], ["a", "b"]) == 0
+        assert rt.lcs_length(["a", "b"], []) == 0
+        assert rt.lcs_length([], []) == 0
+
+    def test_repeated_tokens(self):
+        assert rt.lcs_length(["a"] * 100, ["a"] * 70) == 70
+        assert rt.lcs_length(["a", "b"] * 50, ["b", "a"] * 40) == 80
+        assert rt.lcs_length(["x"] * 5, ["a"] * 80) == 0
+
+
+class TestClaimRepeatDecisions:
+    CLAIM = "Gull Island lighthouse stands tall."
+
+    def test_f_exactly_at_threshold_is_kept(self):
+        # 4 of the sentence's 6 words and all 4 claim words: p = 2/3, r = 1,
+        # and 2pr/(p+r) is exactly 0.8 in floats, which is not "> 0.8".
+        claim = lighthouse_claim(text="Gull Island lighthouse stands.")
+        sentence = "Gull Island old lighthouse still stands."
+        assert rt.rouge_l(sentence, claim.text) == 0.8
+        chunk = Chunk(page_url="u", ordinal=0, text=sentence, word_count=6)
+        assert rt.filter_claim_repeats(chunk, claim) == chunk
+
+    def test_f_one_ulp_above_threshold_is_dropped(self):
+        # p = r = 4/5 gives 0.8000000000000002 in floats.
+        claim = lighthouse_claim(text=self.CLAIM)
+        sentence = "Gull Island lighthouse stands proud."
+        assert rt.rouge_l(sentence, claim.text) == dp_rouge_l(sentence, claim.text) > 0.8
+        chunk = Chunk(page_url="u", ordinal=0, text=sentence, word_count=5)
+        assert rt.filter_claim_repeats(chunk, claim) is None
+
+    @given(
+        sentences=st.lists(
+            st.lists(st.sampled_from(["Gull", "Island", "lighthouse", "stands", "tall.", "old"]),
+                     min_size=1, max_size=12),
+            min_size=1, max_size=6,
+        )
+    )
+    def test_decisions_match_dp_rouge(self, sentences):
+        claim = lighthouse_claim(text=self.CLAIM)
+        texts = [" ".join(words).rstrip(".") + "." for words in sentences]
+        for text in texts:
+            assert rt.rouge_l(text, claim.text) == dp_rouge_l(text, claim.text)
+        text = " ".join(texts)
+        chunk = Chunk(page_url="u", ordinal=0, text=text, word_count=len(text.split()))
+        kept = [s for s in rt.split_sentences(text) if dp_rouge_l(s, claim.text) <= 0.8]
+        filtered = rt.filter_claim_repeats(chunk, claim)
+        if kept:
+            assert filtered.text == " ".join(kept)
+        else:
+            assert filtered is None
+
+
 class TestClaimRepeatFilter:
     def test_repeat_sentence_removed(self):
         claim = lighthouse_claim()
@@ -140,6 +242,27 @@ class TestClaimRepeatFilter:
         chunk = Chunk(page_url="u", ordinal=0, text=text,
                       word_count=len(text.split()))
         assert rt.filter_claim_repeats(chunk, claim) is None
+
+
+def rereading_search(corpus_dir, query):
+    """The fixture search that re-read every page per query, as reference."""
+    scored = []
+    for entry in json.loads((corpus_dir / "manifest.json").read_text(encoding="utf-8")):
+        text = (corpus_dir / entry["file"]).read_text(encoding="utf-8")
+        overlap = len(word_set(query) & word_set(text))
+        if overlap > 0:
+            scored.append((overlap, entry["url"], entry, text))
+    scored.sort(key=lambda item: (-item[0], item[1]))
+    return [
+        SearchResult(
+            url=url,
+            title=entry.get("title", ""),
+            rank_per_engine=(("fixture", rank),),
+            fetched_text=text,
+            pub_date=date.fromisoformat(entry["pub_date"]) if entry.get("pub_date") else None,
+        )
+        for rank, (_, url, entry, text) in enumerate(scored[: rt.TOP_RESULTS_PER_ENGINE], start=1)
+    ]
 
 
 class TestSearch:
@@ -178,6 +301,26 @@ class TestSearch:
             (("fixture", 3),),
         ]
         assert results[0].pub_date == date(1998, 4, 12)
+
+
+    def test_fixture_client_reads_each_page_once(self, fixture_corpus_dir, monkeypatch):
+        reads = []
+        original = Path.read_text
+
+        def counting_read_text(self, *args, **kwargs):
+            reads.append(self.name)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        client = rt.FixtureSearchClient(fixture_corpus_dir)
+        queries = [CLAIM_TEXT, "gull island birds", "soup recipe", CLAIM_TEXT, "nothing matches zzz"]
+        results = [client.search(query) for query in queries]
+        pages = sorted(p.name for p in fixture_corpus_dir.glob("*.txt"))
+        assert sorted(reads) == sorted(pages + ["manifest.json"])
+
+        monkeypatch.setattr(Path, "read_text", original)
+        assert results[4] == []
+        assert results == [rereading_search(fixture_corpus_dir, query) for query in queries]
 
 
 class TestRerank:
