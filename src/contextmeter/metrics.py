@@ -71,15 +71,19 @@ def delta_p_with_flag(p_with: float, p_without: float) -> tuple[float, bool]:
     for name, value in (("p_with", p_with), ("p_without", p_without)):
         if not 0.0 <= value <= 1.0:
             raise InvariantViolation(name, f"outside [0, 1]: {value}")
+    # Each branch reads each input once, through roundings that are each
+    # monotone, so ΔP stays rising in p_with and falling in p_without in
+    # floats too; (p_with - p_without) / ..., with p_without read twice,
+    # can break that by an ulp.
     if p_with >= p_without:
         denominator = 1.0 - p_without
         if denominator == 0.0:
             logger.debug("degenerate delta_p: p_without=1 and p_with=1")
             return 0.0, True
-        return (p_with - p_without) / denominator, False
+        return 1.0 - (1.0 - p_with) / denominator, False
     # Strict decrease implies p_without > p_with >= 0, so the denominator
     # is always positive on this branch.
-    return (p_with - p_without) / p_without, False
+    return p_with / p_without - 1.0, False
 
 
 def delta_p(p_with: float, p_without: float) -> float:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -90,6 +91,39 @@ class TestDeltaP:
     def test_antitone_in_p_without(self, p_with, a, b):
         lo, hi = sorted((a, b))
         assert metrics.delta_p(p_with, lo) >= metrics.delta_p(p_with, hi)
+
+    @pytest.mark.parametrize("p_without", [0.3247, 0.5])
+    def test_recorded_antitonicity_case(self, p_without):
+        p_with = 0.9999999999999999
+        assert metrics.delta_p(p_with, 0.3247) >= metrics.delta_p(p_with, p_without)
+        assert metrics.delta_p(p_with, p_without) >= metrics.delta_p(p_with, 0.5)
+
+    def test_adjacent_p_without_case(self):
+        # (p_with - p_without) / (1 - p_without) rises by an ulp here as
+        # p_without steps to the next float.
+        lo = 0.37651402824500196
+        hi = math.nextafter(lo, 1.0)
+        assert metrics.delta_p(0.8262955117986266, lo) >= metrics.delta_p(0.8262955117986266, hi)
+
+    def test_seeded_sweep_both_monotonicities(self):
+        rng = random.Random(20240)
+
+        def draw():
+            # uniform, within a few ulps of 1, or subnormal to tiny
+            kind = rng.randrange(3)
+            if kind == 0:
+                return rng.random()
+            if kind == 1:
+                return 1.0 - rng.randrange(64) * 2.0 ** -53
+            return rng.randrange(64) * 2.0 ** -1074 * rng.choice((1, 2 ** 20, 2 ** 900))
+
+        for _ in range(100_000):
+            fixed, lo = draw(), draw()
+            # half the pairs are neighbouring floats, where rounding bites
+            hi = math.nextafter(lo, 1.0) if rng.random() < 0.5 else draw()
+            lo, hi = sorted((lo, hi))
+            assert metrics.delta_p(lo, fixed) <= metrics.delta_p(hi, fixed), (lo, hi, fixed)
+            assert metrics.delta_p(fixed, lo) >= metrics.delta_p(fixed, hi), (fixed, lo, hi)
 
     def test_vector_order_true_none_false(self):
         vector = metrics.delta_p_vector(
