@@ -39,6 +39,15 @@ from .model import (
 
 ACU_FORMS = ("mean", "sum")
 
+#: JSON value type each RunConfig annotation accepts, by annotation text.
+_CONFIG_TYPES: dict[str, tuple[tuple[type, ...], str]] = {
+    "str": ((str,), "a string"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "list": ((list,), "a list"),
+    "dict": ((dict,), "an object"),
+}
+
 
 @dataclass
 class RunConfig:
@@ -83,6 +92,15 @@ class RunConfig:
     max_concurrency: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.type.startswith("Optional["):
+                continue
+            kinds, expected = _CONFIG_TYPES[f.type.removeprefix("Optional[").rstrip("]")]
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ConfigError(f"{f.name} must be {expected}, got {type(value).__name__}")
+        if not all(isinstance(domain, str) for domain in self.fact_check_domains):
+            raise ConfigError("fact_check_domains must be a list of strings")
         if self.acu_form not in ACU_FORMS:
             raise ConfigError(f"acu_form must be one of {ACU_FORMS}, got {self.acu_form!r}")
         if self.max_concurrency <= 0:

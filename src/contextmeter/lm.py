@@ -375,12 +375,13 @@ class ReplayStore:
                 if not line.strip():
                     continue
                 try:
-                    data = json.loads(line)
+                    record = ScoreRecord.from_dict(json.loads(line))
                 except json.JSONDecodeError as exc:
                     raise StoreCorruption(
                         f"{self.path}:{line_no}: unparseable line ({exc.msg})"
                     ) from exc
-                record = ScoreRecord.from_dict(data)
+                except StoreCorruption as exc:
+                    raise StoreCorruption(f"{self.path}:{line_no}: {exc}") from exc
                 self._records[record.key] = record
 
     def __len__(self) -> int:

@@ -209,6 +209,34 @@ class TestConfigErrors:
         config.write_text('["sum"]\n')
         self.assert_config_error(["score", "--config", str(config)], "JSON object")
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"fact_check_domains": 5}, "fact_check_domains must be a list, got int"),
+            ({"fact_check_domains": ["ok.example", 5]}, "fact_check_domains must be a list of strings"),
+            ({"search_endpoints": {"name": "x"}}, "search_endpoints must be a list, got dict"),
+            ({"detectors": ["hedging"]}, "detectors must be an object, got list"),
+            ({"request_timeout": "slow"}, "request_timeout must be a number, got str"),
+            ({"max_concurrency": True}, "max_concurrency must be an integer, got bool"),
+            ({"dataset": 7}, "dataset must be a string, got int"),
+        ],
+    )
+    def test_config_value_types(
+        self, druid_fixture_paths, fixture_corpus_dir, tmp_path, settings, message
+    ):
+        claims_path, _ = druid_fixture_paths
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(settings) + "\n")
+        out = tmp_path / "runs"
+        code, _, stderr = run_cli(
+            "retrieve", "--config", str(config), "--claims", str(claims_path),
+            "--fixture-corpus", str(fixture_corpus_dir), "--out", str(out),
+        )
+        assert code == 2
+        assert len(stderr.strip().splitlines()) == 1
+        assert json.loads(stderr) == {"error": "ConfigError", "message": message}
+        assert not out.exists()
+
     def test_bad_acu_form_in_config(self, tmp_path):
         config = tmp_path / "run.json"
         config.write_text('{"acu_form": "median"}\n')

@@ -395,6 +395,30 @@ class TestReplayStore:
                 record.prompt_hash, provider.provider_id
             )
 
+    @pytest.mark.parametrize(
+        "tamper, reason",
+        [
+            (lambda data: data["surface_probs"].update({"True": 0.999}), "checksum mismatch"),
+            (lambda data: data.pop("timestamp"), "malformed score record"),
+        ],
+        ids=["checksum", "malformed"],
+    )
+    def test_corruption_names_path_and_line(self, tmp_path, tamper, reason):
+        store_path = tmp_path / "store.jsonl"
+        store = lm.ReplayStore(store_path)
+        scorer = lm.VerdictScorer(provider=HashLogprobProvider(), store=store, mode="record")
+        template = lm.builtin_templates()["claim-0shot"]
+        scorer.score(template, make_claim(id="c1", text="First claim."))
+        scorer.score(template, make_claim(id="c2", text="Second claim."))
+        lines = store_path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2
+        payload = json.loads(lines[1])
+        tamper(payload)
+        store_path.write_text(lines[0] + "\n" + json.dumps(payload) + "\n", encoding="utf-8")
+        with pytest.raises(StoreCorruption) as excinfo:
+            lm.ReplayStore(store_path)
+        assert str(excinfo.value).startswith(f"{store_path}:2: {reason}")
+
     def test_truncated_line_rejected(self, tmp_path):
         store_path = tmp_path / "store.jsonl"
         store_path.write_text('{"prompt_hash": "ab\n', encoding="utf-8")
