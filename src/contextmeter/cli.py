@@ -272,7 +272,12 @@ def cmd_recast(config: RunConfig, run_dir: Path) -> list[str]:
 def _build_search_clients(config: RunConfig) -> list:
     clients = []
     if config.fixture_corpus:
-        clients.append(retrieval.FixtureSearchClient(Path(config.fixture_corpus)))
+        try:
+            clients.append(retrieval.FixtureSearchClient(Path(config.fixture_corpus)))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(
+                f"cannot read fixture corpus {config.fixture_corpus}: {type(exc).__name__}: {exc}"
+            ) from exc
     for entry in config.search_endpoints:
         try:
             clients.append(

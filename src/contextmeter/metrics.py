@@ -71,10 +71,8 @@ def delta_p_with_flag(p_with: float, p_without: float) -> tuple[float, bool]:
     for name, value in (("p_with", p_with), ("p_without", p_without)):
         if not 0.0 <= value <= 1.0:
             raise InvariantViolation(name, f"outside [0, 1]: {value}")
-    # Each branch reads each input once, through roundings that are each
-    # monotone, so ΔP stays rising in p_with and falling in p_without in
-    # floats too; (p_with - p_without) / ..., with p_without read twice,
-    # can break that by an ulp.
+    # Reading each input once per branch keeps ΔP monotone under rounding;
+    # (p_with - p_without) / ... reads p_without twice and can break it.
     if p_with >= p_without:
         denominator = 1.0 - p_without
         if denominator == 0.0:

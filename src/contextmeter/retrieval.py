@@ -319,9 +319,7 @@ def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     """Longest common subsequence length, bit-parallel over ``b``.
 
     Allison–Dix (1986) / Hyyrö (2004): bit j of ``row`` is 0 where the DP
-    row of LCS lengths against ``b`` steps up by one at column j. One add,
-    one subtract and a mask per token of ``a`` advance the whole row, and
-    the 0 bits of the last row count the LCS.
+    row of LCS lengths against ``b`` steps up at column j.
     """
     masks: dict[str, int] = {}
     for j, token in enumerate(b):

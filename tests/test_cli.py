@@ -237,6 +237,40 @@ class TestConfigErrors:
         assert json.loads(stderr) == {"error": "ConfigError", "message": message}
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "damage, fragment",
+        [
+            ("no-dir", "FileNotFoundError"),
+            ("missing-page", "soup-recipes.txt"),
+            ("manifest-not-json", "JSONDecodeError"),
+            ("entry-without-file", "KeyError: 'file'"),
+        ],
+    )
+    def test_unreadable_fixture_corpus(
+        self, druid_fixture_paths, fixture_corpus_dir, tmp_path, damage, fragment
+    ):
+        claims_path, _ = druid_fixture_paths
+        corpus = tmp_path / "corpus"
+        shutil.copytree(fixture_corpus_dir, corpus)
+        if damage == "no-dir":
+            shutil.rmtree(corpus)
+        elif damage == "missing-page":
+            (corpus / "soup-recipes.txt").unlink()
+        elif damage == "manifest-not-json":
+            (corpus / "manifest.json").write_text("{broken")
+        else:
+            (corpus / "manifest.json").write_text('[{"url": "https://x.example/a"}]')
+        out = tmp_path / "runs"
+        code, _, stderr = run_cli(
+            "retrieve", "--claims", str(claims_path), "--fixture-corpus", str(corpus),
+            "--out", str(out),
+        )
+        assert code == 2
+        payload = json.loads(stderr)
+        assert payload["error"] == "ConfigError"
+        assert fragment in payload["message"]
+        assert not out.exists()
+
     def test_bad_acu_form_in_config(self, tmp_path):
         config = tmp_path / "run.json"
         config.write_text('{"acu_form": "median"}\n')

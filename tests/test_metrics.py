@@ -92,18 +92,17 @@ class TestDeltaP:
         lo, hi = sorted((a, b))
         assert metrics.delta_p(p_with, lo) >= metrics.delta_p(p_with, hi)
 
-    @pytest.mark.parametrize("p_without", [0.3247, 0.5])
-    def test_recorded_antitonicity_case(self, p_without):
-        p_with = 0.9999999999999999
-        assert metrics.delta_p(p_with, 0.3247) >= metrics.delta_p(p_with, p_without)
-        assert metrics.delta_p(p_with, p_without) >= metrics.delta_p(p_with, 0.5)
-
-    def test_adjacent_p_without_case(self):
-        # (p_with - p_without) / (1 - p_without) rises by an ulp here as
-        # p_without steps to the next float.
-        lo = 0.37651402824500196
-        hi = math.nextafter(lo, 1.0)
-        assert metrics.delta_p(0.8262955117986266, lo) >= metrics.delta_p(0.8262955117986266, hi)
+    @pytest.mark.parametrize(
+        "p_with, lo, hi",
+        [
+            # recorded from a Hypothesis run of test_antitone_in_p_without
+            (0.9999999999999999, 0.3247, 0.5),
+            # (p_with - p_without) / (1 - p_without) rose by an ulp here
+            (0.8262955117986266, 0.37651402824500196, 0.376514028245002),
+        ],
+    )
+    def test_pinned_antitonicity_cases(self, p_with, lo, hi):
+        assert metrics.delta_p(p_with, lo) >= metrics.delta_p(p_with, hi)
 
     def test_seeded_sweep_both_monotonicities(self):
         rng = random.Random(20240)
