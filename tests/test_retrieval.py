@@ -302,7 +302,6 @@ class TestSearch:
         ]
         assert results[0].pub_date == date(1998, 4, 12)
 
-
     def test_fixture_client_reads_each_page_once(self, fixture_corpus_dir, monkeypatch):
         reads = []
         original = Path.read_text
@@ -316,7 +315,7 @@ class TestSearch:
         queries = [CLAIM_TEXT, "gull island birds", "soup recipe", CLAIM_TEXT, "nothing matches zzz"]
         results = [client.search(query) for query in queries]
         pages = sorted(p.name for p in fixture_corpus_dir.glob("*.txt"))
-        assert sorted(reads) == sorted(pages + ["manifest.json"])
+        assert sorted(reads) == sorted([*pages, "manifest.json"])
 
         monkeypatch.setattr(Path, "read_text", original)
         assert results[4] == []
