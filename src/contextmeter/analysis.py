@@ -8,12 +8,13 @@ correlation grid emitter produces plot-ready CSV/JSON only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations
 from typing import Iterable, Optional, Sequence
 
 from scipy import stats as _scipy_stats
 
+from .characteristics import ROWS, mean_std
 from .errors import (
     DegenerateInput,
     EmptyInput,
@@ -195,13 +196,6 @@ def krippendorff_alpha(
 
 # -- stratified aggregation --------------------------------------------------------
 
-def _mean_std(values: Sequence[float]) -> tuple[float, float]:
-    n = len(values)
-    mean = math.fsum(values) / n
-    variance = math.fsum((v - mean) ** 2 for v in values) / n
-    return mean, math.sqrt(variance)
-
-
 @dataclass(frozen=True)
 class StratifiedAcu:
     """Per-stance mean ± population std of ACU, plus the grand mean."""
@@ -239,13 +233,13 @@ def stratified_acu(
     strata = {}
     for stance in StanceLabel:
         if stance in groups:
-            mean, std = _mean_std(groups[stance])
-            strata[stance] = (mean, std, len(groups[stance]))
-    grand_mean, grand_std = _mean_std(acus)
+            stats = mean_std(groups[stance])
+            strata[stance] = (stats["mean"], stats["std"], stats["n"])
+    grand = mean_std(acus)
     return StratifiedAcu(
         strata=strata,
-        grand_mean=grand_mean,
-        grand_std=grand_std,
+        grand_mean=grand["mean"],
+        grand_std=grand["std"],
         n=len(acus),
         empty_strata=tuple(s for s in StanceLabel if s not in groups),
     )
@@ -392,33 +386,7 @@ def balanced_mae(
 
 #: Grid rows, one per profiled characteristic; perplexity is reported
 #: model-agnostically here.
-GRID_CHARACTERISTICS = (
-    "Jaccard similarity",
-    "Claim-evidence overlap",
-    "Repeats claim (%)",
-    "Flesch reading ease score",
-    "Claim length",
-    "Evidence length",
-    "Perplexity",
-    "Claim entity overlap",
-    "Detection by LLM (%)",
-    "Unreliable source (%)",
-    "Contains hedging (%)",
-    "Contains hedging discourse (%)",
-    "Contains 'True'",
-    "Contains 'False'",
-    "Fact-check source (%)",
-    "Gold source (%)",
-    "Pub. after claim (%)",
-)
-
-
-def _as_float(value) -> Optional[float]:
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        return 1.0 if value else 0.0
-    return float(value)
+GRID_CHARACTERISTICS = tuple(name for name, _ in ROWS)
 
 
 def characteristic_values(vector: CharacteristicVector) -> dict[str, Optional[float]]:
@@ -427,30 +395,13 @@ def characteristic_values(vector: CharacteristicVector) -> dict[str, Optional[fl
     Unknown-reliability samples contribute no value to the unreliability
     row (the correlation runs over the known subset only).
     """
-    unreliable: Optional[float]
-    if vector.unreliable is None or vector.unreliable is Reliability.UNKNOWN:
-        unreliable = None
-    else:
-        unreliable = 1.0 if vector.unreliable is Reliability.UNRELIABLE else 0.0
-    return {
-        "Jaccard similarity": _as_float(vector.jaccard),
-        "Claim-evidence overlap": _as_float(vector.claim_evidence_overlap),
-        "Repeats claim (%)": _as_float(vector.repeats_claim),
-        "Flesch reading ease score": _as_float(vector.flesch),
-        "Claim length": _as_float(vector.claim_len_chars),
-        "Evidence length": _as_float(vector.evidence_len_chars),
-        "Perplexity": _as_float(vector.perplexity),
-        "Claim entity overlap": _as_float(vector.entity_overlap),
-        "Detection by LLM (%)": _as_float(vector.refers_external),
-        "Unreliable source (%)": unreliable,
-        "Contains hedging (%)": _as_float(vector.hedging),
-        "Contains hedging discourse (%)": _as_float(vector.hedging_discourse),
-        "Contains 'True'": _as_float(vector.contains_true_word),
-        "Contains 'False'": _as_float(vector.contains_false_word),
-        "Fact-check source (%)": _as_float(vector.fact_check_source),
-        "Gold source (%)": _as_float(vector.gold_source),
-        "Pub. after claim (%)": _as_float(vector.pub_after_claim),
-    }
+    values: dict[str, Optional[float]] = {}
+    for name, attr in ROWS:
+        value = getattr(vector, attr)
+        if attr == "unreliable" and value is not None:
+            value = None if value is Reliability.UNKNOWN else value is Reliability.UNRELIABLE
+        values[name] = None if value is None else float(value)
+    return values
 
 
 @dataclass(frozen=True)
@@ -499,13 +450,7 @@ def correlation_grid(samples: Iterable[GridSample]) -> dict:
                 result = spearman(xs, ys)
             except DegenerateInput:
                 continue
-            cells[row][column] = CorrelationResult(
-                rho=result.rho,
-                p_value=result.p_value,
-                n=result.n,
-                characteristic=row,
-                stratum=column,
-            ).to_dict()
+            cells[row][column] = replace(result, characteristic=row, stratum=column).to_dict()
     return {"rows": list(GRID_CHARACTERISTICS), "columns": columns, "cells": cells}
 
 

@@ -407,7 +407,32 @@ def characteristic_vector(
     )
 
 
-def _mean_std(values: Sequence[float]) -> dict[str, float]:
+#: Reporting rows of the corpus profile and the correlation grid, in order,
+#: with the CharacteristicVector field each row reads. The profile names the
+#: perplexity row after its model ("<model>: Perplexity").
+ROWS = (
+    ("Jaccard similarity", "jaccard"),
+    ("Claim-evidence overlap", "claim_evidence_overlap"),
+    ("Repeats claim (%)", "repeats_claim"),
+    ("Flesch reading ease score", "flesch"),
+    ("Claim length", "claim_len_chars"),
+    ("Evidence length", "evidence_len_chars"),
+    ("Perplexity", "perplexity"),
+    ("Claim entity overlap", "entity_overlap"),
+    ("Detection by LLM (%)", "refers_external"),
+    ("Unreliable source (%)", "unreliable"),
+    ("Contains hedging (%)", "hedging"),
+    ("Contains hedging discourse (%)", "hedging_discourse"),
+    ("Contains 'True'", "contains_true_word"),
+    ("Contains 'False'", "contains_false_word"),
+    ("Fact-check source (%)", "fact_check_source"),
+    ("Gold source (%)", "gold_source"),
+    ("Pub. after claim (%)", "pub_after_claim"),
+)
+
+
+def mean_std(values: Sequence[float]) -> dict[str, float]:
+    """Exact-sum mean, population standard deviation and count."""
     n = len(values)
     mean = math.fsum(values) / n
     variance = math.fsum((v - mean) ** 2 for v in values) / n
@@ -417,6 +442,17 @@ def _mean_std(values: Sequence[float]) -> dict[str, float]:
 def _percent(flags: Sequence[bool]) -> dict[str, float]:
     n = len(flags)
     return {"percent": 100.0 * sum(1 for f in flags if f) / n, "n": n}
+
+
+def _unreliable_percent(verdicts: Sequence[Reliability]) -> dict[str, Optional[float]]:
+    """Share of unreliable sources among those of known reliability, plus
+    the share of unknown ones."""
+    known = [v is Reliability.UNRELIABLE for v in verdicts if v is not Reliability.UNKNOWN]
+    return {
+        "percent": 100.0 * sum(known) / len(known) if known else None,
+        "n": len(known),
+        "unknown_percent": 100.0 * (len(verdicts) - len(known)) / len(verdicts),
+    }
 
 
 @dataclass
@@ -461,59 +497,18 @@ def aggregate_profile(
 ) -> ProfileReport:
     rows: dict[str, Optional[dict]] = {}
     skipped: dict[str, int] = {}
-
-    def continuous(key: str, values: list[Optional[float]]) -> None:
-        present = [v for v in values if v is not None]
-        skip = len(values) - len(present)
-        if skip:
-            skipped[key] = skip
-        rows[key] = _mean_std(present) if present else None
-
-    def percent(key: str, values: list[Optional[bool]]) -> None:
-        present = [v for v in values if v is not None]
-        skip = len(values) - len(present)
-        if skip:
-            skipped[key] = skip
-        rows[key] = _percent(present) if present else None
-
-    continuous("Jaccard similarity", [v.jaccard for v in vectors])
-    continuous("Claim-evidence overlap", [v.claim_evidence_overlap for v in vectors])
-    percent("Repeats claim (%)", [v.repeats_claim for v in vectors])
-    continuous("Flesch reading ease score", [v.flesch for v in vectors])
-    continuous("Claim length", [float(v.claim_len_chars) for v in vectors])
-    continuous("Evidence length", [float(v.evidence_len_chars) for v in vectors])
-    continuous(f"{perplexity_model}: Perplexity", [v.perplexity for v in vectors])
-    continuous("Claim entity overlap", [v.entity_overlap for v in vectors])
-    percent("Detection by LLM (%)", [v.refers_external for v in vectors])
-    unreliable_known = [
-        v.unreliable is Reliability.UNRELIABLE
-        for v in vectors
-        if v.unreliable in (Reliability.UNRELIABLE, Reliability.RELIABLE)
-    ]
-    unknown = [v for v in vectors if v.unreliable is Reliability.UNKNOWN]
-    disabled = [v for v in vectors if v.unreliable is None]
-    if disabled:
-        skipped["Unreliable source (%)"] = len(disabled)
-    row: Optional[dict] = None
-    if unreliable_known or unknown:
-        row = {
-            "percent": (
-                100.0 * sum(unreliable_known) / len(unreliable_known)
-                if unreliable_known
-                else None
-            ),
-            "n": len(unreliable_known),
-            "unknown_percent": 100.0
-            * len(unknown)
-            / (len(unreliable_known) + len(unknown)),
-        }
-    rows["Unreliable source (%)"] = row
-    percent("Contains hedging (%)", [v.hedging for v in vectors])
-    percent("Contains hedging discourse (%)", [v.hedging_discourse for v in vectors])
-    percent("Contains 'True'", [v.contains_true_word for v in vectors])
-    percent("Contains 'False'", [v.contains_false_word for v in vectors])
-    percent("Fact-check source (%)", [v.fact_check_source for v in vectors])
-    percent("Gold source (%)", [v.gold_source for v in vectors])
-    percent("Pub. after claim (%)", [v.pub_after_claim for v in vectors])
-
+    for name, attr in ROWS:
+        if attr == "perplexity":
+            name = f"{perplexity_model}: {name}"
+        present = [value for v in vectors if (value := getattr(v, attr)) is not None]
+        if len(present) < len(vectors):
+            skipped[name] = len(vectors) - len(present)
+        if not present:
+            rows[name] = None
+        elif attr == "unreliable":
+            rows[name] = _unreliable_percent(present)
+        elif isinstance(present[0], bool):
+            rows[name] = _percent(present)
+        else:
+            rows[name] = mean_std(present)
     return ProfileReport(rows=rows, total_instances=len(vectors), skipped=skipped)

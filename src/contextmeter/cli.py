@@ -154,11 +154,8 @@ def write_json_artifact(path: Path, payload: dict, config: RunConfig) -> None:
 
 
 def write_csv_artifact(path: Path, csv_text: str, config: RunConfig) -> None:
-    comment = (
-        f"# config_hash={config.config_hash} acu_form={config.acu_form} "
-        f"version={__version__}\n"
-    )
-    path.write_text(comment + csv_text, encoding="utf-8")
+    comment = "# " + " ".join(f"{key}={value}" for key, value in _meta(config).items())
+    path.write_text(comment + "\n" + csv_text, encoding="utf-8")
 
 
 def make_run_dir(config: RunConfig, command: str) -> Path:
@@ -559,6 +556,32 @@ COMMANDS = {
 }
 
 
+#: Every flag that overrides a RunConfig field: (flag, field, argparse keywords).
+_FLAGS = (
+    ("--out", "out_dir", {"help": "output root (default: runs)"}),
+    ("--replay", "replay_store", {"help": "replay store path (read-only)"}),
+    ("--record", "record_store", {"help": "record store path (append)"}),
+    ("--acu-form", "acu_form", {"choices": ACU_FORMS}),
+    ("--seed", "seed", {"type": int}),
+    ("--max-concurrency", "max_concurrency", {"type": int}),
+    ("--claims", "claims_path", {"help": "claims JSON Lines path"}),
+    ("--evidence", "evidence_path", {"help": "evidence JSON Lines path"}),
+    ("--triplets", "triplets_path", {"help": "raw triplet JSON Lines path"}),
+    ("--dataset", "dataset", {"help": "dataset name (recast: counterfact|conflictqa)"}),
+    ("--field-map", "field_map_path", {"help": "upstream field-name mapping JSON"}),
+    ("--fixture-corpus", "fixture_corpus", {"help": "local search corpus directory"}),
+    ("--claim-template", "claim_template", {"help": "claim-only prompt template id"}),
+    ("--evidence-template", "evidence_template", {"help": "claim+evidence prompt template id"}),
+    ("--template-dir", "template_dir", {"help": "directory of custom templates"}),
+    ("--provider-endpoint", "provider_endpoint", {"help": "logprob provider URL"}),
+    ("--provider-id", "provider_id", {"help": "provider/model identifier"}),
+    ("--auth-env", "auth_env_var", {"help": "env var naming the provider token"}),
+    ("--scored", "scored_path", {"help": "scored samples JSON Lines path"}),
+    ("--characteristics", "characteristics_path", {"help": "characteristics JSON Lines path"}),
+    ("--run-dir", "run_dir", {"help": "existing run directory to merge (report)"}),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="contextmeter",
@@ -569,53 +592,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         sub = subparsers.add_parser(name)
         sub.add_argument("--config", help="JSON run-config file")
-        sub.add_argument("--out", help="output root (default: runs)")
-        sub.add_argument("--replay", help="replay store path (read-only)")
-        sub.add_argument("--record", help="record store path (append)")
-        sub.add_argument("--acu-form", choices=ACU_FORMS)
-        sub.add_argument("--seed", type=int)
-        sub.add_argument("--max-concurrency", type=int)
-        sub.add_argument("--claims", help="claims JSON Lines path")
-        sub.add_argument("--evidence", help="evidence JSON Lines path")
-        sub.add_argument("--triplets", help="raw triplet JSON Lines path")
-        sub.add_argument("--dataset", help="dataset name (recast: counterfact|conflictqa)")
-        sub.add_argument("--field-map", help="upstream field-name mapping JSON")
-        sub.add_argument("--fixture-corpus", help="local search corpus directory")
-        sub.add_argument("--claim-template", help="claim-only prompt template id")
-        sub.add_argument("--evidence-template", help="claim+evidence prompt template id")
-        sub.add_argument("--template-dir", help="directory of custom templates")
-        sub.add_argument("--provider-endpoint", help="logprob provider URL")
-        sub.add_argument("--provider-id", help="provider/model identifier")
-        sub.add_argument("--auth-env", help="env var naming the provider token")
-        sub.add_argument("--scored", help="scored samples JSON Lines path")
-        sub.add_argument("--characteristics", help="characteristics JSON Lines path")
-        sub.add_argument("--run-dir", help="existing run directory to merge (report)")
+        for flag, dest, keywords in _FLAGS:
+            sub.add_argument(flag, dest=dest, **keywords)
     return parser
-
-
-_OVERRIDE_MAP = {
-    "out": "out_dir",
-    "replay": "replay_store",
-    "record": "record_store",
-    "acu_form": "acu_form",
-    "seed": "seed",
-    "max_concurrency": "max_concurrency",
-    "claims": "claims_path",
-    "evidence": "evidence_path",
-    "triplets": "triplets_path",
-    "dataset": "dataset",
-    "field_map": "field_map_path",
-    "fixture_corpus": "fixture_corpus",
-    "claim_template": "claim_template",
-    "evidence_template": "evidence_template",
-    "template_dir": "template_dir",
-    "provider_endpoint": "provider_endpoint",
-    "provider_id": "provider_id",
-    "auth_env": "auth_env_var",
-    "scored": "scored_path",
-    "characteristics": "characteristics_path",
-    "run_dir": "run_dir",
-}
 
 
 def _discard_if_empty(run_dir: Optional[Path]) -> None:
@@ -637,28 +616,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     run_dir: Optional[Path] = None
     try:
-        overrides = {
-            target: getattr(args, flag)
-            for flag, target in _OVERRIDE_MAP.items()
-            if getattr(args, flag, None) is not None
-        }
+        overrides = {dest: getattr(args, dest) for _, dest, _ in _FLAGS}
         config = load_config(args.config, overrides)
         run_dir = make_run_dir(config, args.command)
         outputs = COMMANDS[args.command](config, run_dir)
-    except ConfigError as exc:
-        _discard_if_empty(run_dir)
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 2
     except ContextMeterError as exc:
         _discard_if_empty(run_dir)
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,
         )
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
     print(
         canonical_json(
             {"command": args.command, "outputs": outputs, "run_dir": str(run_dir)}

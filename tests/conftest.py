@@ -4,12 +4,15 @@ from datetime import date
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from contextmeter.model import (
+    CharacteristicVector,
     ClaimRecord,
     ClaimVerdict,
     EvidencePiece,
     Relevance,
+    Reliability,
     StanceLabel,
 )
 
@@ -76,6 +79,36 @@ def make_evidence(
         stance=stance,
         relevance=relevance,
         **kwargs,
+    )
+
+
+def characteristic_vectors() -> st.SearchStrategy[CharacteristicVector]:
+    """Vectors with every optional detector field either None or set, and
+    ``unreliable`` over None plus every Reliability value."""
+    unit = st.floats(0.0, 1.0)
+    flag = st.booleans()
+    return st.builds(
+        CharacteristicVector,
+        claim_id=st.just("c1"),
+        evidence_id=st.just("e1"),
+        jaccard=unit,
+        claim_evidence_overlap=st.none() | unit,
+        repeats_claim=flag,
+        flesch=st.none() | st.floats(-300.0, 206.835),
+        claim_len_chars=st.integers(0, 400),
+        evidence_len_chars=st.integers(0, 4000),
+        perplexity=st.none() | st.floats(0.5, 1e4),
+        entity_overlap=st.none() | unit,
+        no_entity_flag=flag,
+        refers_external=st.none() | flag,
+        hedging=flag,
+        hedging_discourse=flag,
+        unreliable=st.none() | st.sampled_from(Reliability),
+        contains_true_word=flag,
+        contains_false_word=flag,
+        pub_after_claim=st.none() | flag,
+        fact_check_source=flag,
+        gold_source=flag,
     )
 
 

@@ -5,6 +5,7 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given
 
 from contextmeter import analysis as an
 from contextmeter.errors import (
@@ -13,7 +14,9 @@ from contextmeter.errors import (
     LengthMismatch,
     NoPairableValues,
 )
-from contextmeter.model import CharacteristicVector, StanceLabel, VerdictLabel
+from contextmeter.model import CharacteristicVector, Reliability, StanceLabel, VerdictLabel
+
+from conftest import characteristic_vectors
 
 T, N, F = VerdictLabel.TRUE, VerdictLabel.NONE, VerdictLabel.FALSE
 
@@ -333,6 +336,52 @@ def build_grid_samples():
                     )
                 )
     return samples
+
+
+def reference_characteristic_values(vector):
+    """Every grid row written out by hand, as before the rows were declared
+    in one table."""
+
+    def as_float(value):
+        if value is None:
+            return None
+        if isinstance(value, bool):
+            return 1.0 if value else 0.0
+        return float(value)
+
+    if vector.unreliable is None or vector.unreliable is Reliability.UNKNOWN:
+        unreliable = None
+    else:
+        unreliable = 1.0 if vector.unreliable is Reliability.UNRELIABLE else 0.0
+    return {
+        "Jaccard similarity": as_float(vector.jaccard),
+        "Claim-evidence overlap": as_float(vector.claim_evidence_overlap),
+        "Repeats claim (%)": as_float(vector.repeats_claim),
+        "Flesch reading ease score": as_float(vector.flesch),
+        "Claim length": as_float(vector.claim_len_chars),
+        "Evidence length": as_float(vector.evidence_len_chars),
+        "Perplexity": as_float(vector.perplexity),
+        "Claim entity overlap": as_float(vector.entity_overlap),
+        "Detection by LLM (%)": as_float(vector.refers_external),
+        "Unreliable source (%)": unreliable,
+        "Contains hedging (%)": as_float(vector.hedging),
+        "Contains hedging discourse (%)": as_float(vector.hedging_discourse),
+        "Contains 'True'": as_float(vector.contains_true_word),
+        "Contains 'False'": as_float(vector.contains_false_word),
+        "Fact-check source (%)": as_float(vector.fact_check_source),
+        "Gold source (%)": as_float(vector.gold_source),
+        "Pub. after claim (%)": as_float(vector.pub_after_claim),
+    }
+
+
+class TestCharacteristicValues:
+    @given(vector=characteristic_vectors())
+    def test_matches_reference(self, vector):
+        values = an.characteristic_values(vector)
+        reference = reference_characteristic_values(vector)
+        assert values == reference
+        assert tuple(values) == an.GRID_CHARACTERISTICS
+        assert all(value is None or type(value) is float for value in values.values())
 
 
 class TestCorrelationGrid:

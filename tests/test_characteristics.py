@@ -1,5 +1,6 @@
 """Context-characteristic detectors and corpus profiling."""
 
+import math
 import random
 
 import pytest
@@ -7,14 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from contextmeter import characteristics as ch
+from contextmeter.analysis import GRID_CHARACTERISTICS
 from contextmeter.errors import (
     DegenerateText,
     MalformedUrl,
     UnparseableJudgement,
 )
-from contextmeter.model import Reliability
+from contextmeter.model import Reliability, canonical_json
 
-from conftest import make_claim, make_evidence
+from conftest import characteristic_vectors, make_claim, make_evidence
 
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
 
@@ -428,6 +430,98 @@ class TestProfile:
         report = ch.aggregate_profile([vector], perplexity_model="llama")
         assert "llama: Perplexity" in report.rows
         assert report.rows["llama: Perplexity"]["mean"] == pytest.approx(5.0)
+
+
+def reference_aggregate_profile(vectors, perplexity_model="model"):
+    """Every row written out by hand, as the profile was built before its
+    rows were declared in one table."""
+    rows = {}
+    skipped = {}
+
+    def mean_std(values):
+        n = len(values)
+        mean = math.fsum(values) / n
+        variance = math.fsum((v - mean) ** 2 for v in values) / n
+        return {"mean": mean, "std": math.sqrt(variance), "n": n}
+
+    def continuous(key, values):
+        present = [v for v in values if v is not None]
+        skip = len(values) - len(present)
+        if skip:
+            skipped[key] = skip
+        rows[key] = mean_std(present) if present else None
+
+    def percent(key, values):
+        present = [v for v in values if v is not None]
+        skip = len(values) - len(present)
+        if skip:
+            skipped[key] = skip
+        rows[key] = (
+            {"percent": 100.0 * sum(1 for f in present if f) / len(present), "n": len(present)}
+            if present
+            else None
+        )
+
+    continuous("Jaccard similarity", [v.jaccard for v in vectors])
+    continuous("Claim-evidence overlap", [v.claim_evidence_overlap for v in vectors])
+    percent("Repeats claim (%)", [v.repeats_claim for v in vectors])
+    continuous("Flesch reading ease score", [v.flesch for v in vectors])
+    continuous("Claim length", [float(v.claim_len_chars) for v in vectors])
+    continuous("Evidence length", [float(v.evidence_len_chars) for v in vectors])
+    continuous(f"{perplexity_model}: Perplexity", [v.perplexity for v in vectors])
+    continuous("Claim entity overlap", [v.entity_overlap for v in vectors])
+    percent("Detection by LLM (%)", [v.refers_external for v in vectors])
+    unreliable_known = [
+        v.unreliable is Reliability.UNRELIABLE
+        for v in vectors
+        if v.unreliable in (Reliability.UNRELIABLE, Reliability.RELIABLE)
+    ]
+    unknown = [v for v in vectors if v.unreliable is Reliability.UNKNOWN]
+    disabled = [v for v in vectors if v.unreliable is None]
+    if disabled:
+        skipped["Unreliable source (%)"] = len(disabled)
+    row = None
+    if unreliable_known or unknown:
+        row = {
+            "percent": (
+                100.0 * sum(unreliable_known) / len(unreliable_known)
+                if unreliable_known
+                else None
+            ),
+            "n": len(unreliable_known),
+            "unknown_percent": 100.0 * len(unknown) / (len(unreliable_known) + len(unknown)),
+        }
+    rows["Unreliable source (%)"] = row
+    percent("Contains hedging (%)", [v.hedging for v in vectors])
+    percent("Contains hedging discourse (%)", [v.hedging_discourse for v in vectors])
+    percent("Contains 'True'", [v.contains_true_word for v in vectors])
+    percent("Contains 'False'", [v.contains_false_word for v in vectors])
+    percent("Fact-check source (%)", [v.fact_check_source for v in vectors])
+    percent("Gold source (%)", [v.gold_source for v in vectors])
+    percent("Pub. after claim (%)", [v.pub_after_claim for v in vectors])
+    return ch.ProfileReport(rows=rows, total_instances=len(vectors), skipped=skipped)
+
+
+class TestAggregateProfileMatchesReference:
+    @given(
+        vectors=st.lists(characteristic_vectors(), max_size=8),
+        perplexity_model=st.sampled_from(["model", "llama-2-7b"]),
+    )
+    def test_same_rows_skips_and_bytes(self, vectors, perplexity_model):
+        report = ch.aggregate_profile(vectors, perplexity_model=perplexity_model)
+        reference = reference_aggregate_profile(vectors, perplexity_model=perplexity_model)
+        assert report.rows == reference.rows
+        assert list(report.rows) == list(reference.rows)
+        assert report.skipped == reference.skipped
+        assert canonical_json(report.to_dict()) == canonical_json(reference.to_dict())
+
+    @given(perplexity_model=st.sampled_from(["model", "llama-2-7b"]))
+    def test_row_names_are_the_grid_rows(self, perplexity_model):
+        report = ch.aggregate_profile([], perplexity_model=perplexity_model)
+        assert tuple(report.rows) == tuple(
+            f"{perplexity_model}: {name}" if name == "Perplexity" else name
+            for name in GRID_CHARACTERISTICS
+        )
 
 
 class TestProfileLexiconLoads:
