@@ -76,9 +76,7 @@ class VerdictMappingTable:
 
     @classmethod
     def default(cls) -> "VerdictMappingTable":
-        path = resources.files("contextmeter") / "data" / "verdict_mapping.json"
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        return cls({label: ClaimVerdict(target) for label, target in raw.items()})
+        return cls.from_file(resources.files("contextmeter") / "data" / "verdict_mapping.json")
 
     def map_verdict(self, raw_label: str) -> Optional[ClaimVerdict]:
         """Mapped verdict, or None as the drop marker."""

@@ -92,24 +92,31 @@ def _template_dir():
 def load_template(template_id: str, base_dir: Optional[Path] = None) -> PromptTemplate:
     """Load ``<id>.txt`` (body) + ``<id>.json`` (sidecar) template files."""
     root = Path(base_dir) if base_dir is not None else _template_dir()
+    sidecar_path = root / f"{template_id}.json"
     try:
         body = (root / f"{template_id}.txt").read_text(encoding="utf-8")
-        sidecar = json.loads((root / f"{template_id}.json").read_text(encoding="utf-8"))
+        sidecar_text = sidecar_path.read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise InvariantViolation(
             "template_id", f"no template {template_id!r} under {root}"
         ) from exc
-    return PromptTemplate(
-        id=sidecar.get("id", template_id),
-        mode=PromptMode(sidecar["mode"]),
-        shots=int(sidecar["shots"]),
-        body=body,
-        verbalizer_map={
-            surface: VerdictLabel(canonical)
-            for surface, canonical in sidecar["verbalizer_map"].items()
-        },
-        include_claimant=bool(sidecar.get("include_claimant", True)),
-    )
+    try:
+        sidecar = json.loads(sidecar_text)
+        return PromptTemplate(
+            id=sidecar.get("id", template_id),
+            mode=PromptMode(sidecar["mode"]),
+            shots=int(sidecar["shots"]),
+            body=body,
+            verbalizer_map={
+                surface: VerdictLabel(canonical)
+                for surface, canonical in sidecar["verbalizer_map"].items()
+            },
+            include_claimant=bool(sidecar.get("include_claimant", True)),
+        )
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise InvariantViolation(
+            "template_id", f"bad template sidecar {sidecar_path}: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 BUILTIN_TEMPLATE_IDS = (

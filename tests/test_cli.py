@@ -308,12 +308,26 @@ class TestConfigErrors:
         [
             "no-templates", "missing-claims-file", "claim-without-id", "bad-scored-mode",
             "report-artifact-not-json", "report-artifact-not-object",
+            "sidecar-without-mode", "sidecar-not-json", "sidecar-unknown-mode",
         ],
     )
     def test_config_error_leaves_no_run_dir(self, druid_fixture_paths, tmp_path, case):
         claims_path, evidence_path = druid_fixture_paths
         out = tmp_path / "runs"
         bad = tmp_path / "bad.jsonl"
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        shutil.copy(Path(lm.__file__).parent / "data" / "prompts" / "claim-0shot.txt", templates)
+        sidecar = templates / "claim-0shot.json"
+        score_with_templates = [
+            "score", "--claims", claims_path, "--evidence", evidence_path,
+            "--claim-template", "claim-0shot", "--evidence-template", "evidence-0shot",
+            "--template-dir", templates,
+        ]
+        valid_sidecar = {
+            "mode": "claim-only", "shots": 0,
+            "verbalizer_map": {"True": "True", "None": "None", "False": "False"},
+        }
         probs = {"p_true": 0.5, "p_none": 0.25, "p_false": 0.25, "mode": "claim-only"}
         scored = {
             "claim_id": "c1", "evidence_id": "e1", "delta_p": [0.0, 0.0, 0.0],
@@ -340,6 +354,15 @@ class TestConfigErrors:
             "report-artifact-not-object": (
                 1, {tmp_path / "profile.json": "[1, 2]"}, ["report", "--run-dir", tmp_path],
             ),
+            "sidecar-without-mode": (
+                1,
+                {sidecar: json.dumps({k: v for k, v in valid_sidecar.items() if k != "mode"})},
+                score_with_templates,
+            ),
+            "sidecar-not-json": (1, {sidecar: "{mode: claim-only"}, score_with_templates),
+            "sidecar-unknown-mode": (
+                1, {sidecar: json.dumps({**valid_sidecar, "mode": "chat"})}, score_with_templates,
+            ),
         }
         expected_code, files, argv = cases[case]
         for path, text in files.items():
@@ -349,7 +372,10 @@ class TestConfigErrors:
         assert len(stderr.strip().splitlines()) == 1
         payload = json.loads(stderr)
         assert "Traceback" not in stderr
-        if expected_code == 1:
+        if case.startswith("sidecar-"):
+            assert payload["error"] == "InvariantViolation"
+            assert f"bad template sidecar {sidecar}: " in payload["message"]
+        elif expected_code == 1:
             assert payload["error"] == "ParseError"
             assert re.search(r"\.jsonl?:\d+: ", payload["message"])
         assert not out.exists()
