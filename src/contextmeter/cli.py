@@ -45,8 +45,9 @@ _CONFIG_TYPES: dict[str, tuple[tuple[type, ...], str]] = {
     "int": ((int,), "an integer"),
     "float": ((int, float), "a number"),
     "list": ((list,), "a list"),
-    "dict": ((dict,), "an object"),
 }
+#: Settings that never change an artifact's bytes, left out of the config hash.
+_UNHASHED = ("out_dir", "max_concurrency")
 
 
 @dataclass
@@ -78,7 +79,6 @@ class RunConfig:
     template_dir: Optional[str] = None
 
     acu_form: str = "sum"
-    detectors: dict = field(default_factory=dict)
 
     replay_store: Optional[str] = None
     record_store: Optional[str] = None
@@ -88,7 +88,6 @@ class RunConfig:
     run_dir: Optional[str] = None
 
     out_dir: str = "runs"
-    seed: int = 0
     max_concurrency: int = 0
 
     def __post_init__(self) -> None:
@@ -111,7 +110,8 @@ class RunConfig:
 
     @property
     def config_hash(self) -> str:
-        return hashlib.sha256(canonical_json(self.resolved()).encode("utf-8")).hexdigest()[:16]
+        hashed = {k: v for k, v in self.resolved().items() if k not in _UNHASHED}
+        return hashlib.sha256(canonical_json(hashed).encode("utf-8")).hexdigest()[:16]
 
 
 def load_config(path: Optional[str], overrides: dict[str, Any]) -> RunConfig:
@@ -562,7 +562,6 @@ _FLAGS = (
     ("--replay", "replay_store", {"help": "replay store path (read-only)"}),
     ("--record", "record_store", {"help": "record store path (append)"}),
     ("--acu-form", "acu_form", {"choices": ACU_FORMS}),
-    ("--seed", "seed", {"type": int}),
     ("--max-concurrency", "max_concurrency", {"type": int}),
     ("--claims", "claims_path", {"help": "claims JSON Lines path"}),
     ("--evidence", "evidence_path", {"help": "evidence JSON Lines path"}),

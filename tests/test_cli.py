@@ -152,6 +152,29 @@ class TestRunContract:
         for name in ("characteristics.jsonl", "profile.json", "resolved_config.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    @pytest.mark.parametrize("command", ["profile", "score"])
+    def test_out_root_and_concurrency_leave_artifacts_unchanged(
+        self, druid_fixture_paths, replay_store, tmp_path, command
+    ):
+        claims_path, evidence_path = druid_fixture_paths
+        runs, outputs = [], None
+        for workers, root in (("1", tmp_path / "a"), ("8", tmp_path / "b" / "nested")):
+            if command == "score":
+                args = score_args(druid_fixture_paths, replay_store, root)
+            else:
+                args = ["profile", "--claims", str(claims_path), "--evidence", str(evidence_path), "--out", str(root)]
+            code, stdout, stderr = run_cli(*args, "--max-concurrency", workers)
+            assert code == 0, stderr
+            runs.append(run_dir_of(stdout))
+            outputs = json.loads(stdout)["outputs"]
+        first, second = runs
+        for name in outputs:
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        resolved = [json.loads((run / "resolved_config.json").read_text()) for run in runs]
+        assert resolved[0]["meta"] == resolved[1]["meta"]
+        assert [r["config"]["max_concurrency"] for r in resolved] == [1, 8]
+        assert resolved[0]["config"]["out_dir"] != resolved[1]["config"]["out_dir"]
+
     def test_version_flag_prints_package_version(self):
         proc = subprocess.run(
             [sys.executable, "-m", "contextmeter.cli", "--version"],
@@ -215,7 +238,7 @@ class TestConfigErrors:
             ({"fact_check_domains": 5}, "fact_check_domains must be a list, got int"),
             ({"fact_check_domains": ["ok.example", 5]}, "fact_check_domains must be a list of strings"),
             ({"search_endpoints": {"name": "x"}}, "search_endpoints must be a list, got dict"),
-            ({"detectors": ["hedging"]}, "detectors must be an object, got list"),
+            ({"provider_id": 5}, "provider_id must be a string, got int"),
             ({"request_timeout": "slow"}, "request_timeout must be a number, got str"),
             ({"max_concurrency": True}, "max_concurrency must be an integer, got bool"),
             ({"dataset": 7}, "dataset must be a string, got int"),
