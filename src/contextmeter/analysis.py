@@ -12,8 +12,6 @@ from dataclasses import dataclass, replace
 from itertools import permutations
 from typing import Iterable, Optional, Sequence
 
-from scipy import stats as _scipy_stats
-
 from .characteristics import ROWS, mean_std
 from .errors import (
     DegenerateInput,
@@ -120,6 +118,8 @@ def spearman(
     elif abs(rho) >= 1.0 - 1e-15:
         p_value = 0.0
     else:
+        from scipy import stats as _scipy_stats
+
         t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
         p_value = 2.0 * float(_scipy_stats.t.sf(abs(t), n - 2))
     return CorrelationResult(rho=rho, p_value=p_value, n=n)
