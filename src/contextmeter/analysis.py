@@ -81,6 +81,75 @@ def _rank_rho(rank_x: Sequence[float], rank_y: Sequence[float]) -> float:
     return cov / math.sqrt(var_x * var_y)
 
 
+_HALF_LOG_PI = 0.5 * math.log(math.pi)
+_EPS = 2.0 ** -52
+_MAX_CF_TERMS = 1000
+
+
+def _log_gamma_ratio(a: float) -> float:
+    """log Γ(a + ½) - log Γ(a).
+
+    For a ≥ 20 the difference of two ``lgamma`` values loses digits to
+    cancellation, so it comes from the asymptotic series instead, whose
+    coefficients are (2^(1-k) - 2)·B_k / (k(k-1)) for even k.
+    """
+    if a < 20.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    r = 1.0 / (a * a)
+    series = 1 / 8 - r * (1 / 192 - r * (1 / 640 - r * (17 / 14336 - r * (31 / 18432))))
+    return 0.5 * math.log(a) - series / a
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta function, evaluated by the
+    modified Lentz method (Numerical Recipes §6.4)."""
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, _MAX_CF_TERMS):
+        for numerator in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) <= _EPS:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge (a={a}, b={b}, x={x})")
+
+
+def t_two_sided_p(t: float, df: int) -> float:
+    """Two-sided Student-t p-value P(|T| >= |t|) with ``df`` degrees of freedom.
+
+    That is the regularized incomplete beta I_x(df/2, ½) at
+    x = df / (df + t²). df = 1 and df = 2 use the closed forms
+    1 - (2/π)·atan|t| and 1 - |t|/√(2 + t²), rearranged so that no
+    subtraction cancels when p is small.
+    """
+    t2 = t * t
+    if df == 1:
+        return (2.0 / math.pi) * math.atan2(1.0, abs(t))
+    x = df / (df + t2)
+    y = t2 / (df + t2)  # 1 - x, without the cancellation
+    if df == 2:
+        return x / (1.0 + math.sqrt(y))
+    if y == 0.0:
+        return 1.0
+    a = df / 2
+    # x^a · y^½ / B(a, ½), in logs; log x = -log1p(t²/df) keeps its digits.
+    front = math.exp(
+        -a * math.log1p(t2 / df) + 0.5 * math.log(y) + _log_gamma_ratio(a) - _HALF_LOG_PI
+    )
+    if x < (a + 1.0) / (a + 2.5):
+        return front * _beta_cf(a, 0.5, x) / a
+    return 1.0 - front * _beta_cf(0.5, a, y) / 0.5
+
+
 def spearman(
     x: Sequence[float],
     y: Sequence[float],
@@ -118,10 +187,8 @@ def spearman(
     elif abs(rho) >= 1.0 - 1e-15:
         p_value = 0.0
     else:
-        from scipy import stats as _scipy_stats
-
         t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-        p_value = 2.0 * float(_scipy_stats.t.sf(abs(t), n - 2))
+        p_value = t_two_sided_p(t, n - 2)
     return CorrelationResult(rho=rho, p_value=p_value, n=n)
 
 
