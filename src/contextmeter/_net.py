@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import http.client
+import json
 import time
+import urllib.error
+import urllib.request
 from typing import Optional
-
-import requests
 
 
 def post_json(
@@ -17,24 +19,27 @@ def post_json(
     headers: Optional[dict] = None,
     backoff: float = 0.5,
 ) -> dict:
-    """POST JSON with exponential backoff; 4xx fails fast, 5xx retries.
+    """POST JSON with exponential backoff; 4xx fails fast, while 5xx,
+    connection errors, timeouts and a reply that is not JSON are retried.
 
     ``error_cls`` must accept ``(message, retryable=...)``.
     """
+    body = json.dumps(payload).encode()
+    request_headers = {"Content-Type": "application/json", **(headers or {})}
     last_error: Optional[Exception] = None
     for attempt in range(retries + 1):
         try:
-            response = requests.post(url, json=payload, timeout=timeout, headers=headers)
-            if response.status_code >= 500:
-                raise error_cls(f"{url} returned {response.status_code}", retryable=True)
-            if response.status_code >= 400:
-                raise error_cls(f"{url} returned {response.status_code}", retryable=False)
-            return response.json()
-        except error_cls as exc:
-            if not exc.retryable:
-                raise
-            last_error = exc
-        except requests.RequestException as exc:
+            request = urllib.request.Request(url, data=body, headers=request_headers, method="POST")
+            with urllib.request.urlopen(request, timeout=timeout) as response:
+                return json.loads(response.read())
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            if 400 <= exc.code < 500:
+                raise error_cls(f"{url} returned {exc.code}", retryable=False) from None
+            last_error = error_cls(f"{url} returned {exc.code}", retryable=True)
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            # URLError and timeouts are OSErrors; a malformed URL and a
+            # body that is not JSON are ValueErrors.
             last_error = exc
         if attempt < retries:
             time.sleep(backoff * (2 ** attempt))
