@@ -210,13 +210,27 @@ def _parallel_map(fn: Callable, items: list, label: Callable[[Any], str], worker
         return list(pool.map(run, items))
 
 
-def _load_field_map(config: RunConfig) -> Optional[dict]:
+def _load_field_map(config: RunConfig, per_file: bool) -> Optional[dict]:
+    """The ``--field-map`` JSON: an object of strings (our field name to the
+    upstream one), or with ``per_file`` one such object per input file."""
     if config.field_map_path is None:
         return None
     try:
-        return json.loads(Path(config.field_map_path).read_text(encoding="utf-8"))
+        field_map = json.loads(Path(config.field_map_path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read field map: {exc}") from exc
+
+    def is_names(value: Any) -> bool:
+        return isinstance(value, dict) and all(isinstance(v, str) for v in value.values())
+
+    if per_file:
+        valid = isinstance(field_map, dict) and all(map(is_names, field_map.values()))
+    else:
+        valid = is_names(field_map)
+    if not valid:
+        shape = "an object of objects of strings" if per_file else "an object of strings"
+        raise ConfigError(f"field map {config.field_map_path} must be {shape}")
+    return field_map
 
 
 def _write_corpus(corpus: ingest.Corpus, run_dir: Path, config: RunConfig) -> list[str]:
@@ -246,7 +260,7 @@ def cmd_ingest(config: RunConfig, run_dir: Path) -> list[str]:
     corpus = ingest.load_druid(
         Path(config.claims_path),
         Path(config.evidence_path),
-        field_map=_load_field_map(config),
+        field_map=_load_field_map(config, per_file=True),
     )
     return _write_corpus(corpus, run_dir, config)
 
@@ -261,7 +275,7 @@ def cmd_recast(config: RunConfig, run_dir: Path) -> list[str]:
     corpus = ingest.load_triplets(
         Path(config.triplets_path),
         dataset=config.dataset,
-        field_map=_load_field_map(config),
+        field_map=_load_field_map(config, per_file=False),
     )
     return _write_corpus(corpus, run_dir, config)
 

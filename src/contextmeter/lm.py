@@ -102,7 +102,7 @@ def load_template(template_id: str, base_dir: Optional[Path] = None) -> PromptTe
         ) from exc
     try:
         sidecar = json.loads(sidecar_text)
-        return PromptTemplate(
+        fields = dict(
             id=sidecar.get("id", template_id),
             mode=PromptMode(sidecar["mode"]),
             shots=int(sidecar["shots"]),
@@ -116,6 +116,12 @@ def load_template(template_id: str, base_dir: Optional[Path] = None) -> PromptTe
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise InvariantViolation(
             "template_id", f"bad template sidecar {sidecar_path}: {type(exc).__name__}: {exc}"
+        ) from exc
+    try:
+        return PromptTemplate(**fields)
+    except InvariantViolation as exc:
+        raise InvariantViolation(
+            "template_id", f"invalid template {template_id!r} ({sidecar_path}): {exc}"
         ) from exc
 
 

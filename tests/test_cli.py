@@ -8,6 +8,8 @@ bytes are compared directly where the contract promises reproducibility.
 import contextlib
 import io
 import json
+import os
+import random
 import re
 import shutil
 import subprocess
@@ -184,6 +186,60 @@ class TestRunContract:
         assert proc.returncode == 0
         assert proc.stdout.strip() == __version__
 
+    def test_import_loads_only_the_standard_library(self):
+        # Every stage is its own process, so start-up is paid per command.
+        probe = "import sys, contextmeter.cli; print(sorted({'scipy', 'numpy', 'requests'} & set(sys.modules)))"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_input_order_leaves_summaries_unchanged(self, druid_fixture_paths, replay_store, tmp_path):
+        """Shuffled claim and evidence rows give byte-identical profile,
+        analysis and grid documents."""
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        claims, evidence, scored, characteristics = (
+            inputs / name for name in ("claims.jsonl", "evidence.jsonl", "scored.jsonl", "characteristics.jsonl")
+        )
+        rows = [path.read_text(encoding="utf-8").splitlines() for path in druid_fixture_paths]
+        rng = random.Random(11)
+        documents = []
+        for round_no in range(2):
+            if round_no:
+                for lines in rows:
+                    original = list(lines)
+                    while lines == original:
+                        rng.shuffle(lines)
+            for path, lines in zip((claims, evidence), rows):
+                path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            out = tmp_path / f"runs{round_no}"
+
+            def run(*args):
+                code, stdout, stderr = run_cli(*map(str, args), "--out", str(out))
+                assert code == 0, stderr
+                return run_dir_of(stdout)
+
+            profile = run("profile", "--claims", claims, "--evidence", evidence)
+            score = run(
+                "score", "--claims", claims, "--evidence", evidence,
+                "--claim-template", "claim-0shot", "--evidence-template", "evidence-0shot",
+                "--replay", replay_store, "--provider-id", "hash-mock",
+            )
+            # fixed input paths, so both rounds share one config hash
+            shutil.copy(profile / "characteristics.jsonl", characteristics)
+            shutil.copy(score / "scored.jsonl", scored)
+            analysis = run(
+                "analyze", "--scored", scored, "--evidence", evidence,
+                "--characteristics", characteristics, "--dataset", "druid",
+            )
+            documents.append(
+                [(profile / "profile.json").read_bytes()]
+                + [(analysis / name).read_bytes() for name in ("analysis.json", "grid.json")]
+            )
+        assert documents[0] == documents[1]
+
 
 class TestConfigErrors:
     def assert_config_error(self, args, fragment: str):
@@ -332,6 +388,8 @@ class TestConfigErrors:
             "no-templates", "missing-claims-file", "claim-without-id", "bad-scored-mode",
             "report-artifact-not-json", "report-artifact-not-object",
             "sidecar-without-mode", "sidecar-not-json", "sidecar-unknown-mode",
+            "field-map-list", "field-map-section-list", "field-map-name-not-string",
+            "field-map-recast-nested", "template-bad-shots", "template-body-without-claim-slot",
         ],
     )
     def test_config_error_leaves_no_run_dir(self, druid_fixture_paths, tmp_path, case):
@@ -357,6 +415,10 @@ class TestConfigErrors:
             "acu": 0.0, "model_id": "m", "prompt_id": "p",
             "probs_without": probs, "probs_with": {**probs, "mode": "claim+context"},
         }
+        field_map = tmp_path / "field_map.json"
+        ingest_with_map = [
+            "ingest", "--claims", claims_path, "--evidence", evidence_path, "--field-map", field_map,
+        ]
         # case: (exit code, {input file: content}, argv)
         cases = {
             "no-templates": (2, {}, ["score", "--claims", claims_path, "--evidence", evidence_path]),
@@ -386,6 +448,20 @@ class TestConfigErrors:
             "sidecar-unknown-mode": (
                 1, {sidecar: json.dumps({**valid_sidecar, "mode": "chat"})}, score_with_templates,
             ),
+            "field-map-list": (2, {field_map: "[1, 2]"}, ingest_with_map),
+            "field-map-section-list": (2, {field_map: '{"claims": ["text"]}'}, ingest_with_map),
+            "field-map-name-not-string": (2, {field_map: '{"claims": {"text": 5}}'}, ingest_with_map),
+            "field-map-recast-nested": (
+                2,
+                {field_map: '{"claims": {"text": "claim"}}', bad: "{}"},
+                ["recast", "--triplets", bad, "--dataset", "counterfact", "--field-map", field_map],
+            ),
+            "template-bad-shots": (1, {sidecar: json.dumps({**valid_sidecar, "shots": 2})}, score_with_templates),
+            "template-body-without-claim-slot": (
+                1,
+                {sidecar: json.dumps(valid_sidecar), templates / "claim-0shot.txt": "Is it true? Answer:"},
+                score_with_templates,
+            ),
         }
         expected_code, files, argv = cases[case]
         for path, text in files.items():
@@ -395,9 +471,15 @@ class TestConfigErrors:
         assert len(stderr.strip().splitlines()) == 1
         payload = json.loads(stderr)
         assert "Traceback" not in stderr
-        if case.startswith("sidecar-"):
+        if case.startswith("field-map-"):
+            assert payload["error"] == "ConfigError"
+            assert f"field map {field_map} must be an object of" in payload["message"]
+        elif case.startswith("sidecar-"):
             assert payload["error"] == "InvariantViolation"
             assert f"bad template sidecar {sidecar}: " in payload["message"]
+        elif case.startswith("template-"):
+            assert payload["error"] == "InvariantViolation"
+            assert f"invalid template 'claim-0shot' ({sidecar}): " in payload["message"]
         elif expected_code == 1:
             assert payload["error"] == "ParseError"
             assert re.search(r"\.jsonl?:\d+: ", payload["message"])
