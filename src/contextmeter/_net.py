@@ -19,8 +19,9 @@ def post_json(
     headers: Optional[dict] = None,
     backoff: float = 0.5,
 ) -> dict:
-    """POST JSON with exponential backoff; 4xx fails fast, while 5xx,
-    connection errors, timeouts and a reply that is not JSON are retried.
+    """POST JSON with exponential backoff; 4xx and a JSON reply that is not
+    an object fail fast, while 5xx, connection errors, timeouts and a reply
+    that is not JSON are retried.
 
     ``error_cls`` must accept ``(message, retryable=...)``.
     """
@@ -31,7 +32,7 @@ def post_json(
         try:
             request = urllib.request.Request(url, data=body, headers=request_headers, method="POST")
             with urllib.request.urlopen(request, timeout=timeout) as response:
-                return json.loads(response.read())
+                data = json.loads(response.read())
         except urllib.error.HTTPError as exc:
             exc.close()
             if 400 <= exc.code < 500:
@@ -41,6 +42,10 @@ def post_json(
             # URLError and timeouts are OSErrors; a malformed URL and a
             # body that is not JSON are ValueErrors.
             last_error = exc
+        else:
+            if not isinstance(data, dict):
+                raise error_cls(f"{url} returned JSON {type(data).__name__}, not an object", retryable=False)
+            return data
         if attempt < retries:
             time.sleep(backoff * (2 ** attempt))
     raise error_cls(f"{url} failed after {retries + 1} attempts: {last_error}")

@@ -86,6 +86,14 @@ def test_client_error_fails_at_once(serve):
     assert len(backend.requests) == 1
 
 
+def test_json_that_is_not_an_object_fails_at_once(serve):
+    backend = serve((200, [1, 2]))
+    with pytest.raises(SearchBackendError, match="returned JSON list, not an object") as info:
+        call(backend.url)
+    assert info.value.retryable is False
+    assert len(backend.requests) == 1
+
+
 def test_server_error_is_retried_then_raised(serve):
     backend = serve((503, {}))
     with pytest.raises(SearchBackendError, match="failed after 3 attempts: .*503"):
