@@ -7,7 +7,7 @@ properties of the evidence correlate with that movement.
 Layout:
 
 - ``model``: claims, evidence, stances, probabilities, JSON Lines IO.
-- ``ingest``: corpus loading, verdict mapping, triplet recasting, sampling.
+- ``ingest``: corpus loading, verdict mapping, triplet recasting.
 - ``retrieval``: search, chunking, claim-repeat filtering, reranking,
   evidence assembly.
 - ``characteristics``: per-sample context-property detectors and corpus
@@ -25,12 +25,10 @@ from ._version import __version__
 from .errors import ContextMeterError
 from .metrics import (
     AcuConfig,
-    acu,
     argmax_label,
     delta_p,
     delta_p_vector,
     desirability,
-    inter_context_conflict,
     memory_conflict,
     score_sample,
 )
@@ -53,12 +51,10 @@ __all__ = [
     "__version__",
     "ContextMeterError",
     "AcuConfig",
-    "acu",
     "argmax_label",
     "delta_p",
     "delta_p_vector",
     "desirability",
-    "inter_context_conflict",
     "memory_conflict",
     "score_sample",
     "CANONICAL_LABELS",

@@ -7,7 +7,8 @@ import json
 import time
 import urllib.error
 import urllib.request
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 
 def post_json(
@@ -49,3 +50,15 @@ def post_json(
         if attempt < retries:
             time.sleep(backoff * (2 ** attempt))
     raise error_cls(f"{url} failed after {retries + 1} attempts: {last_error}")
+
+
+@contextmanager
+def reply_shape(url: str, error_cls) -> Iterator[None]:
+    """Report a reply without the documented fields or value types as a
+    non-retryable ``error_cls`` instead of a builtin exception."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise error_cls(
+            f"{url} returned a malformed reply: {type(exc).__name__}: {exc}", retryable=False
+        ) from exc

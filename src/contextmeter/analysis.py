@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import permutations
 from typing import Iterable, Optional, Sequence
 
 from .characteristics import ROWS, mean_std
@@ -150,16 +149,13 @@ def t_two_sided_p(t: float, df: int) -> float:
     return 1.0 - front * _beta_cf(0.5, a, y) / 0.5
 
 
-def spearman(
-    x: Sequence[float],
-    y: Sequence[float],
-    permutation: bool = False,
-) -> CorrelationResult:
+def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     """Spearman rank correlation with average ranks for ties.
 
-    The two-sided p-value uses the t-distribution approximation;
-    ``permutation=True`` (n <= 12 only) computes the exact permutation
-    p-value instead. Constant inputs have no defined rank correlation.
+    The two-sided p-value comes from the t approximation with n - 2
+    degrees of freedom (``t_two_sided_p``); a perfect rank agreement or
+    disagreement gets p = 0. Constant inputs have no defined rank
+    correlation.
     """
     if len(x) != len(y):
         raise LengthMismatch(f"{len(x)} vs {len(y)} observations")
@@ -169,22 +165,8 @@ def spearman(
     if len(set(x)) < 2 or len(set(y)) < 2:
         raise DegenerateInput("constant input has no defined rank correlation")
 
-    rank_x = _average_ranks(x)
-    rank_y = _average_ranks(y)
-    rho = _rank_rho(rank_x, rank_y)
-
-    if permutation:
-        if n > 12:
-            raise DegenerateInput(f"exact permutation test limited to n <= 12, got {n}")
-        observed = abs(rho)
-        count = 0
-        total = 0
-        for perm in permutations(rank_y):
-            total += 1
-            if abs(_rank_rho(rank_x, perm)) >= observed - 1e-12:
-                count += 1
-        p_value = count / total
-    elif abs(rho) >= 1.0 - 1e-15:
+    rho = _rank_rho(_average_ranks(x), _average_ranks(y))
+    if abs(rho) >= 1.0 - 1e-15:
         p_value = 0.0
     else:
         t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
@@ -194,19 +176,13 @@ def spearman(
 
 # -- inter-annotator agreement -----------------------------------------------------
 
-def krippendorff_alpha(
-    units: Sequence[Sequence[Optional[object]]],
-    metric: str = "nominal",
-    order: Optional[Sequence[object]] = None,
-) -> float:
-    """Krippendorff's alpha over a unit x coder label matrix.
+def krippendorff_alpha(units: Sequence[Sequence[Optional[object]]]) -> float:
+    """Nominal Krippendorff's alpha over a unit x coder label matrix.
 
     ``units`` holds one label list per unit (None = missing); units with
-    fewer than two labels are excluded. ``metric`` is nominal or ordinal;
-    ordinal requires ``order``, the label scale from low to high.
+    fewer than two labels are excluded. Any two distinct labels disagree
+    by the same amount: the labels are categories, not a scale.
     """
-    if metric not in ("nominal", "ordinal"):
-        raise DegenerateInput(f"unknown metric {metric!r}")
     pairable = [
         [label for label in unit if label is not None]
         for unit in units
@@ -215,18 +191,11 @@ def krippendorff_alpha(
     if not pairable:
         raise NoPairableValues("no unit carries two or more labels")
 
-    values: list[object] = []
+    index: dict[object, int] = {}
     for labels in pairable:
         for label in labels:
-            if label not in values:
-                values.append(label)
-    if order is not None:
-        missing = [v for v in values if v not in order]
-        if missing:
-            raise DegenerateInput(f"labels absent from the ordinal scale: {missing}")
-        values = [v for v in order if v in values]
-    index = {value: i for i, value in enumerate(values)}
-    size = len(values)
+            index.setdefault(label, len(index))
+    size = len(index)
 
     coincidence = [[0.0] * size for _ in range(size)]
     for labels in pairable:
@@ -238,23 +207,9 @@ def krippendorff_alpha(
     totals = [sum(row) for row in coincidence]
     n = sum(totals)
 
-    if metric == "nominal":
-        def delta_sq(i: int, j: int) -> float:
-            return 0.0 if i == j else 1.0
-    else:
-        def delta_sq(i: int, j: int) -> float:
-            if i == j:
-                return 0.0
-            lo, hi = min(i, j), max(i, j)
-            span = sum(totals[g] for g in range(lo, hi + 1))
-            return (span - (totals[i] + totals[j]) / 2.0) ** 2
-
-    observed = math.fsum(
-        coincidence[i][j] * delta_sq(i, j) for i in range(size) for j in range(size)
-    ) / n
-    expected = math.fsum(
-        totals[i] * totals[j] * delta_sq(i, j) for i in range(size) for j in range(size)
-    ) / (n * (n - 1))
+    off_diagonal = [(i, j) for i in range(size) for j in range(size) if i != j]
+    observed = math.fsum(coincidence[i][j] for i, j in off_diagonal) / n
+    expected = math.fsum(totals[i] * totals[j] for i, j in off_diagonal) / (n * (n - 1))
     if expected == 0.0:
         # Every pairable label identical: agreement is perfect by definition.
         return 1.0
@@ -425,18 +380,15 @@ DEFAULT_LABEL_ENCODING = {
 }
 
 
-def balanced_mae(
-    gold: Sequence[VerdictLabel],
-    pred: Sequence[VerdictLabel],
-    encoding: Optional[dict[VerdictLabel, float]] = None,
-) -> float:
-    """Mean absolute error with sample weights inversely proportional to
-    gold-class frequency (each gold class contributes equal total weight)."""
+def balanced_mae(gold: Sequence[VerdictLabel], pred: Sequence[VerdictLabel]) -> float:
+    """Mean absolute error over ``DEFAULT_LABEL_ENCODING``, with sample
+    weights inversely proportional to gold-class frequency (each gold class
+    contributes equal total weight)."""
     if len(gold) != len(pred):
         raise LengthMismatch(f"{len(gold)} gold vs {len(pred)} predicted")
     if not gold:
         raise EmptyInput("no labels")
-    encoding = encoding or DEFAULT_LABEL_ENCODING
+    encoding = DEFAULT_LABEL_ENCODING
     counts: dict[VerdictLabel, int] = {}
     for label in gold:
         counts[label] = counts.get(label, 0) + 1

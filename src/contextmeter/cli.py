@@ -356,25 +356,27 @@ def cmd_profile(config: RunConfig, run_dir: Path) -> list[str]:
 
 
 def _build_scorer(config: RunConfig) -> lm.VerdictScorer:
-    provider = None
-    if config.provider_endpoint:
-        if not config.provider_id:
-            raise ConfigError("provider_endpoint requires provider_id")
-        provider = lm.HttpLogprobProvider(
-            endpoint=config.provider_endpoint,
-            provider_id=config.provider_id,
-            auth_env_var=config.auth_env_var,
-            timeout=config.request_timeout,
-        )
-    if config.replay_store and provider is None:
-        store = lm.ReplayStore(Path(config.replay_store))
+    if config.replay_store:
+        # Replay never contacts a provider and never writes a store.
+        for name in ("provider_endpoint", "record_store"):
+            if getattr(config, name):
+                raise ConfigError(f"replay_store conflicts with {name}; set one or the other")
         if not config.provider_id:
             raise ConfigError("replay without a provider requires provider_id")
+        store = lm.ReplayStore(Path(config.replay_store))
         return lm.VerdictScorer(
             store=store, mode="replay", provider_id=config.provider_id
         )
-    if provider is None:
+    if not config.provider_endpoint:
         raise ConfigError("score needs a provider endpoint or a replay store")
+    if not config.provider_id:
+        raise ConfigError("provider_endpoint requires provider_id")
+    provider = lm.HttpLogprobProvider(
+        endpoint=config.provider_endpoint,
+        provider_id=config.provider_id,
+        auth_env_var=config.auth_env_var,
+        timeout=config.request_timeout,
+    )
     if config.record_store:
         store = lm.ReplayStore(Path(config.record_store))
         return lm.VerdictScorer(provider=provider, store=store, mode="record")

@@ -37,10 +37,6 @@ class ParseError(ContextMeterError):
 
 # -- ingest / recast ----------------------------------------------------------
 
-class InsufficientClaims(ContextMeterError):
-    """The claim pool cannot satisfy the requested sample size (strict mode)."""
-
-
 class MalformedTriplet(ContextMeterError):
     """A triplet record is missing fields or degenerate."""
 

@@ -1,4 +1,4 @@
-"""Corpus loading, verdict mapping, triplet recasting, stratified sampling.
+"""Corpus loading, verdict mapping, triplet recasting.
 
 Three corpus families are handled:
 
@@ -10,29 +10,19 @@ Three corpus families are handled:
   model's parametric answer plus one supporting and one refuting evidence
   piece.
 
-Stratified sampling balances, in priority order: (1) sources, (2) verdicts,
-(3) pre/post pivot-date publication, relaxing (3) before (2) and never
-filling one source's deficit from another.
+Fact-checked corpora are read as released: claims are not resampled.
 """
 
 from __future__ import annotations
 
 import json
-import random
-import re
-from dataclasses import dataclass, field
-from datetime import date
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 from importlib import resources
 
-from .errors import (
-    InsufficientClaims,
-    InvariantViolation,
-    MalformedTriplet,
-    ParseError,
-)
+from .errors import InvariantViolation, MalformedTriplet, ParseError
 from .metrics import count_inter_context_conflicts
 from .model import (
     ClaimRecord,
@@ -44,20 +34,6 @@ from .model import (
     read_jsonl,
     validate_sample,
 )
-
-#: Fact-checker feeds the claim corpus draws from.
-DRUID_SOURCES = (
-    "borderlines",
-    "checkyourfact",
-    "factcheckni",
-    "factly",
-    "politifact",
-    "science.feedback",
-    "srilanka.factcrescendo",
-)
-
-_VERDICT_ORDER = (ClaimVerdict.TRUE, ClaimVerdict.HALF_TRUE, ClaimVerdict.FALSE)
-
 
 class VerdictMappingTable:
     """Raw fact-checker verdict labels mapped to {True, Half-true, False}.
@@ -90,9 +66,6 @@ class Corpus:
     claims: dict[str, ClaimRecord]
     evidence: list[EvidencePiece]
     dropped_claims: int = 0
-
-    def evidence_for(self, claim_id: str) -> list[EvidencePiece]:
-        return [piece for piece in self.evidence if piece.claim_id == claim_id]
 
     def per_source_counts(self) -> dict[str, tuple[int, int]]:
         """source -> (claims, evidence samples)."""
@@ -142,17 +115,16 @@ def load_druid(
     claims_path: Path,
     evidence_path: Path,
     field_map: Optional[dict[str, dict[str, str]]] = None,
-    mapping_table: Optional[VerdictMappingTable] = None,
 ) -> Corpus:
     """Load a claims + evidence JSON Lines pair into a validated corpus.
 
     ``field_map`` translates upstream field names, e.g. ``{"claims":
     {"text": "claim"}}``. Rows carrying only a raw verdict are mapped
-    through ``mapping_table``; unmapped verdicts drop the claim and its
-    evidence.
+    through the default verdict mapping table; unmapped verdicts drop the
+    claim and its evidence.
     """
     field_map = field_map or {}
-    table = mapping_table or VerdictMappingTable.default()
+    table = VerdictMappingTable.default()
 
     claims: dict[str, ClaimRecord] = {}
     dropped = 0
@@ -331,14 +303,8 @@ def load_triplets(
     path: Path,
     dataset: str,
     field_map: Optional[dict[str, str]] = None,
-    record_filter: Optional[Callable[[RawTripletRecord], bool]] = None,
 ) -> Corpus:
-    """Read raw triplet JSON Lines and recast every record.
-
-    ``record_filter`` lets callers drop records before recasting (for
-    example, generated evidence that reveals its origin); returning False
-    skips the record.
-    """
+    """Read raw triplet JSON Lines and recast every record."""
     if dataset == "counterfact":
         recast = recast_counterfact
         names = _COUNTERFACT_FIELDS
@@ -350,16 +316,12 @@ def load_triplets(
 
     claims: dict[str, ClaimRecord] = {}
     evidence: list[EvidencePiece] = []
-    dropped = 0
     for line_no, row in read_jsonl(Path(path)):
         row = _translate(row, field_map)
         try:
             record = RawTripletRecord(**{name: row.get(name) for name in names})
         except (InvariantViolation, TypeError) as exc:
             raise ParseError(str(path), line_no, str(exc)) from exc
-        if record_filter is not None and not record_filter(record):
-            dropped += 1
-            continue
         try:
             claim, pieces = recast(record)
         except MalformedTriplet as exc:
@@ -369,159 +331,5 @@ def load_triplets(
             continue
         claims[claim.id] = claim
         evidence.extend(pieces)
-    return Corpus(claims=claims, evidence=evidence, dropped_claims=dropped)
+    return Corpus(claims=claims, evidence=evidence)
 
-
-# -- stratified sampling -----------------------------------------------------------
-
-_MEDIA_WORDS = ("photo", "video")
-
-
-def mentions_excluded_media(text: str) -> bool:
-    """Case-insensitive whole-word match of the media words."""
-    return any(
-        re.search(rf"\b{word}\b", text, flags=re.IGNORECASE) for word in _MEDIA_WORDS
-    )
-
-
-@dataclass
-class ShortageReport:
-    """Where and by how much the sampler fell short of its target."""
-
-    requested: int
-    selected: int
-    media_excluded: int
-    per_source_shortfall: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def total_shortfall(self) -> int:
-        return self.requested - self.selected
-
-    def to_dict(self) -> dict:
-        return {
-            "requested": self.requested,
-            "selected": self.selected,
-            "media_excluded": self.media_excluded,
-            "per_source_shortfall": dict(sorted(self.per_source_shortfall.items())),
-            "total_shortfall": self.total_shortfall,
-        }
-
-
-def _largest_remainder(total: int, keys: list) -> dict:
-    """Even integer quotas over keys; leftovers go to the earliest keys."""
-    if not keys:
-        return {}
-    base, extra = divmod(total, len(keys))
-    return {key: base + (1 if index < extra else 0) for index, key in enumerate(keys)}
-
-
-def _take(rng: random.Random, bucket: list[ClaimRecord], want: int) -> list[ClaimRecord]:
-    want = min(want, len(bucket))
-    if want == 0:
-        return []
-    chosen = rng.sample(bucket, want)
-    for claim in chosen:
-        bucket.remove(claim)
-    return chosen
-
-
-def stratified_sample(
-    claims: Iterable[ClaimRecord],
-    target_n: int,
-    date_pivot: date = date(2023, 1, 1),
-    seed: int = 0,
-    strict: bool = False,
-) -> tuple[list[ClaimRecord], ShortageReport]:
-    """Sample claims balanced by source, then verdict, then claim date.
-
-    Claims mentioning the excluded media words are removed before anything
-    else. Even quotas are assigned per source; inside a source the quota is
-    split evenly over verdicts, and each verdict's share is split between
-    claims dated before and after the pivot (the odd one goes to the
-    earlier side). Deficits relax the date split first, then the verdict
-    split; a source that cannot meet its quota simply contributes less and
-    the gap is reported (``strict=True`` raises instead).
-    """
-    materialized = list(claims)
-    all_claims = [c for c in materialized if not mentions_excluded_media(c.text)]
-    media_excluded = len(materialized) - len(all_claims)
-    rng = random.Random(seed)
-
-    by_source: dict[str, list[ClaimRecord]] = {}
-    for claim in sorted(all_claims, key=lambda c: c.id):
-        by_source.setdefault(claim.source, []).append(claim)
-
-    sources = sorted(by_source)
-    quotas = _largest_remainder(target_n, sources)
-
-    selected: list[ClaimRecord] = []
-    shortfalls: dict[str, int] = {}
-    for source in sources:
-        quota = quotas[source]
-        verdict_quota = _largest_remainder(quota, list(_VERDICT_ORDER))
-        buckets: dict[ClaimVerdict, dict[str, list[ClaimRecord]]] = {}
-        for verdict in _VERDICT_ORDER:
-            of_verdict = [c for c in by_source[source] if c.verdict is verdict]
-            buckets[verdict] = {
-                "pre": [
-                    c for c in of_verdict
-                    if c.claim_date is not None and c.claim_date < date_pivot
-                ],
-                "post": [
-                    c for c in of_verdict
-                    if c.claim_date is None or c.claim_date >= date_pivot
-                ],
-            }
-
-        picked_for_source: list[ClaimRecord] = []
-        deficit = 0
-        for verdict in _VERDICT_ORDER:
-            want = verdict_quota[verdict]
-            pre_want = (want + 1) // 2
-            post_want = want - pre_want
-            got = _take(rng, buckets[verdict]["pre"], pre_want)
-            got += _take(rng, buckets[verdict]["post"], post_want)
-            # Relax the date balance before giving up on the verdict share.
-            missing = want - len(got)
-            if missing > 0:
-                got += _take(rng, buckets[verdict]["post"], missing)
-            missing = want - len(got)
-            if missing > 0:
-                got += _take(rng, buckets[verdict]["pre"], missing)
-            deficit += want - len(got)
-            picked_for_source.extend(got)
-
-        # Relax the verdict balance within the source, date rule intact.
-        while deficit > 0:
-            progressed = False
-            for verdict in _VERDICT_ORDER:
-                if deficit == 0:
-                    break
-                for side in ("pre", "post"):
-                    if deficit == 0:
-                        break
-                    got = _take(rng, buckets[verdict][side], 1)
-                    if got:
-                        picked_for_source.extend(got)
-                        deficit -= 1
-                        progressed = True
-            if not progressed:
-                break
-
-        if deficit > 0:
-            shortfalls[source] = deficit
-        selected.extend(picked_for_source)
-
-    report = ShortageReport(
-        requested=target_n,
-        selected=len(selected),
-        media_excluded=media_excluded,
-        per_source_shortfall=shortfalls,
-    )
-    if strict and report.total_shortfall > 0:
-        raise InsufficientClaims(
-            f"requested {target_n} claims, only {len(selected)} available "
-            f"under the sampling constraints"
-        )
-    selected.sort(key=lambda c: c.id)
-    return selected, report

@@ -26,7 +26,7 @@ from typing import Optional, Protocol, Union
 
 from importlib import resources
 
-from ._net import post_json
+from ._net import post_json, reply_shape
 from .errors import (
     DegenerateText,
     InvariantViolation,
@@ -262,7 +262,8 @@ class HttpLogprobProvider:
         top = data.get("top_logprobs")
         if not isinstance(top, dict):
             raise ProviderError("malformed top_logprobs payload", retryable=False)
-        return {token: math.exp(logprob) for token, logprob in top.items()}
+        with reply_shape(self._endpoint, ProviderError):
+            return {token: math.exp(logprob) for token, logprob in top.items()}
 
     def token_logprobs(self, text: str) -> list[float]:
         data = post_json(
@@ -276,7 +277,8 @@ class HttpLogprobProvider:
         values = data.get("token_logprobs")
         if not isinstance(values, list):
             raise ProviderError("malformed token_logprobs payload", retryable=False)
-        return [float(v) for v in values]
+        with reply_shape(self._endpoint, ProviderError):
+            return [float(v) for v in values]
 
 
 # -- extraction --------------------------------------------------------------------

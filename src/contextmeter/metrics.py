@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 from .errors import InvariantViolation
 from .model import (
     CANONICAL_LABELS,
+    ClaimRecord,
     EvidencePiece,
     ScoredSample,
     StanceLabel,
@@ -120,28 +121,14 @@ def _signed_sum(deltas: Iterable[float], stance: StanceLabel, config: AcuConfig)
     return total
 
 
-def acu(
-    probs_without: VerdictProbabilities,
-    probs_with: VerdictProbabilities,
-    stance: StanceLabel,
-    config: AcuConfig = AcuConfig(),
-) -> float:
-    """Accumulated context usage for one (claim, evidence) sample."""
-    return acu_from_triples(
-        [probs_without.get(label) for label in CANONICAL_LABELS],
-        [probs_with.get(label) for label in CANONICAL_LABELS],
-        stance,
-        config,
-    )
-
-
 def acu_from_triples(
     triple_without: Sequence[float],
     triple_with: Sequence[float],
     stance: StanceLabel,
     config: AcuConfig = AcuConfig(),
 ) -> float:
-    """ACU over raw probability triples in canonical (True, None, False) order.
+    """Accumulated context usage for one (claim, evidence) sample, over
+    probability triples in canonical (True, None, False) order.
 
     Unlike VerdictProbabilities inputs, the triples need not sum to 1;
     printed or otherwise rounded values feed straight into the formulas.
@@ -199,33 +186,12 @@ def memory_conflict(parametric_prediction: VerdictLabel, stance: StanceLabel) ->
     )
 
 
-def inter_context_conflict(claim_id: str, evidences: Iterable[EvidencePiece]) -> bool:
-    """Whether a claim has at least one supports and one refutes evidence."""
-    has_supports = False
-    has_refutes = False
-    for evidence in evidences:
-        if evidence.claim_id != claim_id:
-            raise InvariantViolation(
-                "claim_id", f"evidence {evidence.id} belongs to {evidence.claim_id!r}"
-            )
-        if evidence.stance is StanceLabel.SUPPORTS:
-            has_supports = True
-        elif evidence.stance is StanceLabel.REFUTES:
-            has_refutes = True
-        if has_supports and has_refutes:
-            return True
-    return False
-
-
 def count_inter_context_conflicts(
-    claims: Sequence, evidences: Sequence[EvidencePiece]
+    claims: Iterable[ClaimRecord], evidences: Iterable[EvidencePiece]
 ) -> int:
-    """Number of claims whose evidence set is internally conflicting."""
-    by_claim: dict[str, list[EvidencePiece]] = {}
+    """Number of claims with at least one supports and one refutes evidence."""
+    stances: dict[str, set[StanceLabel]] = {}
     for evidence in evidences:
-        by_claim.setdefault(evidence.claim_id, []).append(evidence)
-    total = 0
-    for claim in claims:
-        if inter_context_conflict(claim.id, by_claim.get(claim.id, [])):
-            total += 1
-    return total
+        stances.setdefault(evidence.claim_id, set()).add(evidence.stance)
+    polar = {StanceLabel.SUPPORTS, StanceLabel.REFUTES}
+    return sum(1 for claim in claims if polar <= stances.get(claim.id, set()))

@@ -27,7 +27,7 @@ from html.parser import HTMLParser
 from pathlib import Path
 from typing import Optional, Protocol, Sequence
 
-from ._net import post_json
+from ._net import post_json, reply_shape
 from .errors import InvariantViolation, RerankBackendError, SearchBackendError
 from .model import (
     ClaimRecord,
@@ -202,19 +202,26 @@ class HttpSearchClient:
             self._retries,
             SearchBackendError,
         )
+        items = data.get("results", [])
         results = []
-        for rank, item in enumerate(data.get("results", [])[:TOP_RESULTS_PER_ENGINE], start=1):
-            text = item.get("text") or html_to_text(item.get("html", ""))
-            pub_date = item.get("pub_date")
-            results.append(
-                SearchResult(
-                    url=item["url"],
-                    title=item.get("title", ""),
-                    rank_per_engine=((self.name, rank),),
-                    fetched_text=text,
-                    pub_date=date.fromisoformat(pub_date) if pub_date else None,
+        with reply_shape(self._endpoint, SearchBackendError):
+            if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+                raise TypeError("results must be a list of objects")
+            for rank, item in enumerate(items[:TOP_RESULTS_PER_ENGINE], start=1):
+                url = item["url"]
+                text = item.get("text") or html_to_text(item.get("html", ""))
+                if not isinstance(url, str) or not isinstance(text, str):
+                    raise TypeError("url and text must be strings")
+                pub_date = item.get("pub_date")
+                results.append(
+                    SearchResult(
+                        url=url,
+                        title=item.get("title", ""),
+                        rank_per_engine=((self.name, rank),),
+                        fetched_text=text,
+                        pub_date=date.fromisoformat(pub_date) if pub_date else None,
+                    )
                 )
-            )
         return results
 
 
@@ -253,7 +260,8 @@ class HttpRerankClient:
         scores = data.get("scores")
         if not isinstance(scores, list) or len(scores) != len(texts):
             raise RerankBackendError("malformed scores payload", retryable=False)
-        return [float(s) for s in scores]
+        with reply_shape(self._endpoint, RerankBackendError):
+            return [float(s) for s in scores]
 
 
 # -- pipeline stages ---------------------------------------------------------------

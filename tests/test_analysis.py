@@ -3,7 +3,6 @@
 import math
 import random
 from decimal import Decimal, localcontext
-from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -107,24 +106,6 @@ class TestSpearman:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             an.spearman([1, 2, 3], [1, 2])
-
-    def test_exact_permutation_p(self):
-        # n = 3, rho = 0.5: every permutation reaches |rho| >= 0.5
-        result = an.spearman([1, 2, 3], [1, 3, 2], permutation=True)
-        assert result.rho == pytest.approx(0.5)
-        assert result.p_value == pytest.approx(1.0)
-
-    def test_exact_permutation_matches_enumeration(self):
-        x = [1, 2, 3, 4]
-        y = [2, 1, 4, 3]
-        observed = an.spearman(x, y, permutation=True)
-        count = 0
-        total = 0
-        for perm in permutations(y):
-            total += 1
-            if abs(an.spearman(x, list(perm)).rho) >= abs(observed.rho) - 1e-12:
-                count += 1
-        assert observed.p_value == pytest.approx(count / total)
 
     def test_t_approximation_p_value(self):
         # moderate n, imperfect correlation: p strictly inside (0, 1)
@@ -236,24 +217,6 @@ class TestKrippendorff:
     def test_no_pairable_values(self):
         with pytest.raises(NoPairableValues):
             an.krippendorff_alpha([(1, None), (None, 2)])
-
-    def test_ordinal_equals_nominal_for_binary(self):
-        # with two categories the ordinal distance is constant, so both
-        # variants scale Do and De identically
-        units = [(0, 0), (1, 1), (0, 1), (1, 0), (1, 1)]
-        nominal = an.krippendorff_alpha(units, metric="nominal")
-        ordinal = an.krippendorff_alpha(units, metric="ordinal", order=[0, 1])
-        assert nominal == pytest.approx(ordinal)
-
-    def test_ordinal_weighs_distance(self):
-        # disagreements one step apart hurt less under ordinal than a
-        # two-step disagreement does
-        near = [(1, 2), (2, 2), (1, 1), (3, 3), (2, 3)]
-        far = [(1, 3), (2, 2), (1, 1), (3, 3), (3, 1)]
-        order = [1, 2, 3]
-        near_alpha = an.krippendorff_alpha(near, metric="ordinal", order=order)
-        far_alpha = an.krippendorff_alpha(far, metric="ordinal", order=order)
-        assert near_alpha > far_alpha
 
 
 class TestStratifiedAcu:
@@ -367,10 +330,6 @@ class TestBalancedMae:
 
     def test_uniform_one_unit_error(self):
         assert an.balanced_mae([T, F], [N, N]) == pytest.approx(1.0)
-
-    def test_custom_encoding(self):
-        encoding = {T: 10.0, N: 5.0, F: 0.0}
-        assert an.balanced_mae([T], [N], encoding=encoding) == pytest.approx(5.0)
 
     def test_balancing_ignores_class_imbalance(self):
         # nine correct T, one F predicted two units off: balancing weights

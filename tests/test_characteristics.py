@@ -366,7 +366,8 @@ class TestProfile:
         return [
             (claim, evidence)
             for claim in corpus.claims.values()
-            for evidence in corpus.evidence_for(claim.id)
+            for evidence in corpus.evidence
+            if evidence.claim_id == claim.id
         ]
 
     def test_fixture_aggregates(self, druid_fixture_paths):

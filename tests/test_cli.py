@@ -499,6 +499,29 @@ class TestConfigErrors:
             "provider_id",
         )
 
+    @pytest.mark.parametrize(
+        "setting,flag,value",
+        [
+            ("provider_endpoint", "--provider-endpoint", "http://127.0.0.1:9/v1"),
+            ("record_store", "--record", "{tmp}/recorded.jsonl"),
+        ],
+    )
+    def test_replay_conflicts_with_live_or_recording_settings(
+        self, druid_fixture_paths, replay_store, tmp_path, setting, flag, value
+    ):
+        # Replay never contacts a provider and never writes a store, so a
+        # setting that would do either is refused before anything runs.
+        out = tmp_path / "runs"
+        args = score_args(druid_fixture_paths, replay_store, out)
+        code, _, stderr = run_cli(*args, flag, value.format(tmp=tmp_path))
+        assert code == 2
+        assert json.loads(stderr) == {
+            "error": "ConfigError",
+            "message": f"replay_store conflicts with {setting}; set one or the other",
+        }
+        assert not out.exists()
+        assert not (tmp_path / "recorded.jsonl").exists()
+
 
 class TestFailureExitCode:
     def test_parse_error_exits_one(self, druid_fixture_paths, tmp_path):

@@ -1,28 +1,14 @@
-"""Corpus loading, verdict mapping, triplet recasting, stratified sampling."""
+"""Corpus loading, verdict mapping, triplet recasting."""
 
 import json
-from datetime import date
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from contextmeter import ingest as ing
-from contextmeter.errors import (
-    InsufficientClaims,
-    InvariantViolation,
-    MalformedTriplet,
-    ParseError,
-)
+from contextmeter.errors import InvariantViolation, MalformedTriplet, ParseError
 from contextmeter.model import ClaimVerdict, Relevance, StanceLabel
-
-from conftest import make_claim
-
-VERDICT_BY_NAME = {
-    "True": ClaimVerdict.TRUE,
-    "Half-true": ClaimVerdict.HALF_TRUE,
-    "False": ClaimVerdict.FALSE,
-}
 
 
 def write_lines(path, rows):
@@ -85,7 +71,7 @@ class TestLoadDruid:
         assert corpus.relevance_histogram() == {"relevant": 10, "not-relevant": 2}
         assert corpus.inter_context_conflicts() == 2
         assert corpus.dropped_claims == 0
-        assert [e.id for e in corpus.evidence_for("c-pf-001")] == [
+        assert [e.id for e in corpus.evidence if e.claim_id == "c-pf-001"] == [
             "e-pf-001a",
             "e-pf-001b",
             "e-pf-001c",
@@ -336,25 +322,6 @@ class TestLoadTriplets:
         claim = next(iter(corpus.claims.values()))
         assert claim.text == "A B points at y."
 
-    def test_record_filter_drops(self, tmp_path):
-        path = tmp_path / "cf.jsonl"
-        rows = [
-            {
-                "subject": f"Person {i}",
-                "relation": "works for",
-                "object_true": "Google",
-                "object_edited": "BBC",
-            }
-            for i in range(3)
-        ]
-        write_lines(path, rows)
-        corpus = ing.load_triplets(
-            path, dataset="counterfact",
-            record_filter=lambda r: r.subject != "Person 0",
-        )
-        assert corpus.totals() == (2, 4)
-        assert corpus.dropped_claims == 1
-
     def test_malformed_row_carries_line_number(self, tmp_path):
         path = tmp_path / "cf.jsonl"
         write_lines(
@@ -384,114 +351,3 @@ class TestLoadTriplets:
         # exactly two context pieces
         assert 2 * 8023 == 16046
 
-
-class TestMediaExclusion:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("This photo shows a crowd.", True),
-            ("the VIDEO claims otherwise", True),
-            ("Photosynthesis is key.", False),
-            ("videos of the event", False),
-            ("A plain claim.", False),
-        ],
-    )
-    def test_whole_word_case_insensitive(self, text, expected):
-        assert ing.mentions_excluded_media(text) is expected
-
-
-def build_pool(per_source=100):
-    claims = []
-    for source in ing.DRUID_SOURCES:
-        for i in range(per_source):
-            name = ["True", "Half-true", "False"][i % 3]
-            claims.append(
-                make_claim(
-                    id=f"{source}-{i:03d}",
-                    source=source,
-                    claim_date=date(2022, 6, 1) if i % 2 == 0 else date(2023, 6, 1),
-                    verdict=VERDICT_BY_NAME[name],
-                    raw_verdict=name,
-                )
-            )
-    return claims
-
-
-class TestStratifiedSample:
-    def test_even_quota_across_sources(self):
-        selected, report = ing.stratified_sample(build_pool(), 70, seed=1)
-        assert len(selected) == 70
-        per_source = {}
-        for claim in selected:
-            per_source[claim.source] = per_source.get(claim.source, 0) + 1
-        assert per_source == {source: 10 for source in ing.DRUID_SOURCES}
-        assert report.total_shortfall == 0
-        assert report.media_excluded == 0
-
-    def test_media_claims_excluded(self):
-        pool = build_pool(per_source=10)
-        pool.append(
-            make_claim(
-                id="politifact-photo",
-                text="This photo shows a flooded square.",
-                source="politifact",
-            )
-        )
-        _, report = ing.stratified_sample(pool, 14, seed=0)
-        assert report.media_excluded == 1
-
-    def test_seed_reproducible(self):
-        pool = build_pool()
-        first, _ = ing.stratified_sample(pool, 70, seed=1)
-        second, _ = ing.stratified_sample(pool, 70, seed=1)
-        third, _ = ing.stratified_sample(pool, 70, seed=2)
-        assert [c.id for c in first] == [c.id for c in second]
-        assert [c.id for c in first] != [c.id for c in third]
-
-    def test_output_sorted_by_id(self):
-        selected, _ = ing.stratified_sample(build_pool(), 70, seed=5)
-        assert [c.id for c in selected] == sorted(c.id for c in selected)
-
-    def test_skewed_pool_reports_shortfall(self):
-        pool = [c for c in build_pool() if c.source != "borderlines"]
-        pool += [c for c in build_pool(2) if c.source == "borderlines"]
-        selected, report = ing.stratified_sample(pool, 70, seed=0)
-        assert len(selected) == 62
-        assert report.per_source_shortfall == {"borderlines": 8}
-        assert report.total_shortfall == 8
-
-    def test_strict_mode_raises(self):
-        pool = [c for c in build_pool() if c.source != "borderlines"]
-        pool += [c for c in build_pool(2) if c.source == "borderlines"]
-        with pytest.raises(InsufficientClaims):
-            ing.stratified_sample(pool, 70, seed=0, strict=True)
-
-    def test_absent_source_redistributes_quota(self):
-        # stratification is over sources present in the pool; a missing
-        # source widens the others' quotas instead of reporting a gap
-        pool = [c for c in build_pool() if c.source != "borderlines"]
-        selected, report = ing.stratified_sample(pool, 70, seed=0)
-        assert len(selected) == 70
-        assert report.total_shortfall == 0
-
-    def test_verdict_balance_within_source(self):
-        selected, _ = ing.stratified_sample(build_pool(), 70, seed=3)
-        for source in ing.DRUID_SOURCES:
-            verdicts = [c.verdict for c in selected if c.source == source]
-            counts = {v: verdicts.count(v) for v in set(verdicts)}
-            assert max(counts.values()) - min(counts.values()) <= 1
-
-    def test_date_pivot_balance(self):
-        selected, _ = ing.stratified_sample(build_pool(), 70, seed=4)
-        pivot = date(2023, 1, 1)
-        pre = sum(1 for c in selected if c.claim_date and c.claim_date < pivot)
-        post = len(selected) - pre
-        assert abs(pre - post) <= len(ing.DRUID_SOURCES) * 3
-
-    def test_undated_claims_usable(self):
-        pool = [
-            make_claim(id=f"politifact-{i}", source="politifact", claim_date=None)
-            for i in range(4)
-        ]
-        selected, report = ing.stratified_sample(pool, 2, seed=0)
-        assert len(selected) == 2

@@ -1,4 +1,4 @@
-"""post_json's retry contract and the HTTP search/rerank clients, against a
+"""post_json's retry contract and the HTTP search, rerank and model clients, against a
 loopback HTTP server."""
 
 import json
@@ -9,9 +9,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from contextmeter import retrieval
+from contextmeter import lm, retrieval
 from contextmeter._net import post_json
-from contextmeter.errors import ProviderError, SearchBackendError
+from contextmeter.errors import ProviderError, RerankBackendError, SearchBackendError
 
 RETRIES = 2
 
@@ -169,3 +169,44 @@ def test_rerank_client_round_trip(serve):
     scores = retrieval.HttpRerankClient(backend.url).score("sky", ["blue sky", "green"])
     assert scores == [0.25, 1.0]
     assert backend.requests[0]["body"] == {"query": "sky", "documents": ["blue sky", "green"]}
+
+
+
+def search(url):
+    return retrieval.HttpSearchClient(url, name="web").search("q")
+
+
+def rerank(url):
+    return retrieval.HttpRerankClient(url).score("q", ["text"])
+
+
+def next_token(url):
+    return lm.HttpLogprobProvider(url, "m").next_token_distribution("p")
+
+
+def token_logprobs(url):
+    return lm.HttpLogprobProvider(url, "m").token_logprobs("t")
+
+
+#: A reply that is a JSON object but not of the documented shape, per client.
+MALFORMED_REPLIES = {
+    "search-no-url": (search, {"results": [{"title": "T", "text": "Body."}]}, SearchBackendError),
+    "search-url-null": (search, {"results": [{"url": None, "text": "Body."}]}, SearchBackendError),
+    "search-bad-pub-date": (
+        search, {"results": [{"url": "https://a.example", "text": "Body.", "pub_date": "soon"}]}, SearchBackendError,
+    ),
+    "search-results-string": (search, {"results": "not a list"}, SearchBackendError),
+    "rerank-score-not-number": (rerank, {"scores": ["a"]}, RerankBackendError),
+    "logprob-not-number": (next_token, {"top_logprobs": {"True": "high"}}, ProviderError),
+    "token-logprob-null": (token_logprobs, {"token_logprobs": [-0.5, None]}, ProviderError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPLIES))
+def test_malformed_reply_raises_the_backend_error(serve, case):
+    call_client, reply, error = MALFORMED_REPLIES[case]
+    backend = serve((200, reply))
+    with pytest.raises(error, match="returned a malformed reply") as info:
+        call_client(backend.url)
+    assert info.value.retryable is False
+    assert len(backend.requests) == 1
