@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 from urllib.parse import urlsplit
 
 from .errors import (
@@ -50,26 +50,37 @@ def word_set(text: str) -> frozenset[str]:
     return frozenset(words(text))
 
 
-def jaccard(claim_text: str, evidence_text: str) -> float:
+class TextView(NamedTuple):
+    """A text's tokens, word set W and padded form, shared by the detectors."""
+
+    tokens: list[str]
+    word_set: frozenset[str]
+    padded: str
+
+    @classmethod
+    def of(cls, text: str) -> "TextView":
+        tokens = words(text)
+        return cls(tokens, frozenset(tokens), _padded(tokens))
+
+
+def jaccard(claim: TextView, evidence: TextView) -> float:
     """J(C, E) = |W(C) ∩ W(E)| / |W(C) ∪ W(E)|.
 
     Defined as 0 when the union is empty (both texts degenerate).
     """
-    claim_words = word_set(claim_text)
-    evidence_words = word_set(evidence_text)
-    union = claim_words | evidence_words
+    shared = len(claim.word_set & evidence.word_set)
+    union = len(claim.word_set) + len(evidence.word_set) - shared
     if not union:
         logger.debug("degenerate jaccard: both word sets empty")
         return 0.0
-    return len(claim_words & evidence_words) / len(union)
+    return shared / union
 
 
-def claim_evidence_overlap(claim_text: str, evidence_text: str) -> float:
+def claim_evidence_overlap(claim: TextView, evidence: TextView) -> float:
     """|W(C) ∩ W(E)| / |W(C)|: coverage of claim words by the evidence."""
-    claim_words = word_set(claim_text)
-    if not claim_words:
+    if not claim.word_set:
         raise DegenerateClaim("claim has no words after normalization")
-    return len(claim_words & word_set(evidence_text)) / len(claim_words)
+    return len(claim.word_set & evidence.word_set) / len(claim.word_set)
 
 
 def _padded(tokens: Iterable[str]) -> str:
@@ -78,12 +89,7 @@ def _padded(tokens: Iterable[str]) -> str:
     return " " + " ".join(tokens) + " "
 
 
-def _has_run(padded_text: str, run: Sequence[str]) -> bool:
-    """Whether a non-empty token run occurs contiguously in a padded text."""
-    return bool(run) and _padded(run) in padded_text
-
-
-def repeats_claim(claim_text: str, evidence_text: str) -> bool:
+def repeats_claim(claim: TextView, evidence: TextView) -> bool:
     """Whether the evidence repeats the claim verbatim.
 
     Matching is done on normalized word-token sequences (whitespace collapsed,
@@ -92,10 +98,7 @@ def repeats_claim(claim_text: str, evidence_text: str) -> bool:
     ("cat sat" inside "bobcat sat") does not. Word-boundary matching is what
     keeps the guarantee repeats_claim ⇒ claim_evidence_overlap = 1.
     """
-    claim_tokens = words(claim_text)
-    if not claim_tokens:
-        return False
-    return _has_run(_padded(words(evidence_text)), claim_tokens)
+    return bool(claim.tokens) and claim.padded in evidence.padded
 
 
 # -- readability ----------------------------------------------------------------
@@ -121,22 +124,29 @@ def count_syllables(word: str) -> int:
     return max(groups, 1)
 
 
-def flesch_reading_ease(text: str) -> float:
+def flesch_reading_ease(text: str, syllables: Optional[dict[str, Optional[int]]] = None) -> float:
     """206.835 - 1.015 * (words/sentences) - 84.6 * (syllables/words).
 
     Words are whitespace tokens containing at least one letter or digit;
     sentences are runs terminated by '.', '!' or '?' (minimum one).
+    ``syllables`` memoizes each distinct token's syllable count (None for a
+    token that is not a word); a batch passes one dict to every call.
     """
-    tokens = [token for token in text.split() if any(ch.isalnum() for ch in token)]
-    if not tokens:
+    syllables = {} if syllables is None else syllables
+    counts = []
+    for token in text.split():
+        if token not in syllables:
+            syllables[token] = count_syllables(token) if any(ch.isalnum() for ch in token) else None
+        if syllables[token] is not None:
+            counts.append(syllables[token])
+    if not counts:
         raise DegenerateText("no countable words")
     sentence_parts = [
         part for part in _SENTENCE_SPLIT_RE.split(text) if any(ch.isalnum() for ch in part)
     ]
     n_sentences = max(len(sentence_parts), 1)
-    n_words = len(tokens)
-    n_syllables = sum(count_syllables(token) for token in tokens)
-    return 206.835 - 1.015 * (n_words / n_sentences) - 84.6 * (n_syllables / n_words)
+    n_words = len(counts)
+    return 206.835 - 1.015 * (n_words / n_sentences) - 84.6 * (sum(counts) / n_words)
 
 
 # -- entities --------------------------------------------------------------------
@@ -177,21 +187,16 @@ def detect_entities(text: str) -> list[str]:
     return selected
 
 
-def entity_overlap(
-    claim_text: str,
-    evidence_text: str,
-    ner: Callable[[str], list[str]] = detect_entities,
-) -> tuple[float, bool]:
+def entity_overlap(entities: Sequence[TextView], evidence: TextView) -> tuple[float, bool]:
     """Fraction of claim entities whose surface form occurs in the evidence.
 
-    Returns (1.0, True) when the claim has no detectable entities; matching is
+    ``entities`` holds the views of the claim's entity surfaces. Returns
+    (1.0, True) when the claim has no detectable entities; matching is
     case-insensitive on word-token sequences.
     """
-    entities = ner(claim_text)
     if not entities:
         return 1.0, True
-    evidence_padded = _padded(words(evidence_text))
-    found = sum(1 for entity in entities if _has_run(evidence_padded, words(entity)))
+    found = sum(1 for entity in entities if entity.tokens and entity.padded in evidence.padded)
     return found / len(entities), False
 
 
@@ -258,13 +263,13 @@ class HedgeLexicon:
         )
 
 
-def hedging_flags(evidence_text: str, lexicon: HedgeLexicon) -> tuple[bool, bool]:
+def hedging_flags(evidence: TextView, lexicon: HedgeLexicon) -> tuple[bool, bool]:
     """(contains hedge word, contains hedging discourse marker).
 
     Matching is case-insensitive and whole-word: every entry, hedge word or
     discourse marker, matches as a contiguous run of word tokens.
     """
-    text = _padded(words(evidence_text))
+    text = evidence.padded
     hedges, markers = lexicon._needles
     return any(n in text for n in hedges), any(n in text for n in markers)
 
@@ -357,54 +362,8 @@ def characteristic_vector(
     providers: Optional[DetectorProviders] = None,
 ) -> CharacteristicVector:
     """Run every configured detector on one (claim, evidence) pair."""
-    lexicon = lexicon or HedgeLexicon.default()
-    reliability = reliability or ReliabilityList.default()
-    providers = providers or DetectorProviders()
-
-    try:
-        overlap = claim_evidence_overlap(claim.text, evidence.text)
-    except DegenerateClaim:
-        overlap = None
-    try:
-        flesch = flesch_reading_ease(evidence.text)
-    except DegenerateText:
-        flesch = None
-    overlap_value, no_entity = entity_overlap(claim.text, evidence.text, providers.ner)
-    refers = None
-    if providers.judge is not None:
-        refers = refers_external_source(evidence.text, providers.judge)
-    perplexity_value = None
-    if providers.perplexity is not None:
-        perplexity_value = providers.perplexity(evidence.text)
-    try:
-        unreliable = unreliable_source(evidence.url, reliability)
-    except MalformedUrl:
-        unreliable = None
-    hedging, hedging_discourse = hedging_flags(evidence.text, lexicon)
-    contains_true, contains_false = verdict_word_flags(evidence.text)
-
-    return CharacteristicVector(
-        claim_id=claim.id,
-        evidence_id=evidence.id,
-        jaccard=jaccard(claim.text, evidence.text),
-        claim_evidence_overlap=overlap,
-        repeats_claim=repeats_claim(claim.text, evidence.text),
-        flesch=flesch,
-        claim_len_chars=len(claim.text),
-        evidence_len_chars=len(evidence.text),
-        perplexity=perplexity_value,
-        entity_overlap=overlap_value,
-        no_entity_flag=no_entity,
-        refers_external=refers,
-        hedging=hedging,
-        hedging_discourse=hedging_discourse,
-        unreliable=unreliable,
-        contains_true_word=contains_true,
-        contains_false_word=contains_false,
-        pub_after_claim=evidence.pub_after_claim,
-        fact_check_source=evidence.is_fact_check_source,
-        gold_source=evidence.is_gold_source,
-    )
+    vectors, _ = profile([(claim, evidence)], lexicon, reliability, providers)
+    return vectors[0]
 
 
 #: Reporting rows of the corpus profile and the correlation grid, in order,
@@ -481,14 +440,68 @@ def profile(
     reliability: Optional[ReliabilityList] = None,
     providers: Optional[DetectorProviders] = None,
 ) -> tuple[list[CharacteristicVector], ProfileReport]:
-    """Compute vectors for every pair plus the corpus aggregate report."""
+    """Compute vectors for every pair plus the corpus aggregate report.
+
+    Each call builds, once, the view of each evidence text, the views of each
+    distinct claim text and its entities, and each distinct token's syllables.
+    """
     lexicon = lexicon or HedgeLexicon.default()
     reliability = reliability or ReliabilityList.default()
     providers = providers or DetectorProviders()
-    vectors = [
-        characteristic_vector(claim, evidence, lexicon, reliability, providers)
-        for claim, evidence in pairs
-    ]
+    claim_views: dict[str, tuple[TextView, list[TextView]]] = {}
+    syllables: dict[str, Optional[int]] = {}
+    vectors = []
+    for claim, evidence in pairs:
+        if claim.text not in claim_views:
+            entities = [TextView.of(entity) for entity in providers.ner(claim.text)]
+            claim_views[claim.text] = TextView.of(claim.text), entities
+        claim_view, entities = claim_views[claim.text]
+        evidence_view = TextView.of(evidence.text)
+        try:
+            overlap = claim_evidence_overlap(claim_view, evidence_view)
+        except DegenerateClaim:
+            overlap = None
+        try:
+            flesch = flesch_reading_ease(evidence.text, syllables)
+        except DegenerateText:
+            flesch = None
+        overlap_value, no_entity = entity_overlap(entities, evidence_view)
+        refers = None
+        if providers.judge is not None:
+            refers = refers_external_source(evidence.text, providers.judge)
+        perplexity_value = None
+        if providers.perplexity is not None:
+            perplexity_value = providers.perplexity(evidence.text)
+        try:
+            unreliable = unreliable_source(evidence.url, reliability)
+        except MalformedUrl:
+            unreliable = None
+        hedging, hedging_discourse = hedging_flags(evidence_view, lexicon)
+        contains_true, contains_false = verdict_word_flags(evidence.text)
+        vectors.append(
+            CharacteristicVector(
+                claim_id=claim.id,
+                evidence_id=evidence.id,
+                jaccard=jaccard(claim_view, evidence_view),
+                claim_evidence_overlap=overlap,
+                repeats_claim=repeats_claim(claim_view, evidence_view),
+                flesch=flesch,
+                claim_len_chars=len(claim.text),
+                evidence_len_chars=len(evidence.text),
+                perplexity=perplexity_value,
+                entity_overlap=overlap_value,
+                no_entity_flag=no_entity,
+                refers_external=refers,
+                hedging=hedging,
+                hedging_discourse=hedging_discourse,
+                unreliable=unreliable,
+                contains_true_word=contains_true,
+                contains_false_word=contains_false,
+                pub_after_claim=evidence.pub_after_claim,
+                fact_check_source=evidence.is_fact_check_source,
+                gold_source=evidence.is_gold_source,
+            )
+        )
     return vectors, aggregate_profile(vectors, perplexity_model=providers.perplexity_model)
 
 

@@ -122,6 +122,8 @@ def load_config(path: Optional[str], overrides: dict[str, Any]) -> RunConfig:
             raise ConfigError(f"config file not found: {path}")
         try:
             data = json.loads(config_path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
@@ -160,7 +162,10 @@ def write_csv_artifact(path: Path, csv_text: str, config: RunConfig) -> None:
 
 def make_run_dir(config: RunConfig, command: str) -> Path:
     base = Path(config.out_dir)
-    base.mkdir(parents=True, exist_ok=True)
+    try:
+        base.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"out_dir is not a directory: {exc}") from exc
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
     candidate = base / f"{command}-{stamp}-{config.config_hash[:8]}"
     suffix = 1
@@ -217,7 +222,7 @@ def _load_field_map(config: RunConfig, per_file: bool) -> Optional[dict]:
         return None
     try:
         field_map = json.loads(Path(config.field_map_path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read field map: {exc}") from exc
 
     def is_names(value: Any) -> bool:
@@ -316,9 +321,10 @@ def cmd_retrieve(config: RunConfig, run_dir: Path) -> list[str]:
     else:
         reranker = retrieval.LexicalOverlapReranker()
     domains = frozenset(config.fact_check_domains)
+    pages = retrieval.PageCache()
 
     outcomes = _parallel_map(
-        lambda claim: retrieval.run_pipeline(claim, engines, reranker, fact_check_domains=domains),
+        lambda claim: retrieval.run_pipeline(claim, engines, reranker, domains, pages),
         claims,
         lambda claim: f"claim {claim.id}",
         config.max_concurrency,
@@ -531,6 +537,11 @@ def cmd_report(config: RunConfig, run_dir: Path) -> list[str]:
         if artifact.exists():
             try:
                 document = json.loads(artifact.read_text(encoding="utf-8"))
+            except OSError as exc:
+                raise ParseError(str(artifact), 0, f"cannot open: {exc.strerror or exc}") from exc
+            except UnicodeDecodeError as exc:
+                line_no = exc.object.count(b"\n", 0, exc.start) + 1
+                raise ParseError(str(artifact), line_no, f"not UTF-8: {exc.reason}") from exc
             except json.JSONDecodeError as exc:
                 raise ParseError(str(artifact), exc.lineno, exc.msg) from exc
             if not isinstance(document, dict):

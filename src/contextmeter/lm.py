@@ -385,12 +385,14 @@ class ReplayStore:
             self._load()
 
     def _load(self) -> None:
-        with self.path.open("r", encoding="utf-8") as handle:
+        with self.path.open("rb") as handle:
             for line_no, line in enumerate(handle, start=1):
                 if not line.strip():
                     continue
                 try:
-                    record = ScoreRecord.from_dict(json.loads(line))
+                    record = ScoreRecord.from_dict(json.loads(line.decode("utf-8")))
+                except UnicodeDecodeError as exc:
+                    raise StoreCorruption(f"{self.path}:{line_no}: not UTF-8: {exc.reason}") from exc
                 except json.JSONDecodeError as exc:
                     raise StoreCorruption(
                         f"{self.path}:{line_no}: unparseable line ({exc.msg})"

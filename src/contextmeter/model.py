@@ -423,15 +423,19 @@ def write_jsonl(path: Path, records: Iterable[Any], header: Optional[dict] = Non
 def read_jsonl(path: Path, skip_header: bool = True) -> Iterator[tuple[int, dict]]:
     """Yield (line_no, object) pairs; raises ParseError with the line number.
 
-    A file that cannot be opened is a ParseError at line 0.
+    A line that is not UTF-8 or not JSON is a ParseError at that line; a
+    file that cannot be opened is one at line 0.
     """
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise ParseError(str(path), 0, f"cannot open: {exc.strerror or exc}") from exc
     with fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ParseError(str(path), line_no, f"not UTF-8: {exc.reason}") from exc
             if not line:
                 continue
             try:

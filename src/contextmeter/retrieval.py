@@ -21,21 +21,22 @@ from __future__ import annotations
 import json
 import logging
 import re
+import threading
 from dataclasses import dataclass, replace
 from datetime import date
 from html.parser import HTMLParser
 from pathlib import Path
-from typing import Optional, Protocol, Sequence
+from typing import NamedTuple, Optional, Protocol, Sequence
 
 from ._net import post_json, reply_shape
-from .errors import InvariantViolation, RerankBackendError, SearchBackendError
+from .characteristics import _domain_matches, normalize_domain, word_set, words
+from .errors import InvariantViolation, MalformedUrl, RerankBackendError, SearchBackendError
 from .model import (
     ClaimRecord,
     EvidencePiece,
     fallback_id,
     word_count,
 )
-from .characteristics import word_set
 
 logger = logging.getLogger(__name__)
 
@@ -233,7 +234,7 @@ class LexicalOverlapReranker:
         if not query_words:
             return [0.0 for _ in texts]
         return [
-            len(query_words & word_set(text)) / len(query_words) for text in texts
+            len(query_words.intersection(words(text))) / len(query_words) for text in texts
         ]
 
 
@@ -323,44 +324,69 @@ def split_sentences(text: str) -> list[str]:
     return [part for part in _SENTENCE_RE.split(text) if part.strip()]
 
 
-def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Longest common subsequence length, bit-parallel over ``b``.
+class PageCache:
+    """Each distinct page's chunks and their sentences, built once and shared
+    by every claim of a run and the threads they run on."""
+
+    def __init__(self) -> None:
+        self._pages: dict[tuple[str, str], list[tuple[Chunk, list[str]]]] = {}
+        self._lock = threading.Lock()
+
+    def chunks(self, result: SearchResult) -> list[tuple[Chunk, list[str]]]:
+        key = (result.url, result.fetched_text)
+        with self._lock:
+            if key not in self._pages:
+                chunks = chunk_page(result.fetched_text, page_url=result.url)
+                self._pages[key] = [(chunk, split_sentences(chunk.text)) for chunk in chunks]
+            return self._pages[key]
+
+
+class Reference(NamedTuple):
+    """A RougeL reference text's word tokens and their ``lcs_length`` match masks."""
+
+    tokens: list[str]
+    masks: dict[str, int]
+
+    @classmethod
+    def of(cls, text: str) -> "Reference":
+        tokens = text.split()
+        masks: dict[str, int] = {}
+        for j, token in enumerate(tokens):
+            masks[token] = masks.get(token, 0) | (1 << j)
+        return cls(tokens, masks)
+
+
+def lcs_length(a: Sequence[str], b: Reference) -> int:
+    """Longest common subsequence length of ``a`` and ``b``, bit-parallel over ``b``.
 
     Allison–Dix (1986) / Hyyrö (2004): bit j of ``row`` is 0 where the DP
     row of LCS lengths against ``b`` steps up at column j.
     """
-    masks: dict[str, int] = {}
-    for j, token in enumerate(b):
-        masks[token] = masks.get(token, 0) | (1 << j)
-    full = (1 << len(b)) - 1
+    masks = b.masks
+    full = (1 << len(b.tokens)) - 1
     row = full
     for token in a:
         matches = row & masks.get(token, 0)
         row = ((row + matches) | (row - matches)) & full
-    return len(b) - row.bit_count()
+    return len(b.tokens) - row.bit_count()
 
 
-def rouge_l(candidate: str, reference: str) -> float:
-    """RougeL F-measure between two texts over word tokens."""
+def rouge_l(candidate: str, reference: Reference) -> float:
+    """RougeL F-measure between a text and a reference over word tokens."""
     candidate_words = candidate.split()
-    reference_words = reference.split()
-    lcs = lcs_length(candidate_words, reference_words)
+    lcs = lcs_length(candidate_words, reference)
     if lcs == 0:
         return 0.0
     precision = lcs / len(candidate_words)
-    recall = lcs / len(reference_words)
+    recall = lcs / len(reference.tokens)
     return 2 * precision * recall / (precision + recall)
 
 
 def filter_claim_repeats(
-    chunk: Chunk, claim: ClaimRecord, threshold: float = CLAIM_REPEAT_THRESHOLD
+    chunk: Chunk, sentences: Sequence[str], claim: Reference, threshold: float = CLAIM_REPEAT_THRESHOLD
 ) -> Optional[Chunk]:
-    """Remove sentences that near-repeat the claim; drop emptied chunks."""
-    kept = [
-        sentence
-        for sentence in split_sentences(chunk.text)
-        if rouge_l(sentence, claim.text) <= threshold
-    ]
+    """Remove the chunk's sentences that near-repeat the claim; drop emptied chunks."""
+    kept = [sentence for sentence in sentences if rouge_l(sentence, claim) <= threshold]
     if not kept:
         return None
     text = " ".join(kept)
@@ -459,9 +485,6 @@ def assemble_evidence(
         pub_after = pub_date > claim.claim_date
     is_fact_check = False
     if fact_check_domains:
-        from .characteristics import normalize_domain, _domain_matches
-        from .errors import MalformedUrl
-
         try:
             is_fact_check = _domain_matches(normalize_domain(page_url), fact_check_domains)
         except MalformedUrl:
@@ -484,16 +507,22 @@ def run_pipeline(
     engines: Sequence[SearchClient],
     reranker: RerankClient,
     fact_check_domains: frozenset[str] = frozenset(),
+    pages: Optional[PageCache] = None,
 ) -> tuple[list[EvidencePiece], dict]:
-    """Full per-claim pipeline; returns evidence pieces plus an audit trace."""
+    """Full per-claim pipeline; returns evidence pieces plus an audit trace.
+
+    Claims of one run share ``pages``, so each page is chunked only once.
+    """
+    pages = PageCache() if pages is None else pages
     results = search(claim, engines)
     pub_dates = {result.url: result.pub_date for result in results}
+    reference = Reference.of(claim.text)
 
     all_chunks: list[Chunk] = []
     dropped = 0
     for result in results:
-        for chunk in chunk_page(result.fetched_text, page_url=result.url):
-            filtered = filter_claim_repeats(chunk, claim)
+        for chunk, sentences in pages.chunks(result):
+            filtered = filter_claim_repeats(chunk, sentences, reference)
             if filtered is None:
                 dropped += 1
             else:

@@ -288,7 +288,9 @@ def test_criterion_06_retrieval_invariants(fixture_corpus_dir):
             for s in retrieval.split_sentences(text)
             if brute_force_rouge(s, claim.text) <= retrieval.CLAIM_REPEAT_THRESHOLD
         ]
-        filtered = retrieval.filter_claim_repeats(chunk, claim)
+        filtered = retrieval.filter_claim_repeats(
+            chunk, retrieval.split_sentences(text), retrieval.Reference.of(claim.text)
+        )
         if not expected:
             assert filtered is None
         else:
@@ -359,8 +361,10 @@ def test_criterion_07_similarity_oracles():
         expected_jaccard = len(claim_set & evidence_set) / len(claim_set | evidence_set)
         expected_overlap = len(claim_set & evidence_set) / len(claim_set)
 
-        got_jaccard = characteristics.jaccard(claim_text, evidence_text)
-        got_overlap = characteristics.claim_evidence_overlap(claim_text, evidence_text)
+        claim_view = characteristics.TextView.of(claim_text)
+        evidence_view = characteristics.TextView.of(evidence_text)
+        got_jaccard = characteristics.jaccard(claim_view, evidence_view)
+        got_overlap = characteristics.claim_evidence_overlap(claim_view, evidence_view)
         assert abs(got_jaccard - expected_jaccard) <= ORACLE_TOLERANCE
         assert abs(got_overlap - expected_overlap) <= ORACLE_TOLERANCE
         assert got_jaccard <= got_overlap + ORACLE_TOLERANCE
@@ -372,8 +376,10 @@ def test_criterion_07_similarity_oracles():
         suffix = [rng.choice(vocab) for _ in range(rng.randint(0, 10))]
         claim_text = " ".join(claim_words)
         evidence_text = " ".join(prefix + claim_words + suffix)
-        assert characteristics.repeats_claim(claim_text, evidence_text)
-        assert characteristics.claim_evidence_overlap(claim_text, evidence_text) == 1.0
+        claim_view = characteristics.TextView.of(claim_text)
+        evidence_view = characteristics.TextView.of(evidence_text)
+        assert characteristics.repeats_claim(claim_view, evidence_view)
+        assert characteristics.claim_evidence_overlap(claim_view, evidence_view) == 1.0
 
 
 def average_ranks(values) -> list[float]:

@@ -10,15 +10,38 @@ from hypothesis import strategies as st
 from contextmeter import characteristics as ch
 from contextmeter.analysis import GRID_CHARACTERISTICS
 from contextmeter.errors import (
+    DegenerateClaim,
     DegenerateText,
     MalformedUrl,
     UnparseableJudgement,
 )
-from contextmeter.model import Reliability, canonical_json
+from contextmeter.model import CharacteristicVector, Reliability, canonical_json
 
 from conftest import characteristic_vectors, make_claim, make_evidence
 
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
+
+V = ch.TextView.of
+
+
+def jaccard(claim_text, evidence_text):
+    return ch.jaccard(V(claim_text), V(evidence_text))
+
+
+def claim_evidence_overlap(claim_text, evidence_text):
+    return ch.claim_evidence_overlap(V(claim_text), V(evidence_text))
+
+
+def repeats_claim(claim_text, evidence_text):
+    return ch.repeats_claim(V(claim_text), V(evidence_text))
+
+
+def entity_overlap(claim_text, evidence_text):
+    return ch.entity_overlap([V(entity) for entity in ch.detect_entities(claim_text)], V(evidence_text))
+
+
+def hedging_flags(evidence_text, lexicon):
+    return ch.hedging_flags(V(evidence_text), lexicon)
 
 TEXTS = st.lists(st.sampled_from(WORDS), min_size=1, max_size=12).map(" ".join)
 
@@ -79,10 +102,10 @@ class TestWordSets:
 
 class TestSimilarity:
     def test_jaccard_example(self):
-        assert ch.jaccard("the cat sat", "the dog sat") == pytest.approx(0.5)
+        assert jaccard("the cat sat", "the dog sat") == pytest.approx(0.5)
 
     def test_overlap_example(self):
-        assert ch.claim_evidence_overlap("the cat sat", "the dog sat") == (
+        assert claim_evidence_overlap("the cat sat", "the dog sat") == (
             pytest.approx(2 / 3)
         )
 
@@ -91,35 +114,35 @@ class TestSimilarity:
         for _ in range(300):
             a = " ".join(rng.choices(WORDS, k=rng.randint(1, 10)))
             b = " ".join(rng.choices(WORDS, k=rng.randint(1, 10)))
-            assert abs(ch.jaccard(a, b) - brute_force_jaccard(a, b)) < 1e-12
+            assert abs(jaccard(a, b) - brute_force_jaccard(a, b)) < 1e-12
             assert (
-                abs(ch.claim_evidence_overlap(a, b) - brute_force_overlap(a, b))
+                abs(claim_evidence_overlap(a, b) - brute_force_overlap(a, b))
                 < 1e-12
             )
 
     @given(a=TEXTS, b=TEXTS)
     def test_jaccard_never_exceeds_overlap(self, a, b):
-        assert ch.jaccard(a, b) <= ch.claim_evidence_overlap(a, b) + 1e-12
+        assert jaccard(a, b) <= claim_evidence_overlap(a, b) + 1e-12
 
     @given(a=TEXTS)
     def test_self_similarity_is_one(self, a):
-        assert ch.jaccard(a, a) == pytest.approx(1.0)
-        assert ch.claim_evidence_overlap(a, a) == pytest.approx(1.0)
+        assert jaccard(a, a) == pytest.approx(1.0)
+        assert claim_evidence_overlap(a, a) == pytest.approx(1.0)
 
 
 class TestRepeatsClaim:
     def test_contiguous_token_run(self):
-        assert ch.repeats_claim("bobcat sat", "the bobcat sat down") is True
+        assert repeats_claim("bobcat sat", "the bobcat sat down") is True
 
     def test_substring_of_longer_token_does_not_count(self):
         # "cat sat" is a character substring of "bobcat sat" but not a token run
-        assert ch.repeats_claim("cat sat", "the bobcat sat") is False
+        assert repeats_claim("cat sat", "the bobcat sat") is False
 
     def test_case_and_punctuation_insensitive(self):
-        assert ch.repeats_claim("The cat sat.", "yes, the CAT SAT there") is True
+        assert repeats_claim("The cat sat.", "yes, the CAT SAT there") is True
 
     def test_scattered_tokens_do_not_count(self):
-        assert ch.repeats_claim("cat mat", "the cat sat on a mat") is False
+        assert repeats_claim("cat mat", "the cat sat on a mat") is False
 
     @given(
         evidence=st.lists(st.sampled_from(WORDS), min_size=2, max_size=10),
@@ -130,14 +153,14 @@ class TestRepeatsClaim:
         claim_tokens = evidence[start : start + 3]
         claim = " ".join(claim_tokens)
         text = " ".join(evidence)
-        assert ch.repeats_claim(claim, text) is True
-        assert ch.claim_evidence_overlap(claim, text) == pytest.approx(1.0)
+        assert repeats_claim(claim, text) is True
+        assert claim_evidence_overlap(claim, text) == pytest.approx(1.0)
 
 
 class TestTokenRunMatcher:
     @given(haystack=TOKEN_LISTS, needle=NEEDLES)
     def test_matches_reference_scan(self, haystack, needle):
-        assert ch._has_run(ch._padded(haystack), needle) is reference_has_run(haystack, needle)
+        assert ch.repeats_claim(V(" ".join(needle)), V(" ".join(haystack))) is reference_has_run(haystack, needle)
 
     @given(
         tokens=TOKEN_LISTS,
@@ -148,14 +171,14 @@ class TestTokenRunMatcher:
     def test_hedging_matches_reference_scan(self, tokens, hedge_words, markers, separator):
         lexicon = ch.HedgeLexicon(hedge_words=hedge_words, hedging_discourse_markers=markers)
         text = separator.join(tokens)
-        assert ch.hedging_flags(text, lexicon) == reference_hedging_flags(text, lexicon)
+        assert hedging_flags(text, lexicon) == reference_hedging_flags(text, lexicon)
 
     def test_doubled_internal_spaces_still_match(self):
         lexicon = ch.HedgeLexicon(
             hedge_words=frozenset({"more  or less"}),
             hedging_discourse_markers=frozenset({"in  my   view"}),
         )
-        assert ch.hedging_flags("It is, in my view, more or less right.", lexicon) == (
+        assert hedging_flags("It is, in my view, more or less right.", lexicon) == (
             True,
             True,
         )
@@ -165,10 +188,10 @@ class TestTokenRunMatcher:
             hedge_words=frozenset({"so-called"}),
             hedging_discourse_markers=frozenset({"so-called expert"}),
         )
-        assert ch.hedging_flags("A so-called expert said so.", lexicon) == (False, False)
+        assert hedging_flags("A so-called expert said so.", lexicon) == (False, False)
 
     def test_entity_partial_word_does_not_count(self):
-        value, _ = ch.entity_overlap("Ann Lee met Bob Ray.", "Joann Lee met Bob Ray.")
+        value, _ = entity_overlap("Ann Lee met Bob Ray.", "Joann Lee met Bob Ray.")
         assert value == pytest.approx(0.5)
 
 
@@ -219,15 +242,20 @@ class TestEntities:
         assert ch.detect_entities("The lighthouse keeper spoke.") == []
 
     def test_overlap_fraction_of_claim_entities(self):
-        value, no_entities = ch.entity_overlap(
+        value, no_entities = entity_overlap(
             "Geoffrey Hinton works for BBC.",
             "Geoffrey Hinton is employed by Google.",
         )
         assert value == pytest.approx(0.5)
         assert no_entities is False
 
+    def test_entity_without_word_tokens_never_matches(self):
+        entities = [V("..."), V("Gull Island")]
+        assert ch.entity_overlap(entities, V("Gull Island ... again")) == (0.5, False)
+        assert ch.entity_overlap(entities, V("— ...")) == (0.0, False)
+
     def test_no_entities_flagged(self):
-        value, no_entities = ch.entity_overlap("the cat sat.", "a dog ran.")
+        value, no_entities = entity_overlap("the cat sat.", "a dog ran.")
         assert value == pytest.approx(1.0)
         assert no_entities is True
 
@@ -258,26 +286,26 @@ class TestExternalSourceJudge:
 class TestHedging:
     def test_hedge_word_whole_word_only(self):
         lexicon = ch.HedgeLexicon.default()
-        assert ch.hedging_flags("It might rain.", lexicon) == (True, False)
-        assert ch.hedging_flags("A mighty wind.", lexicon) == (False, False)
+        assert hedging_flags("It might rain.", lexicon) == (True, False)
+        assert hedging_flags("A mighty wind.", lexicon) == (False, False)
 
     def test_discourse_marker_phrase(self):
         lexicon = ch.HedgeLexicon.default()
-        hedge, discourse = ch.hedging_flags(
+        hedge, discourse = hedging_flags(
             "In my opinion, this is wrong.", lexicon
         )
         assert discourse is True
 
     def test_case_insensitive(self):
         lexicon = ch.HedgeLexicon.default()
-        assert ch.hedging_flags("MIGHT happen", lexicon)[0] is True
+        assert hedging_flags("MIGHT happen", lexicon)[0] is True
 
     def test_custom_lexicon(self):
         lexicon = ch.HedgeLexicon(
             hedge_words=frozenset({"possibly"}),
             hedging_discourse_markers=frozenset({"some argue"}),
         )
-        assert ch.hedging_flags("Some argue it is possibly so.", lexicon) == (
+        assert hedging_flags("Some argue it is possibly so.", lexicon) == (
             True,
             True,
         )
@@ -558,3 +586,209 @@ class TestProfileLexiconLoads:
         assert loads == {}
         assert all(v.hedging and v.hedging_discourse for v in vectors)
         assert all(v.unreliable is Reliability.UNRELIABLE for v in vectors)
+
+
+# -- text-level detectors, as they were before the shared views ---------------------
+# Each re-derives what it needs from the raw texts; they are the oracles for
+# the view-based detectors and for the vectors that ``profile`` builds.
+
+
+def text_jaccard(claim_text, evidence_text):
+    claim_words = ch.word_set(claim_text)
+    evidence_words = ch.word_set(evidence_text)
+    union = claim_words | evidence_words
+    if not union:
+        return 0.0
+    return len(claim_words & evidence_words) / len(union)
+
+
+def text_claim_evidence_overlap(claim_text, evidence_text):
+    claim_words = ch.word_set(claim_text)
+    if not claim_words:
+        raise DegenerateClaim("claim has no words after normalization")
+    return len(claim_words & ch.word_set(evidence_text)) / len(claim_words)
+
+
+def text_has_run(padded_text, run):
+    return bool(run) and ch._padded(run) in padded_text
+
+
+def text_repeats_claim(claim_text, evidence_text):
+    claim_tokens = ch.words(claim_text)
+    if not claim_tokens:
+        return False
+    return text_has_run(ch._padded(ch.words(evidence_text)), claim_tokens)
+
+
+def text_flesch_reading_ease(text):
+    tokens = [token for token in text.split() if any(c.isalnum() for c in token)]
+    if not tokens:
+        raise DegenerateText("no countable words")
+    sentence_parts = [
+        part for part in ch._SENTENCE_SPLIT_RE.split(text) if any(c.isalnum() for c in part)
+    ]
+    n_sentences = max(len(sentence_parts), 1)
+    n_words = len(tokens)
+    n_syllables = sum(ch.count_syllables(token) for token in tokens)
+    return 206.835 - 1.015 * (n_words / n_sentences) - 84.6 * (n_syllables / n_words)
+
+
+def text_entity_overlap(claim_text, evidence_text, ner=ch.detect_entities):
+    entities = ner(claim_text)
+    if not entities:
+        return 1.0, True
+    evidence_padded = ch._padded(ch.words(evidence_text))
+    found = sum(1 for entity in entities if text_has_run(evidence_padded, ch.words(entity)))
+    return found / len(entities), False
+
+
+def text_hedging_flags(evidence_text, lexicon):
+    text = ch._padded(ch.words(evidence_text))
+    hedges, markers = lexicon._needles
+    return any(n in text for n in hedges), any(n in text for n in markers)
+
+
+def text_characteristic_vector(claim, evidence, lexicon, reliability, providers):
+    try:
+        overlap = text_claim_evidence_overlap(claim.text, evidence.text)
+    except DegenerateClaim:
+        overlap = None
+    try:
+        flesch = text_flesch_reading_ease(evidence.text)
+    except DegenerateText:
+        flesch = None
+    overlap_value, no_entity = text_entity_overlap(claim.text, evidence.text, providers.ner)
+    refers = None
+    if providers.judge is not None:
+        refers = ch.refers_external_source(evidence.text, providers.judge)
+    perplexity_value = None
+    if providers.perplexity is not None:
+        perplexity_value = providers.perplexity(evidence.text)
+    try:
+        unreliable = ch.unreliable_source(evidence.url, reliability)
+    except MalformedUrl:
+        unreliable = None
+    hedging, hedging_discourse = text_hedging_flags(evidence.text, lexicon)
+    contains_true, contains_false = ch.verdict_word_flags(evidence.text)
+    return CharacteristicVector(
+        claim_id=claim.id,
+        evidence_id=evidence.id,
+        jaccard=text_jaccard(claim.text, evidence.text),
+        claim_evidence_overlap=overlap,
+        repeats_claim=text_repeats_claim(claim.text, evidence.text),
+        flesch=flesch,
+        claim_len_chars=len(claim.text),
+        evidence_len_chars=len(evidence.text),
+        perplexity=perplexity_value,
+        entity_overlap=overlap_value,
+        no_entity_flag=no_entity,
+        refers_external=refers,
+        hedging=hedging,
+        hedging_discourse=hedging_discourse,
+        unreliable=unreliable,
+        contains_true_word=contains_true,
+        contains_false_word=contains_false,
+        pub_after_claim=evidence.pub_after_claim,
+        fact_check_source=evidence.is_fact_check_source,
+        gold_source=evidence.is_gold_source,
+    )
+
+
+# Capitalised names, hedges, verdict words, digits, punctuation, hyphens,
+# underscores and non-ASCII letters, joined by assorted whitespace.
+PROSE_PIECES = [
+    "the", "The", "cat", "sat.", "Gull", "Island", "BBC", "Ann", "Lee", "Joann",
+    "(Bob", "Ray)", "might", "In", "my", "opinion,", "so-called", "True", "False.",
+    "1932", "—", "...", "état", "ÉTAT", "x_y", "beautiful", "queue!", "Rhythm?", "a",
+]
+PROSE = st.lists(
+    st.tuples(st.sampled_from(PROSE_PIECES), st.sampled_from([" ", "  ", "\n", ". ", ", "])),
+    max_size=24,
+).map(lambda parts: "".join(piece + sep for piece, sep in parts))
+LEXICONS = st.sampled_from([
+    ch.HedgeLexicon.default(),
+    ch.HedgeLexicon(
+        hedge_words=frozenset({"might", "so", "my opinion"}),
+        hedging_discourse_markers=frozenset({"in my opinion", "the cat"}),
+    ),
+])
+
+
+RELIABILITY = ch.ReliabilityList.default()
+
+
+class TestViewsMatchTextLevelDetectors:
+    @given(claim=PROSE, evidence=PROSE)
+    def test_word_level_detectors(self, claim, evidence):
+        claim_view, evidence_view = V(claim), V(evidence)
+        assert ch.jaccard(claim_view, evidence_view) == text_jaccard(claim, evidence)
+        assert ch.repeats_claim(claim_view, evidence_view) is text_repeats_claim(claim, evidence)
+        if ch.words(claim):
+            assert ch.claim_evidence_overlap(claim_view, evidence_view) == (
+                text_claim_evidence_overlap(claim, evidence)
+            )
+        else:
+            with pytest.raises(DegenerateClaim):
+                ch.claim_evidence_overlap(claim_view, evidence_view)
+        entities = [V(entity) for entity in ch.detect_entities(claim)]
+        assert ch.entity_overlap(entities, evidence_view) == text_entity_overlap(claim, evidence)
+
+    @given(evidence=PROSE, lexicon=LEXICONS)
+    def test_hedging(self, evidence, lexicon):
+        assert ch.hedging_flags(V(evidence), lexicon) == text_hedging_flags(evidence, lexicon)
+
+    @given(texts=st.lists(PROSE, max_size=6))
+    def test_flesch_with_a_shared_syllable_memo(self, texts):
+        syllables = {}
+        for text in texts:
+            try:
+                expected = text_flesch_reading_ease(text)
+            except DegenerateText:
+                with pytest.raises(DegenerateText):
+                    ch.flesch_reading_ease(text, syllables)
+                continue
+            assert ch.flesch_reading_ease(text, syllables) == expected
+            assert ch.flesch_reading_ease(text) == expected
+
+    @given(
+        claims=st.lists(PROSE.filter(str.strip), min_size=1, max_size=3),
+        pieces=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=2), PROSE.filter(bool), st.sampled_from(
+                ["https://www.theonion.com/a", "https://bbc.co.uk/n", "https://blog.example/p", ""]
+            )),
+            max_size=8,
+        ),
+        lexicon=LEXICONS,
+    )
+    def test_profile_vectors_match_the_text_level_vector(self, claims, pieces, lexicon):
+        claim_records = [make_claim(id=f"c{i}", text=text) for i, text in enumerate(claims)]
+        pairs = [
+            (claim_records[index % len(claim_records)], make_evidence(id=f"e{i}", text=text, url=url))
+            for i, (index, text, url) in enumerate(pieces)
+        ]
+        reliability = RELIABILITY
+        providers = ch.DetectorProviders(judge=lambda prompt: "Yes", perplexity=lambda text: 3.0)
+        vectors, _ = ch.profile(pairs, lexicon, reliability, providers)
+        assert vectors == [
+            text_characteristic_vector(claim, evidence, lexicon, reliability, providers)
+            for claim, evidence in pairs
+        ]
+
+
+def test_profile_keeps_no_syllable_counts_between_calls(monkeypatch):
+    """Each call builds its own memo, so a second call in the same process
+    counts as many syllables as the first."""
+    calls = []
+    original = ch.count_syllables
+
+    def counting(word):
+        calls.append(word)
+        return original(word)
+
+    monkeypatch.setattr(ch, "count_syllables", counting)
+    text = "The cat sat on the mat. The cat sat again, and the mat sat."
+    pairs = [(make_claim(), make_evidence(id=f"e{i}", text=text)) for i in range(3)]
+    ch.profile(pairs)
+    first = len(calls)
+    ch.profile(pairs)
+    assert first == len(calls) - first == len(set(text.split()))

@@ -154,28 +154,31 @@ class TestRunContract:
         for name in ("characteristics.jsonl", "profile.json", "resolved_config.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
-    @pytest.mark.parametrize("command", ["profile", "score"])
+    @pytest.mark.parametrize("command", ["profile", "score", "retrieve"])
     def test_out_root_and_concurrency_leave_artifacts_unchanged(
-        self, druid_fixture_paths, replay_store, tmp_path, command
+        self, druid_fixture_paths, fixture_corpus_dir, replay_store, tmp_path, command
     ):
         claims_path, evidence_path = druid_fixture_paths
         runs, outputs = [], None
-        for workers, root in (("1", tmp_path / "a"), ("8", tmp_path / "b" / "nested")):
+        for workers, root in (("1", tmp_path / "a"), ("4", tmp_path / "c"), ("8", tmp_path / "b" / "nested")):
             if command == "score":
                 args = score_args(druid_fixture_paths, replay_store, root)
+            elif command == "retrieve":
+                args = ["retrieve", "--claims", str(claims_path), "--fixture-corpus", str(fixture_corpus_dir), "--out", str(root)]
             else:
                 args = ["profile", "--claims", str(claims_path), "--evidence", str(evidence_path), "--out", str(root)]
             code, stdout, stderr = run_cli(*args, "--max-concurrency", workers)
             assert code == 0, stderr
             runs.append(run_dir_of(stdout))
             outputs = json.loads(stdout)["outputs"]
-        first, second = runs
-        for name in outputs:
-            assert (first / name).read_bytes() == (second / name).read_bytes()
+        first, *others = runs
+        for other in others:
+            for name in outputs:
+                assert (first / name).read_bytes() == (other / name).read_bytes()
         resolved = [json.loads((run / "resolved_config.json").read_text()) for run in runs]
-        assert resolved[0]["meta"] == resolved[1]["meta"]
-        assert [r["config"]["max_concurrency"] for r in resolved] == [1, 8]
-        assert resolved[0]["config"]["out_dir"] != resolved[1]["config"]["out_dir"]
+        assert all(r["meta"] == resolved[0]["meta"] for r in resolved)
+        assert [r["config"]["max_concurrency"] for r in resolved] == [1, 4, 8]
+        assert len({r["config"]["out_dir"] for r in resolved}) == 3
 
     def test_version_flag_prints_package_version(self):
         proc = subprocess.run(
@@ -390,6 +393,9 @@ class TestConfigErrors:
             "sidecar-without-mode", "sidecar-not-json", "sidecar-unknown-mode",
             "field-map-list", "field-map-section-list", "field-map-name-not-string",
             "field-map-recast-nested", "template-bad-shots", "template-body-without-claim-slot",
+            "not-utf8-ingest", "not-utf8-recast", "not-utf8-profile", "not-utf8-replay-store",
+            "not-utf8-config", "not-utf8-field-map", "not-utf8-report-artifact",
+            "report-artifact-is-directory", "out-is-file", "out-under-file",
         ],
     )
     def test_config_error_leaves_no_run_dir(self, druid_fixture_paths, tmp_path, case):
@@ -416,6 +422,10 @@ class TestConfigErrors:
             "probs_without": probs, "probs_with": {**probs, "mode": "claim+context"},
         }
         field_map = tmp_path / "field_map.json"
+        not_utf8 = b"\xff\xfe{bad"
+        config = tmp_path / "config.json"
+        blocker = tmp_path / "blocker"
+        profile = ["profile", "--claims", claims_path, "--evidence", evidence_path]
         ingest_with_map = [
             "ingest", "--claims", claims_path, "--evidence", evidence_path, "--field-map", field_map,
         ]
@@ -462,11 +472,36 @@ class TestConfigErrors:
                 {sidecar: json.dumps(valid_sidecar), templates / "claim-0shot.txt": "Is it true? Answer:"},
                 score_with_templates,
             ),
+            "not-utf8-ingest": (1, {bad: not_utf8}, ["ingest", "--claims", bad, "--evidence", evidence_path]),
+            "not-utf8-recast": (
+                1, {bad: b"\n" + not_utf8}, ["recast", "--triplets", bad, "--dataset", "counterfact"],
+            ),
+            "not-utf8-profile": (1, {bad: not_utf8}, ["profile", "--claims", bad, "--evidence", evidence_path]),
+            "not-utf8-replay-store": (
+                1,
+                {bad: not_utf8},
+                ["score", "--claims", claims_path, "--evidence", evidence_path, "--replay", bad,
+                 "--provider-id", "m", "--claim-template", "claim-0shot", "--evidence-template", "evidence-0shot"],
+            ),
+            "not-utf8-config": (2, {config: not_utf8}, [*profile, "--config", config]),
+            "not-utf8-field-map": (2, {field_map: not_utf8}, ingest_with_map),
+            "not-utf8-report-artifact": (
+                1, {tmp_path / "profile.json": b'{"rows":\n' + not_utf8}, ["report", "--run-dir", tmp_path],
+            ),
+            "report-artifact-is-directory": (1, {}, ["report", "--run-dir", tmp_path]),
+            "out-is-file": (2, {blocker: "a file"}, profile),
+            "out-under-file": (2, {blocker: "a file"}, profile),
         }
         expected_code, files, argv = cases[case]
         for path, text in files.items():
-            path.write_text(text + "\n", encoding="utf-8")
-        code, _, stderr = run_cli(*map(str, argv), "--out", str(out))
+            if isinstance(text, bytes):
+                path.write_bytes(text)
+            else:
+                path.write_text(text + "\n", encoding="utf-8")
+        if case == "report-artifact-is-directory":
+            (tmp_path / "profile.json").mkdir()
+        out_root = {"out-is-file": blocker, "out-under-file": blocker / "runs"}.get(case, out)
+        code, _, stderr = run_cli(*map(str, argv), "--out", str(out_root))
         assert code == expected_code
         assert len(stderr.strip().splitlines()) == 1
         payload = json.loads(stderr)
@@ -480,6 +515,22 @@ class TestConfigErrors:
         elif case.startswith("template-"):
             assert payload["error"] == "InvariantViolation"
             assert f"invalid template 'claim-0shot' ({sidecar}): " in payload["message"]
+        elif case.startswith("not-utf8-"):
+            errors = {
+                "not-utf8-replay-store": "StoreCorruption",
+                "not-utf8-config": "ConfigError",
+                "not-utf8-field-map": "ConfigError",
+            }
+            assert payload["error"] == errors.get(case, "ParseError")
+            where = {
+                "not-utf8-recast": f"{bad}:2",
+                "not-utf8-report-artifact": f"{tmp_path / 'profile.json'}:2",
+            }.get(case, f"{bad}:1")
+            if expected_code == 1:
+                assert payload["message"].startswith(f"{where}: not UTF-8")
+        elif case.startswith("out-"):
+            assert payload["error"] == "ConfigError"
+            assert blocker.read_text(encoding="utf-8") == "a file\n"
         elif expected_code == 1:
             assert payload["error"] == "ParseError"
             assert re.search(r"\.jsonl?:\d+: ", payload["message"])

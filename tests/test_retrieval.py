@@ -25,6 +25,18 @@ def lighthouse_claim(**kwargs):
     return make_claim(**kwargs)
 
 
+def rouge_l(candidate, reference_text):
+    return rt.rouge_l(candidate, rt.Reference.of(reference_text))
+
+
+def lcs_length(a, b):
+    return rt.lcs_length(a, rt.Reference.of(" ".join(b)))
+
+
+def filter_claim_repeats(chunk, claim):
+    return rt.filter_claim_repeats(chunk, rt.split_sentences(chunk.text), rt.Reference.of(claim.text))
+
+
 class FakeEngine:
     def __init__(self, name, urls):
         self.name = name
@@ -40,6 +52,16 @@ class FakeEngine:
             )
             for i, url in enumerate(self._urls)
         ]
+
+
+class EchoEngine:
+    """One page whose text depends on the query, always at the same URL."""
+
+    name = "echo"
+
+    def search(self, query):
+        text = f"Echo of the query. {query} Echoed for {len(query)} characters."
+        return [SearchResult(url="https://echo.example/q", title="", rank_per_engine=(("echo", 1),), fetched_text=text)]
 
 
 class TestChunking:
@@ -82,14 +104,14 @@ class TestChunking:
 
 class TestRouge:
     def test_identical(self):
-        assert rt.rouge_l("the cat sat", "the cat sat") == pytest.approx(1.0)
+        assert rouge_l("the cat sat", "the cat sat") == pytest.approx(1.0)
 
     def test_prefix(self):
         # LCS = 2; precision 1, recall 1/3, F = 0.5
-        assert rt.rouge_l("the cat", "the cat sat on the mat") == pytest.approx(0.5)
+        assert rouge_l("the cat", "the cat sat on the mat") == pytest.approx(0.5)
 
     def test_disjoint(self):
-        assert rt.rouge_l("alpha beta", "gamma delta") == 0.0
+        assert rouge_l("alpha beta", "gamma delta") == 0.0
 
     def test_lcs_against_brute_force(self):
         def brute(a, b):
@@ -105,7 +127,7 @@ class TestRouge:
         for _ in range(100):
             a = rng.choices(vocab, k=rng.randint(0, 7))
             b = rng.choices(vocab, k=rng.randint(0, 7))
-            assert rt.lcs_length(a, b) == brute(a, b)
+            assert lcs_length(a, b) == brute(a, b)
 
 
 def dp_lcs_length(a, b):
@@ -144,25 +166,25 @@ class TestBitParallelLcs:
         b=st.lists(SMALL_VOCAB, max_size=150),
     )
     def test_matches_dp(self, a, b):
-        assert rt.lcs_length(a, b) == dp_lcs_length(a, b)
+        assert lcs_length(a, b) == dp_lcs_length(a, b)
 
     @given(
         a=st.lists(SMALL_VOCAB, min_size=1, max_size=30),
         b=st.lists(SMALL_VOCAB, min_size=65, max_size=200),
     )
     def test_matches_dp_beyond_one_machine_word(self, a, b):
-        assert rt.lcs_length(a, b) == dp_lcs_length(a, b)
-        assert rt.lcs_length(b, a) == dp_lcs_length(b, a)
+        assert lcs_length(a, b) == dp_lcs_length(a, b)
+        assert lcs_length(b, a) == dp_lcs_length(b, a)
 
     def test_empty_sides(self):
-        assert rt.lcs_length([], ["a", "b"]) == 0
-        assert rt.lcs_length(["a", "b"], []) == 0
-        assert rt.lcs_length([], []) == 0
+        assert lcs_length([], ["a", "b"]) == 0
+        assert lcs_length(["a", "b"], []) == 0
+        assert lcs_length([], []) == 0
 
     def test_repeated_tokens(self):
-        assert rt.lcs_length(["a"] * 100, ["a"] * 70) == 70
-        assert rt.lcs_length(["a", "b"] * 50, ["b", "a"] * 40) == 80
-        assert rt.lcs_length(["x"] * 5, ["a"] * 80) == 0
+        assert lcs_length(["a"] * 100, ["a"] * 70) == 70
+        assert lcs_length(["a", "b"] * 50, ["b", "a"] * 40) == 80
+        assert lcs_length(["x"] * 5, ["a"] * 80) == 0
 
 
 class TestClaimRepeatDecisions:
@@ -173,17 +195,17 @@ class TestClaimRepeatDecisions:
         # and 2pr/(p+r) is exactly 0.8 in floats, which is not "> 0.8".
         claim = lighthouse_claim(text="Gull Island lighthouse stands.")
         sentence = "Gull Island old lighthouse still stands."
-        assert rt.rouge_l(sentence, claim.text) == 0.8
+        assert rouge_l(sentence, claim.text) == 0.8
         chunk = Chunk(page_url="u", ordinal=0, text=sentence, word_count=6)
-        assert rt.filter_claim_repeats(chunk, claim) == chunk
+        assert filter_claim_repeats(chunk, claim) == chunk
 
     def test_f_one_ulp_above_threshold_is_dropped(self):
         # p = r = 4/5 gives 0.8000000000000002 in floats.
         claim = lighthouse_claim(text=self.CLAIM)
         sentence = "Gull Island lighthouse stands proud."
-        assert rt.rouge_l(sentence, claim.text) == dp_rouge_l(sentence, claim.text) > 0.8
+        assert rouge_l(sentence, claim.text) == dp_rouge_l(sentence, claim.text) > 0.8
         chunk = Chunk(page_url="u", ordinal=0, text=sentence, word_count=5)
-        assert rt.filter_claim_repeats(chunk, claim) is None
+        assert filter_claim_repeats(chunk, claim) is None
 
     @given(
         sentences=st.lists(
@@ -196,11 +218,11 @@ class TestClaimRepeatDecisions:
         claim = lighthouse_claim(text=self.CLAIM)
         texts = [" ".join(words).rstrip(".") + "." for words in sentences]
         for text in texts:
-            assert rt.rouge_l(text, claim.text) == dp_rouge_l(text, claim.text)
+            assert rouge_l(text, claim.text) == dp_rouge_l(text, claim.text)
         text = " ".join(texts)
         chunk = Chunk(page_url="u", ordinal=0, text=text, word_count=len(text.split()))
         kept = [s for s in rt.split_sentences(text) if dp_rouge_l(s, claim.text) <= 0.8]
-        filtered = rt.filter_claim_repeats(chunk, claim)
+        filtered = filter_claim_repeats(chunk, claim)
         if kept:
             assert filtered.text == " ".join(kept)
         else:
@@ -216,7 +238,7 @@ class TestClaimRepeatFilter:
         )
         chunk = Chunk(page_url="u", ordinal=0, text=text,
                       word_count=len(text.split()))
-        kept = rt.filter_claim_repeats(chunk, claim)
+        kept = filter_claim_repeats(chunk, claim)
         assert kept.text == (
             "Other facts about the island abound. Fishermen use the cove."
         )
@@ -226,13 +248,13 @@ class TestClaimRepeatFilter:
         claim = lighthouse_claim()
         chunk = Chunk(page_url="u", ordinal=0, text=CLAIM_TEXT,
                       word_count=len(CLAIM_TEXT.split()))
-        assert rt.filter_claim_repeats(chunk, claim) is None
+        assert filter_claim_repeats(chunk, claim) is None
 
     def test_unrelated_chunk_untouched(self):
         claim = lighthouse_claim()
         chunk = Chunk(page_url="u", ordinal=1,
                       text="Nothing related here at all.", word_count=5)
-        kept = rt.filter_claim_repeats(chunk, claim)
+        kept = filter_claim_repeats(chunk, claim)
         assert kept.text == chunk.text
         assert kept.ordinal == 1
 
@@ -241,7 +263,7 @@ class TestClaimRepeatFilter:
         text = "The red lighthouse on Gull Island was built in 1932 indeed."
         chunk = Chunk(page_url="u", ordinal=0, text=text,
                       word_count=len(text.split()))
-        assert rt.filter_claim_repeats(chunk, claim) is None
+        assert filter_claim_repeats(chunk, claim) is None
 
 
 def rereading_search(corpus_dir, query):
@@ -344,6 +366,21 @@ class TestRerank:
             ("zz", 1),
         ]
         assert all(c.rerank_score == pytest.approx(0.2) for c in ranked)
+
+    @given(
+        query=st.lists(st.sampled_from(["Red", "red", "island,", "the", "1932"]), max_size=6).map(" ".join),
+        texts=st.lists(
+            st.lists(st.sampled_from(["red", "Island", "the-island", "soup", "1932."]), max_size=8).map(" ".join),
+            max_size=4,
+        ),
+    )
+    def test_scores_match_word_set_coverage(self, query, texts):
+        query_words = word_set(query)
+        expected = [
+            len(query_words & word_set(text)) / len(query_words) if query_words else 0.0
+            for text in texts
+        ]
+        assert rt.LexicalOverlapReranker().score(query, texts) == expected
 
 
 class TestSelectPages:
@@ -473,6 +510,31 @@ class TestPipeline:
         # registry page (2021-09-30) postdates the claim
         assert evidences[0].pub_after_claim is True
         assert evidences[1].pub_after_claim is False
+
+    def test_shared_page_cache_matches_a_fresh_run_per_claim(self, fixture_corpus_dir, monkeypatch):
+        claims = [
+            lighthouse_claim(id="c1"),
+            lighthouse_claim(id="c2", text="Gull Island wildlife includes puffins and seals."),
+            lighthouse_claim(id="c3", text="The lighthouse registry lists Gull Island.", claim_date=None),
+            lighthouse_claim(id="c4"),
+        ]
+        engines = [rt.FixtureSearchClient(fixture_corpus_dir), EchoEngine()]
+        reranker = rt.LexicalOverlapReranker()
+        fresh = [rt.run_pipeline(claim, engines, reranker) for claim in claims]
+        distinct_pages = {(r.url, r.fetched_text) for claim in claims for r in rt.search(claim, engines)}
+
+        chunked = []
+        original = rt.chunk_page
+
+        def counting_chunk_page(page_text, page_url=""):
+            chunked.append(page_url)
+            return original(page_text, page_url)
+
+        monkeypatch.setattr(rt, "chunk_page", counting_chunk_page)
+        pages = rt.PageCache()
+        shared = [rt.run_pipeline(claim, engines, reranker, pages=pages) for claim in claims]
+        assert shared == fresh
+        assert len(chunked) == len(distinct_pages)
 
     def test_pipeline_is_deterministic(self, fixture_corpus_dir):
         claim = lighthouse_claim()
