@@ -124,7 +124,7 @@ def count_syllables(word: str) -> int:
     return max(groups, 1)
 
 
-def flesch_reading_ease(text: str, syllables: Optional[dict[str, Optional[int]]] = None) -> float:
+def flesch_reading_ease(text: str, syllables: dict[str, Optional[int]]) -> float:
     """206.835 - 1.015 * (words/sentences) - 84.6 * (syllables/words).
 
     Words are whitespace tokens containing at least one letter or digit;
@@ -132,7 +132,6 @@ def flesch_reading_ease(text: str, syllables: Optional[dict[str, Optional[int]]]
     ``syllables`` memoizes each distinct token's syllable count (None for a
     token that is not a word); a batch passes one dict to every call.
     """
-    syllables = {} if syllables is None else syllables
     counts = []
     for token in text.split():
         if token not in syllables:
@@ -354,6 +353,71 @@ class DetectorProviders:
     perplexity_model: str = "model"
 
 
+def _vectors(
+    pairs: Iterable[tuple[ClaimRecord, EvidencePiece]], lexicon: Optional[HedgeLexicon],
+    reliability: Optional[ReliabilityList], providers: Optional[DetectorProviders],
+) -> list[CharacteristicVector]:
+    """Run every configured detector on each pair, with the views ``profile`` describes."""
+    lexicon = lexicon or HedgeLexicon.default()
+    reliability = reliability or ReliabilityList.default()
+    providers = providers or DetectorProviders()
+    claim_views: dict[str, tuple[TextView, list[TextView]]] = {}
+    syllables: dict[str, Optional[int]] = {}
+    vectors = []
+    for claim, evidence in pairs:
+        if claim.text not in claim_views:
+            entities = [TextView.of(entity) for entity in providers.ner(claim.text)]
+            claim_views[claim.text] = TextView.of(claim.text), entities
+        claim_view, entities = claim_views[claim.text]
+        evidence_view = TextView.of(evidence.text)
+        try:
+            overlap = claim_evidence_overlap(claim_view, evidence_view)
+        except DegenerateClaim:
+            overlap = None
+        try:
+            flesch = flesch_reading_ease(evidence.text, syllables)
+        except DegenerateText:
+            flesch = None
+        overlap_value, no_entity = entity_overlap(entities, evidence_view)
+        refers = None
+        if providers.judge is not None:
+            refers = refers_external_source(evidence.text, providers.judge)
+        perplexity_value = None
+        if providers.perplexity is not None:
+            perplexity_value = providers.perplexity(evidence.text)
+        try:
+            unreliable = unreliable_source(evidence.url, reliability)
+        except MalformedUrl:
+            unreliable = None
+        hedging, hedging_discourse = hedging_flags(evidence_view, lexicon)
+        contains_true, contains_false = verdict_word_flags(evidence.text)
+        vectors.append(
+            CharacteristicVector(
+                claim_id=claim.id,
+                evidence_id=evidence.id,
+                jaccard=jaccard(claim_view, evidence_view),
+                claim_evidence_overlap=overlap,
+                repeats_claim=repeats_claim(claim_view, evidence_view),
+                flesch=flesch,
+                claim_len_chars=len(claim.text),
+                evidence_len_chars=len(evidence.text),
+                perplexity=perplexity_value,
+                entity_overlap=overlap_value,
+                no_entity_flag=no_entity,
+                refers_external=refers,
+                hedging=hedging,
+                hedging_discourse=hedging_discourse,
+                unreliable=unreliable,
+                contains_true_word=contains_true,
+                contains_false_word=contains_false,
+                pub_after_claim=evidence.pub_after_claim,
+                fact_check_source=evidence.is_fact_check_source,
+                gold_source=evidence.is_gold_source,
+            )
+        )
+    return vectors
+
+
 def characteristic_vector(
     claim: ClaimRecord,
     evidence: EvidencePiece,
@@ -362,8 +426,7 @@ def characteristic_vector(
     providers: Optional[DetectorProviders] = None,
 ) -> CharacteristicVector:
     """Run every configured detector on one (claim, evidence) pair."""
-    vectors, _ = profile([(claim, evidence)], lexicon, reliability, providers)
-    return vectors[0]
+    return _vectors([(claim, evidence)], lexicon, reliability, providers)[0]
 
 
 #: Reporting rows of the corpus profile and the correlation grid, in order,
@@ -445,63 +508,8 @@ def profile(
     Each call builds, once, the view of each evidence text, the views of each
     distinct claim text and its entities, and each distinct token's syllables.
     """
-    lexicon = lexicon or HedgeLexicon.default()
-    reliability = reliability or ReliabilityList.default()
     providers = providers or DetectorProviders()
-    claim_views: dict[str, tuple[TextView, list[TextView]]] = {}
-    syllables: dict[str, Optional[int]] = {}
-    vectors = []
-    for claim, evidence in pairs:
-        if claim.text not in claim_views:
-            entities = [TextView.of(entity) for entity in providers.ner(claim.text)]
-            claim_views[claim.text] = TextView.of(claim.text), entities
-        claim_view, entities = claim_views[claim.text]
-        evidence_view = TextView.of(evidence.text)
-        try:
-            overlap = claim_evidence_overlap(claim_view, evidence_view)
-        except DegenerateClaim:
-            overlap = None
-        try:
-            flesch = flesch_reading_ease(evidence.text, syllables)
-        except DegenerateText:
-            flesch = None
-        overlap_value, no_entity = entity_overlap(entities, evidence_view)
-        refers = None
-        if providers.judge is not None:
-            refers = refers_external_source(evidence.text, providers.judge)
-        perplexity_value = None
-        if providers.perplexity is not None:
-            perplexity_value = providers.perplexity(evidence.text)
-        try:
-            unreliable = unreliable_source(evidence.url, reliability)
-        except MalformedUrl:
-            unreliable = None
-        hedging, hedging_discourse = hedging_flags(evidence_view, lexicon)
-        contains_true, contains_false = verdict_word_flags(evidence.text)
-        vectors.append(
-            CharacteristicVector(
-                claim_id=claim.id,
-                evidence_id=evidence.id,
-                jaccard=jaccard(claim_view, evidence_view),
-                claim_evidence_overlap=overlap,
-                repeats_claim=repeats_claim(claim_view, evidence_view),
-                flesch=flesch,
-                claim_len_chars=len(claim.text),
-                evidence_len_chars=len(evidence.text),
-                perplexity=perplexity_value,
-                entity_overlap=overlap_value,
-                no_entity_flag=no_entity,
-                refers_external=refers,
-                hedging=hedging,
-                hedging_discourse=hedging_discourse,
-                unreliable=unreliable,
-                contains_true_word=contains_true,
-                contains_false_word=contains_false,
-                pub_after_claim=evidence.pub_after_claim,
-                fact_check_source=evidence.is_fact_check_source,
-                gold_source=evidence.is_gold_source,
-            )
-        )
+    vectors = _vectors(pairs, lexicon, reliability, providers)
     return vectors, aggregate_profile(vectors, perplexity_model=providers.perplexity_model)
 
 

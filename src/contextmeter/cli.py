@@ -321,10 +321,9 @@ def cmd_retrieve(config: RunConfig, run_dir: Path) -> list[str]:
     else:
         reranker = retrieval.LexicalOverlapReranker()
     domains = frozenset(config.fact_check_domains)
-    pages = retrieval.PageCache()
 
     outcomes = _parallel_map(
-        lambda claim: retrieval.run_pipeline(claim, engines, reranker, domains, pages),
+        lambda claim: retrieval.run_pipeline(claim, engines, reranker, fact_check_domains=domains),
         claims,
         lambda claim: f"claim {claim.id}",
         config.max_concurrency,

@@ -44,6 +44,7 @@ from .model import (
     VerdictLabel,
     VerdictProbabilities,
     canonical_json,
+    split_lines,
 )
 
 CLAIMANT_SLOT = "<claimant>"
@@ -386,13 +387,15 @@ class ReplayStore:
 
     def _load(self) -> None:
         with self.path.open("rb") as handle:
-            for line_no, line in enumerate(handle, start=1):
+            for line_no, raw in enumerate(split_lines(handle), start=1):
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise StoreCorruption(f"{self.path}:{line_no}: not UTF-8: {exc.reason}") from exc
                 if not line.strip():
                     continue
                 try:
-                    record = ScoreRecord.from_dict(json.loads(line.decode("utf-8")))
-                except UnicodeDecodeError as exc:
-                    raise StoreCorruption(f"{self.path}:{line_no}: not UTF-8: {exc.reason}") from exc
+                    record = ScoreRecord.from_dict(json.loads(line))
                 except json.JSONDecodeError as exc:
                     raise StoreCorruption(
                         f"{self.path}:{line_no}: unparseable line ({exc.msg})"

@@ -19,6 +19,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import (
     Any,
+    BinaryIO,
     Callable,
     Iterable,
     Iterator,
@@ -420,6 +421,12 @@ def write_jsonl(path: Path, records: Iterable[Any], header: Optional[dict] = Non
             fh.write(encode_line(record) + "\n")
 
 
+def split_lines(fh: BinaryIO) -> Iterator[bytes]:
+    """A binary file's lines, split as text mode splits them: at LF, CRLF or a lone CR."""
+    for block in fh:
+        yield from block.splitlines()
+
+
 def read_jsonl(path: Path, skip_header: bool = True) -> Iterator[tuple[int, dict]]:
     """Yield (line_no, object) pairs; raises ParseError with the line number.
 
@@ -431,7 +438,7 @@ def read_jsonl(path: Path, skip_header: bool = True) -> Iterator[tuple[int, dict
     except OSError as exc:
         raise ParseError(str(path), 0, f"cannot open: {exc.strerror or exc}") from exc
     with fh:
-        for line_no, raw in enumerate(fh, start=1):
+        for line_no, raw in enumerate(split_lines(fh), start=1):
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:

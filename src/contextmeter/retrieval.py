@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import logging
 import re
-import threading
 from dataclasses import dataclass, replace
 from datetime import date
 from html.parser import HTMLParser
@@ -324,23 +323,6 @@ def split_sentences(text: str) -> list[str]:
     return [part for part in _SENTENCE_RE.split(text) if part.strip()]
 
 
-class PageCache:
-    """Each distinct page's chunks and their sentences, built once and shared
-    by every claim of a run and the threads they run on."""
-
-    def __init__(self) -> None:
-        self._pages: dict[tuple[str, str], list[tuple[Chunk, list[str]]]] = {}
-        self._lock = threading.Lock()
-
-    def chunks(self, result: SearchResult) -> list[tuple[Chunk, list[str]]]:
-        key = (result.url, result.fetched_text)
-        with self._lock:
-            if key not in self._pages:
-                chunks = chunk_page(result.fetched_text, page_url=result.url)
-                self._pages[key] = [(chunk, split_sentences(chunk.text)) for chunk in chunks]
-            return self._pages[key]
-
-
 class Reference(NamedTuple):
     """A RougeL reference text's word tokens and their ``lcs_length`` match masks."""
 
@@ -383,10 +365,14 @@ def rouge_l(candidate: str, reference: Reference) -> float:
 
 
 def filter_claim_repeats(
-    chunk: Chunk, sentences: Sequence[str], claim: Reference, threshold: float = CLAIM_REPEAT_THRESHOLD
+    chunk: Chunk, claim: Reference, threshold: float = CLAIM_REPEAT_THRESHOLD
 ) -> Optional[Chunk]:
-    """Remove the chunk's sentences that near-repeat the claim; drop emptied chunks."""
-    kept = [sentence for sentence in sentences if rouge_l(sentence, claim) <= threshold]
+    """Remove sentences that near-repeat the claim; drop emptied chunks."""
+    kept = [
+        sentence
+        for sentence in split_sentences(chunk.text)
+        if rouge_l(sentence, claim) <= threshold
+    ]
     if not kept:
         return None
     text = " ".join(kept)
@@ -507,13 +493,8 @@ def run_pipeline(
     engines: Sequence[SearchClient],
     reranker: RerankClient,
     fact_check_domains: frozenset[str] = frozenset(),
-    pages: Optional[PageCache] = None,
 ) -> tuple[list[EvidencePiece], dict]:
-    """Full per-claim pipeline; returns evidence pieces plus an audit trace.
-
-    Claims of one run share ``pages``, so each page is chunked only once.
-    """
-    pages = PageCache() if pages is None else pages
+    """Full per-claim pipeline; returns evidence pieces plus an audit trace."""
     results = search(claim, engines)
     pub_dates = {result.url: result.pub_date for result in results}
     reference = Reference.of(claim.text)
@@ -521,8 +502,8 @@ def run_pipeline(
     all_chunks: list[Chunk] = []
     dropped = 0
     for result in results:
-        for chunk, sentences in pages.chunks(result):
-            filtered = filter_claim_repeats(chunk, sentences, reference)
+        for chunk in chunk_page(result.fetched_text, page_url=result.url):
+            filtered = filter_claim_repeats(chunk, reference)
             if filtered is None:
                 dropped += 1
             else:

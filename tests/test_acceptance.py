@@ -288,9 +288,7 @@ def test_criterion_06_retrieval_invariants(fixture_corpus_dir):
             for s in retrieval.split_sentences(text)
             if brute_force_rouge(s, claim.text) <= retrieval.CLAIM_REPEAT_THRESHOLD
         ]
-        filtered = retrieval.filter_claim_repeats(
-            chunk, retrieval.split_sentences(text), retrieval.Reference.of(claim.text)
-        )
+        filtered = retrieval.filter_claim_repeats(chunk, retrieval.Reference.of(claim.text))
         if not expected:
             assert filtered is None
         else:

@@ -197,15 +197,15 @@ class TestTokenRunMatcher:
 
 class TestReadability:
     def test_flesch_example(self):
-        assert ch.flesch_reading_ease("The cat sat.") == pytest.approx(
+        assert ch.flesch_reading_ease("The cat sat.", {}) == pytest.approx(
             119.19, abs=0.005
         )
 
     def test_empty_text_rejected(self):
         with pytest.raises(DegenerateText):
-            ch.flesch_reading_ease("")
+            ch.flesch_reading_ease("", {})
         with pytest.raises(DegenerateText):
-            ch.flesch_reading_ease("...!!!")
+            ch.flesch_reading_ease("...!!!", {})
 
     @pytest.mark.parametrize(
         "word,expected",
@@ -223,10 +223,11 @@ class TestReadability:
         assert ch.count_syllables(word) == expected
 
     def test_multi_sentence_lowers_score(self):
-        simple = ch.flesch_reading_ease("The cat sat. The dog ran.")
+        simple = ch.flesch_reading_ease("The cat sat. The dog ran.", {})
         complex_ = ch.flesch_reading_ease(
             "Notwithstanding considerable institutional disagreement, the "
-            "commission ultimately promulgated comprehensive regulations."
+            "commission ultimately promulgated comprehensive regulations.",
+            {},
         )
         assert complex_ < simple
 
@@ -748,7 +749,7 @@ class TestViewsMatchTextLevelDetectors:
                     ch.flesch_reading_ease(text, syllables)
                 continue
             assert ch.flesch_reading_ease(text, syllables) == expected
-            assert ch.flesch_reading_ease(text) == expected
+            assert ch.flesch_reading_ease(text, {}) == expected
 
     @given(
         claims=st.lists(PROSE.filter(str.strip), min_size=1, max_size=3),
@@ -792,3 +793,14 @@ def test_profile_keeps_no_syllable_counts_between_calls(monkeypatch):
     first = len(calls)
     ch.profile(pairs)
     assert first == len(calls) - first == len(set(text.split()))
+
+
+def test_characteristic_vector_skips_the_corpus_aggregate(monkeypatch):
+    def no_aggregate(*_args, **_kwargs):
+        raise AssertionError("characteristic_vector built the corpus aggregate")
+
+    monkeypatch.setattr(ch, "aggregate_profile", no_aggregate)
+    claim, evidence = make_claim(), make_evidence()
+    assert ch.characteristic_vector(claim, evidence) == text_characteristic_vector(
+        claim, evidence, ch.HedgeLexicon.default(), ch.ReliabilityList.default(), ch.DetectorProviders()
+    )

@@ -419,6 +419,21 @@ class TestReplayStore:
             lm.ReplayStore(store_path)
         assert str(excinfo.value).startswith(f"{store_path}:2: {reason}")
 
+    def test_lines_may_end_in_lone_cr(self, tmp_path):
+        store_path = tmp_path / "store.jsonl"
+        store = lm.ReplayStore(store_path)
+        scorer = lm.VerdictScorer(provider=HashLogprobProvider(), store=store, mode="record")
+        template = lm.builtin_templates()["claim-0shot"]
+        scorer.score(template, make_claim(id="c1", text="First claim."))
+        scorer.score(template, make_claim(id="c2", text="Second claim."))
+        lines = store_path.read_text(encoding="utf-8").splitlines()
+        store_path.write_text("\r".join(lines) + "\r", encoding="utf-8", newline="")
+        assert len(lm.ReplayStore(store_path)) == 2
+        store_path.write_text(lines[0] + "\r{broken\r", encoding="utf-8", newline="")
+        with pytest.raises(StoreCorruption) as excinfo:
+            lm.ReplayStore(store_path)
+        assert str(excinfo.value).startswith(f"{store_path}:2: unparseable line")
+
     def test_truncated_line_rejected(self, tmp_path):
         store_path = tmp_path / "store.jsonl"
         store_path.write_text('{"prompt_hash": "ab\n', encoding="utf-8")

@@ -292,6 +292,23 @@ class TestJsonlIO:
         path.write_text('{"a": 1}\n\n{"a": 2}\n', encoding="utf-8")
         assert len(list(read_jsonl(path, skip_header=False))) == 2
 
+    def test_lines_end_at_lf_crlf_or_lone_cr(self, tmp_path):
+        path = tmp_path / "mixed.jsonl"
+        path.write_bytes(b'{"a": 1}\r{"a": 2}\r\n\r{"a": 3}\n{broken\r{"a": 4}')
+        rows = []
+        with pytest.raises(ParseError) as exc_info:
+            rows.extend(read_jsonl(path, skip_header=False))
+        assert rows == [(1, {"a": 1}), (2, {"a": 2}), (4, {"a": 3})]
+        assert exc_info.value.line_no == 5
+
+    def test_non_utf8_line_is_parse_error_at_that_line(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b'{"a": 1}\r{"a": "\xe9"}\n')
+        with pytest.raises(ParseError) as exc_info:
+            list(read_jsonl(path, skip_header=False))
+        assert exc_info.value.line_no == 2
+        assert "not UTF-8" in str(exc_info.value)
+
 
 class TestHelpers:
     def test_canonical_json_sorted_and_compact(self):

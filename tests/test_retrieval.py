@@ -34,7 +34,7 @@ def lcs_length(a, b):
 
 
 def filter_claim_repeats(chunk, claim):
-    return rt.filter_claim_repeats(chunk, rt.split_sentences(chunk.text), rt.Reference.of(claim.text))
+    return rt.filter_claim_repeats(chunk, rt.Reference.of(claim.text))
 
 
 class FakeEngine:
@@ -52,16 +52,6 @@ class FakeEngine:
             )
             for i, url in enumerate(self._urls)
         ]
-
-
-class EchoEngine:
-    """One page whose text depends on the query, always at the same URL."""
-
-    name = "echo"
-
-    def search(self, query):
-        text = f"Echo of the query. {query} Echoed for {len(query)} characters."
-        return [SearchResult(url="https://echo.example/q", title="", rank_per_engine=(("echo", 1),), fetched_text=text)]
 
 
 class TestChunking:
@@ -510,31 +500,6 @@ class TestPipeline:
         # registry page (2021-09-30) postdates the claim
         assert evidences[0].pub_after_claim is True
         assert evidences[1].pub_after_claim is False
-
-    def test_shared_page_cache_matches_a_fresh_run_per_claim(self, fixture_corpus_dir, monkeypatch):
-        claims = [
-            lighthouse_claim(id="c1"),
-            lighthouse_claim(id="c2", text="Gull Island wildlife includes puffins and seals."),
-            lighthouse_claim(id="c3", text="The lighthouse registry lists Gull Island.", claim_date=None),
-            lighthouse_claim(id="c4"),
-        ]
-        engines = [rt.FixtureSearchClient(fixture_corpus_dir), EchoEngine()]
-        reranker = rt.LexicalOverlapReranker()
-        fresh = [rt.run_pipeline(claim, engines, reranker) for claim in claims]
-        distinct_pages = {(r.url, r.fetched_text) for claim in claims for r in rt.search(claim, engines)}
-
-        chunked = []
-        original = rt.chunk_page
-
-        def counting_chunk_page(page_text, page_url=""):
-            chunked.append(page_url)
-            return original(page_text, page_url)
-
-        monkeypatch.setattr(rt, "chunk_page", counting_chunk_page)
-        pages = rt.PageCache()
-        shared = [rt.run_pipeline(claim, engines, reranker, pages=pages) for claim in claims]
-        assert shared == fresh
-        assert len(chunked) == len(distinct_pages)
 
     def test_pipeline_is_deterministic(self, fixture_corpus_dir):
         claim = lighthouse_claim()
