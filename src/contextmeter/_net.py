@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import http.client
 import json
 import time
-import urllib.error
-import urllib.request
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
@@ -26,6 +23,11 @@ def post_json(
 
     ``error_cls`` must accept ``(message, retryable=...)``.
     """
+    # Imported on first use: the HTTP stack (email, ssl, socket) adds ~33 ms to every start-up.
+    import http.client
+    import urllib.error
+    import urllib.request
+
     body = json.dumps(payload).encode()
     request_headers = {"Content-Type": "application/json", **(headers or {})}
     last_error: Optional[Exception] = None

@@ -254,12 +254,15 @@ class HedgeLexicon:
         return cls.from_files(_data_path("hedges.txt"), _data_path("hedging_discourse.txt"))
 
     @cached_property
-    def _needles(self) -> tuple[tuple[str, ...], ...]:
-        """(hedge words, discourse markers) as padded token runs, built once."""
-        return tuple(
-            tuple(_padded(entry.split()) for entry in entries if entry.split())
-            for entries in (self.hedge_words, self.hedging_discourse_markers)
-        )
+    def _needles(self) -> tuple[tuple[frozenset[str], tuple[str, ...]], ...]:
+        """For hedge words, then discourse markers: the one-token entries as a
+        set and the longer ones as padded token runs, built once."""
+        needles = []
+        for entries in (self.hedge_words, self.hedging_discourse_markers):
+            runs = [entry.split() for entry in entries]
+            singles = frozenset(run[0] for run in runs if len(run) == 1)
+            needles.append((singles, tuple(_padded(run) for run in runs if len(run) > 1)))
+        return tuple(needles)
 
 
 def hedging_flags(evidence: TextView, lexicon: HedgeLexicon) -> tuple[bool, bool]:
@@ -268,9 +271,11 @@ def hedging_flags(evidence: TextView, lexicon: HedgeLexicon) -> tuple[bool, bool
     Matching is case-insensitive and whole-word: every entry, hedge word or
     discourse marker, matches as a contiguous run of word tokens.
     """
-    text = evidence.padded
-    hedges, markers = lexicon._needles
-    return any(n in text for n in hedges), any(n in text for n in markers)
+    # A token holds no spaces, so a one-token entry occurs exactly when it is in W.
+    return tuple(
+        not singles.isdisjoint(evidence.word_set) or any(run in evidence.padded for run in runs)
+        for singles, runs in lexicon._needles
+    )
 
 
 # -- source reliability -------------------------------------------------------------

@@ -613,12 +613,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Claim-verification context-utilisation toolkit",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    # Every subcommand takes the same flags: build them once and share them.
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", help="JSON run-config file")
+    for flag, dest, keywords in _FLAGS:
+        flags.add_argument(flag, dest=dest, **keywords)
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        sub = subparsers.add_parser(name)
-        sub.add_argument("--config", help="JSON run-config file")
-        for flag, dest, keywords in _FLAGS:
-            sub.add_argument(flag, dest=dest, **keywords)
+        subparsers.add_parser(name, parents=[flags])
     return parser
 
 

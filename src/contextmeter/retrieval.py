@@ -23,7 +23,6 @@ import logging
 import re
 from dataclasses import dataclass, replace
 from datetime import date
-from html.parser import HTMLParser
 from pathlib import Path
 from typing import NamedTuple, Optional, Protocol, Sequence
 
@@ -102,38 +101,41 @@ class RerankClient(Protocol):
 
 # -- clients -----------------------------------------------------------------------
 
-class _BlockTextExtractor(HTMLParser):
-    _BLOCK_TAGS = {
-        "p", "div", "br", "li", "ul", "ol", "h1", "h2", "h3", "h4", "h5",
-        "h6", "table", "tr", "blockquote", "section", "article", "header",
-        "footer", "pre",
-    }
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.parts: list[str] = []
-        self._suppress = 0
-
-    def handle_starttag(self, tag, attrs):
-        if tag in ("script", "style"):
-            self._suppress += 1
-        if tag in self._BLOCK_TAGS:
-            self.parts.append("\n\n")
-
-    def handle_endtag(self, tag):
-        if tag in ("script", "style") and self._suppress:
-            self._suppress -= 1
-        if tag in self._BLOCK_TAGS:
-            self.parts.append("\n\n")
-
-    def handle_data(self, data):
-        if not self._suppress:
-            self.parts.append(data)
+_BLOCK_TAGS = frozenset({
+    "p", "div", "br", "li", "ul", "ol", "h1", "h2", "h3", "h4", "h5",
+    "h6", "table", "tr", "blockquote", "section", "article", "header",
+    "footer", "pre",
+})
 
 
 def html_to_text(html: str) -> str:
     """Flatten HTML to text with blank lines at block-element boundaries."""
-    parser = _BlockTextExtractor()
+    # Imported on first use: only a live search reply carrying HTML needs the parser.
+    from html.parser import HTMLParser
+
+    class BlockTextExtractor(HTMLParser):
+        def __init__(self) -> None:
+            super().__init__()
+            self.parts: list[str] = []
+            self._suppress = 0
+
+        def handle_starttag(self, tag, attrs):
+            if tag in ("script", "style"):
+                self._suppress += 1
+            if tag in _BLOCK_TAGS:
+                self.parts.append("\n\n")
+
+        def handle_endtag(self, tag):
+            if tag in ("script", "style") and self._suppress:
+                self._suppress -= 1
+            if tag in _BLOCK_TAGS:
+                self.parts.append("\n\n")
+
+        def handle_data(self, data):
+            if not self._suppress:
+                self.parts.append(data)
+
+    parser = BlockTextExtractor()
     parser.feed(html)
     return "".join(parser.parts)
 

@@ -645,8 +645,10 @@ def text_entity_overlap(claim_text, evidence_text, ner=ch.detect_entities):
 
 def text_hedging_flags(evidence_text, lexicon):
     text = ch._padded(ch.words(evidence_text))
-    hedges, markers = lexicon._needles
-    return any(n in text for n in hedges), any(n in text for n in markers)
+    return tuple(
+        any(ch._padded(entry.split()) in text for entry in entries if entry.split())
+        for entries in (lexicon.hedge_words, lexicon.hedging_discourse_markers)
+    )
 
 
 def text_characteristic_vector(claim, evidence, lexicon, reliability, providers):

@@ -190,13 +190,23 @@ class TestRunContract:
         assert proc.stdout.strip() == __version__
 
     def test_import_loads_only_the_standard_library(self):
-        # Every stage is its own process, so start-up is paid per command.
-        probe = "import sys, contextmeter.cli; print(sorted({'scipy', 'numpy', 'requests'} & set(sys.modules)))"
+        # Every stage is its own process, so start-up is paid per command. The
+        # HTTP stack and the HTML parser load on the first live request only.
+        probed = {"scipy", "numpy", "requests", "http.client", "urllib.request", "ssl", "email", "html.parser"}
+        probe = f"import sys, contextmeter.cli; print(sorted({probed!r} & set(sys.modules)))"
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_every_flag_parses_under_every_command(self, command):
+        values = {"--acu-form": ("mean", "mean"), "--max-concurrency": ("3", 3)}
+        for flag, dest in [("--config", "config")] + [(flag, dest) for flag, dest, _ in cli._FLAGS]:
+            text, expected = values.get(flag, ("value", "value"))
+            args = cli.build_parser().parse_args([command, flag, text])
+            assert (args.command, getattr(args, dest)) == (command, expected), flag
 
     def test_input_order_leaves_summaries_unchanged(self, druid_fixture_paths, replay_store, tmp_path):
         """Shuffled claim and evidence rows give byte-identical profile,
