@@ -1,11 +1,14 @@
 """Command-line entry point wiring the modules into reproducible batch runs.
 
-Every invocation resolves one RunConfig (JSON file + flag overrides),
-creates a timestamped run directory, echoes the resolved config there, and
-writes artifacts whose contents are byte-identical across reruns of the
-same config and replay store. Each artifact embeds the config hash, the
-ACU form, and the tool version: JSON Lines files as a leading header line,
-JSON files under a "meta" key, CSV files as a leading comment line.
+Every invocation resolves one RunConfig (JSON file + flag overrides), checks
+the command's required settings and runs its stage, which returns its
+artifacts by file name. Only then is a timestamped run directory created,
+the resolved config echoed into it and the artifacts written, so a failed
+stage leaves nothing behind. Artifact contents are byte-identical across
+reruns of the same config and replay store. Each artifact embeds the config
+hash, the ACU form, and the tool version: JSON Lines files as a leading
+header line, JSON files under a "meta" key, CSV files as a leading comment
+line.
 
 Exit codes: 0 success, 2 configuration error, 1 any other failure; errors
 are printed to stderr as one JSON object.
@@ -17,6 +20,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -26,7 +30,9 @@ from typing import Any, Callable, Optional
 
 from . import analysis, characteristics, ingest, lm, metrics, retrieval
 from ._version import __version__
-from .errors import ConfigError, ContextMeterError, InvariantViolation, NoPairableValues, ParseError
+from .errors import (
+    ConfigError, ContextMeterError, DanglingReference, InvariantViolation, NoPairableValues, ParseError,
+)
 from .model import (
     CharacteristicVector,
     ClaimRecord,
@@ -139,51 +145,55 @@ def load_config(path: Optional[str], overrides: dict[str, Any]) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-# -- artifact helpers --------------------------------------------------------------
+# -- run directory -----------------------------------------------------------------
 
-def _meta(config: RunConfig) -> dict[str, Any]:
-    return {
-        "config_hash": config.config_hash,
-        "acu_form": config.acu_form,
-        "version": __version__,
-    }
+#: A stage's output: artifact file name to content, in output order. A
+#: ``.jsonl`` name holds rows, a ``.json`` name an object, a ``.csv`` name text.
+Artifacts = dict[str, Any]
 
 
-def write_json_artifact(path: Path, payload: dict, config: RunConfig) -> None:
-    document = {"meta": _meta(config)}
-    document.update(payload)
-    path.write_text(canonical_json(document) + "\n", encoding="utf-8")
+def _check_out_dir(config: RunConfig) -> None:
+    """Refuse an ``out_dir`` that names a file or a path under one; creates nothing."""
+    out = Path(config.out_dir)
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"out_dir is not a directory: {path}")
+            return
 
 
-def write_csv_artifact(path: Path, csv_text: str, config: RunConfig) -> None:
-    comment = "# " + " ".join(f"{key}={value}" for key, value in _meta(config).items())
-    path.write_text(comment + "\n" + csv_text, encoding="utf-8")
-
-
-def make_run_dir(config: RunConfig, command: str) -> Path:
+def write_run(config: RunConfig, command: str, artifacts: Artifacts) -> Path:
+    """Create ``<out>/<command>-<stamp>-<hash>/`` holding the resolved config
+    and every artifact, each with the run's meta."""
+    meta = {"config_hash": config.config_hash, "acu_form": config.acu_form, "version": __version__}
     base = Path(config.out_dir)
+    stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
+    name = f"{command}-{stamp}-{meta['config_hash'][:8]}"
+    run_dir = base / name
     try:
         base.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise ConfigError(f"out_dir is not a directory: {exc}") from exc
-    stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-    candidate = base / f"{command}-{stamp}-{config.config_hash[:8]}"
-    suffix = 1
-    while candidate.exists():
-        candidate = base / f"{command}-{stamp}-{config.config_hash[:8]}-{suffix}"
-        suffix += 1
-    candidate.mkdir()
-    (candidate / "resolved_config.json").write_text(
-        canonical_json({"meta": _meta(config), "config": config.resolved()}) + "\n",
-        encoding="utf-8",
-    )
-    return candidate
-
-
-def _require(config: RunConfig, **paths: Optional[str]) -> None:
-    missing = [name for name, value in paths.items() if not value]
-    if missing:
-        raise ConfigError(f"missing required settings: {', '.join(missing)}")
+        suffix = 1
+        while run_dir.exists():
+            run_dir = base / f"{name}-{suffix}"
+            suffix += 1
+        run_dir.mkdir()
+    except OSError as exc:
+        raise ConfigError(f"cannot create a run directory under {base}: {exc}") from exc
+    try:
+        files = {"resolved_config.json": {"config": config.resolved()}, **artifacts}
+        for file_name, content in files.items():
+            path = run_dir / file_name
+            if file_name.endswith(".jsonl"):
+                write_jsonl(path, content, header=meta)
+            elif file_name.endswith(".json"):
+                path.write_text(canonical_json({"meta": meta, **content}) + "\n", encoding="utf-8")
+            else:
+                comment = "# " + " ".join(f"{key}={value}" for key, value in meta.items())
+                path.write_text(comment + "\n" + content, encoding="utf-8")
+    except OSError as exc:
+        shutil.rmtree(run_dir, ignore_errors=True)
+        raise ContextMeterError(f"cannot write run directory {run_dir}: {exc}") from exc
+    return run_dir
 
 
 def _load_records(path: str, cls: type) -> list:
@@ -238,9 +248,7 @@ def _load_field_map(config: RunConfig, per_file: bool) -> Optional[dict]:
     return field_map
 
 
-def _write_corpus(corpus: ingest.Corpus, run_dir: Path, config: RunConfig) -> list[str]:
-    write_jsonl(run_dir / "claims.jsonl", corpus.claims.values(), header=_meta(config))
-    write_jsonl(run_dir / "evidence.jsonl", corpus.evidence, header=_meta(config))
+def _corpus_artifacts(corpus: ingest.Corpus) -> Artifacts:
     n_claims, n_evidence = corpus.totals()
     stats = {
         "claims": n_claims,
@@ -254,24 +262,25 @@ def _write_corpus(corpus: ingest.Corpus, run_dir: Path, config: RunConfig) -> li
         "relevance_histogram": dict(sorted(corpus.relevance_histogram().items())),
         "inter_context_conflicts": corpus.inter_context_conflicts(),
     }
-    write_json_artifact(run_dir / "corpus_stats.json", {"stats": stats}, config)
-    return ["claims.jsonl", "evidence.jsonl", "corpus_stats.json"]
+    return {
+        "claims.jsonl": corpus.claims.values(),
+        "evidence.jsonl": corpus.evidence,
+        "corpus_stats.json": {"stats": stats},
+    }
 
 
 # -- subcommands -------------------------------------------------------------------
 
-def cmd_ingest(config: RunConfig, run_dir: Path) -> list[str]:
-    _require(config, claims_path=config.claims_path, evidence_path=config.evidence_path)
+def cmd_ingest(config: RunConfig) -> Artifacts:
     corpus = ingest.load_druid(
         Path(config.claims_path),
         Path(config.evidence_path),
         field_map=_load_field_map(config, per_file=True),
     )
-    return _write_corpus(corpus, run_dir, config)
+    return _corpus_artifacts(corpus)
 
 
-def cmd_recast(config: RunConfig, run_dir: Path) -> list[str]:
-    _require(config, triplets_path=config.triplets_path)
+def cmd_recast(config: RunConfig) -> Artifacts:
     if config.dataset not in ("counterfact", "conflictqa"):
         raise ConfigError(
             "recast needs dataset set to counterfact or conflictqa, "
@@ -282,7 +291,7 @@ def cmd_recast(config: RunConfig, run_dir: Path) -> list[str]:
         dataset=config.dataset,
         field_map=_load_field_map(config, per_file=False),
     )
-    return _write_corpus(corpus, run_dir, config)
+    return _corpus_artifacts(corpus)
 
 
 def _build_search_clients(config: RunConfig) -> list:
@@ -310,8 +319,7 @@ def _build_search_clients(config: RunConfig) -> list:
     return clients
 
 
-def cmd_retrieve(config: RunConfig, run_dir: Path) -> list[str]:
-    _require(config, claims_path=config.claims_path)
+def cmd_retrieve(config: RunConfig) -> Artifacts:
     claims = _load_records(config.claims_path, ClaimRecord)
     engines = _build_search_clients(config)
     if config.rerank_endpoint:
@@ -328,36 +336,33 @@ def cmd_retrieve(config: RunConfig, run_dir: Path) -> list[str]:
         lambda claim: f"claim {claim.id}",
         config.max_concurrency,
     )
-
-    evidence_rows = []
-    traces = []
-    for evidences, trace in outcomes:
-        evidence_rows.extend(evidences)
-        traces.append(trace)
-    write_jsonl(run_dir / "evidence.jsonl", evidence_rows, header=_meta(config))
-    write_jsonl(run_dir / "traces.jsonl", traces, header=_meta(config))
-    return ["evidence.jsonl", "traces.jsonl"]
+    return {
+        "evidence.jsonl": [piece for evidences, _ in outcomes for piece in evidences],
+        "traces.jsonl": [trace for _, trace in outcomes],
+    }
 
 
-def cmd_profile(config: RunConfig, run_dir: Path) -> list[str]:
-    _require(config, claims_path=config.claims_path, evidence_path=config.evidence_path)
-    claims = {claim.id: claim for claim in _load_records(config.claims_path, ClaimRecord)}
-    evidence = _load_records(config.evidence_path, EvidencePiece)
+def _load_pairs(config: RunConfig) -> tuple[list[ClaimRecord], list[tuple[ClaimRecord, EvidencePiece]]]:
+    """The claims, and each evidence row paired with its claim; evidence
+    naming an absent claim is a DanglingReference."""
+    claims = _load_records(config.claims_path, ClaimRecord)
+    by_id = {claim.id: claim for claim in claims}
     pairs = []
-    for piece in evidence:
-        claim = claims.get(piece.claim_id)
+    for piece in _load_records(config.evidence_path, EvidencePiece):
+        claim = by_id.get(piece.claim_id)
         if claim is None:
-            raise ContextMeterError(
-                f"evidence {piece.id} references unknown claim {piece.claim_id}"
-            )
+            raise DanglingReference(f"evidence {piece.id} references unknown claim {piece.claim_id}")
         pairs.append((claim, piece))
+    return claims, pairs
+
+
+def cmd_profile(config: RunConfig) -> Artifacts:
+    _, pairs = _load_pairs(config)
     providers = characteristics.DetectorProviders(
         perplexity_model=config.provider_id or "model"
     )
     vectors, report = characteristics.profile(pairs, providers=providers)
-    write_jsonl(run_dir / "characteristics.jsonl", vectors, header=_meta(config))
-    write_json_artifact(run_dir / "profile.json", {"profile": report.to_dict()}, config)
-    return ["characteristics.jsonl", "profile.json"]
+    return {"characteristics.jsonl": vectors, "profile.json": {"profile": report.to_dict()}}
 
 
 def _build_scorer(config: RunConfig) -> lm.VerdictScorer:
@@ -388,23 +393,15 @@ def _build_scorer(config: RunConfig) -> lm.VerdictScorer:
     return lm.VerdictScorer(provider=provider)
 
 
-def cmd_score(config: RunConfig, run_dir: Path) -> list[str]:
-    _require(
-        config,
-        claims_path=config.claims_path,
-        evidence_path=config.evidence_path,
-        claim_template=config.claim_template,
-        evidence_template=config.evidence_template,
-    )
+def cmd_score(config: RunConfig) -> Artifacts:
     template_dir = Path(config.template_dir) if config.template_dir else None
     claim_template = lm.load_template(config.claim_template, template_dir)
     evidence_template = lm.load_template(config.evidence_template, template_dir)
     scorer = _build_scorer(config)
     acu_config = metrics.AcuConfig(form=config.acu_form)
 
-    claims = _load_records(config.claims_path, ClaimRecord)
-    evidence = [e for e in _load_records(config.evidence_path, EvidencePiece) if e.stance is not None]
-    claims_by_id = {claim.id: claim for claim in claims}
+    claims, pairs = _load_pairs(config)
+    pairs = [(claim, piece) for claim, piece in pairs if piece.stance is not None]
     prompt_id = f"{claim_template.id}+{evidence_template.id}"
 
     claim_records = _parallel_map(
@@ -415,10 +412,8 @@ def cmd_score(config: RunConfig, run_dir: Path) -> list[str]:
     )
     without = {claim.id: record for claim, record in zip(claims, claim_records)}
 
-    def score_pair(piece: EvidencePiece) -> Optional[ScoredSample]:
-        claim = claims_by_id.get(piece.claim_id)
-        if claim is None:
-            return None
+    def score_pair(pair: tuple[ClaimRecord, EvidencePiece]) -> ScoredSample:
+        claim, piece = pair
         with_record = scorer.score(evidence_template, claim, piece)
         return metrics.score_sample(
             claim_id=claim.id,
@@ -431,19 +426,16 @@ def cmd_score(config: RunConfig, run_dir: Path) -> list[str]:
             config=acu_config,
         )
 
-    outcomes = _parallel_map(
+    samples = _parallel_map(
         score_pair,
-        evidence,
-        lambda piece: f"claim {piece.claim_id} evidence {piece.id}",
+        pairs,
+        lambda pair: f"claim {pair[0].id} evidence {pair[1].id}",
         config.max_concurrency,
     )
-    samples = [sample for sample in outcomes if sample is not None]
-    write_jsonl(run_dir / "scored.jsonl", samples, header=_meta(config))
-    return ["scored.jsonl"]
+    return {"scored.jsonl": samples}
 
 
-def cmd_analyze(config: RunConfig, run_dir: Path) -> list[str]:
-    _require(config, scored_path=config.scored_path, evidence_path=config.evidence_path)
+def cmd_analyze(config: RunConfig) -> Artifacts:
     scored = _load_records(config.scored_path, ScoredSample)
     evidence = {piece.id: piece for piece in _load_records(config.evidence_path, EvidencePiece)}
 
@@ -497,36 +489,27 @@ def cmd_analyze(config: RunConfig, run_dir: Path) -> list[str]:
         "agreement": agreement,
         "skipped_samples": skipped,
     }
-    write_json_artifact(run_dir / "analysis.json", {"analysis": payload}, config)
-    outputs = ["analysis.json"]
+    artifacts: Artifacts = {"analysis.json": {"analysis": payload}}
 
     if config.characteristics_path:
         vectors = {
             vector.evidence_id: vector
             for vector in _load_records(config.characteristics_path, CharacteristicVector)
         }
-        grid_samples = []
-        for sample, stance in zip(kept, stances):
-            vector = vectors.get(sample.evidence_id)
-            if vector is None:
-                continue
-            grid_samples.append(
-                analysis.GridSample(
-                    dataset=config.dataset,
-                    stance=stance,
-                    acu=sample.acu,
-                    vector=vector,
-                )
+        grid_samples = [
+            analysis.GridSample(
+                dataset=config.dataset, stance=stance, acu=sample.acu, vector=vectors[sample.evidence_id]
             )
+            for sample, stance in zip(kept, stances)
+            if sample.evidence_id in vectors
+        ]
         grid = analysis.correlation_grid(grid_samples)
-        write_json_artifact(run_dir / "grid.json", {"grid": grid}, config)
-        write_csv_artifact(run_dir / "grid.csv", analysis.grid_to_csv(grid), config)
-        outputs += ["grid.json", "grid.csv"]
-    return outputs
+        artifacts["grid.json"] = {"grid": grid}
+        artifacts["grid.csv"] = analysis.grid_to_csv(grid)
+    return artifacts
 
 
-def cmd_report(config: RunConfig, run_dir: Path) -> list[str]:
-    _require(config, run_dir=config.run_dir)
+def cmd_report(config: RunConfig) -> Artifacts:
     source = Path(config.run_dir)
     if not source.is_dir():
         raise ConfigError(f"run_dir is not a directory: {source}")
@@ -547,7 +530,6 @@ def cmd_report(config: RunConfig, run_dir: Path) -> list[str]:
                 raise ParseError(str(artifact), 1, "not a JSON object")
             document.pop("meta", None)
             sections[name] = document
-    write_json_artifact(run_dir / "report.json", {"sections": sections}, config)
 
     def flatten(prefix: str, value: Any, rows: list[tuple[str, str]]) -> None:
         if isinstance(value, dict):
@@ -567,18 +549,18 @@ def cmd_report(config: RunConfig, run_dir: Path) -> list[str]:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["key", "value"])
     writer.writerows(rows)
-    write_csv_artifact(run_dir / "report.csv", buffer.getvalue(), config)
-    return ["report.json", "report.csv"]
+    return {"report.json": {"sections": sections}, "report.csv": buffer.getvalue()}
 
 
-COMMANDS = {
-    "ingest": cmd_ingest,
-    "recast": cmd_recast,
-    "retrieve": cmd_retrieve,
-    "profile": cmd_profile,
-    "score": cmd_score,
-    "analyze": cmd_analyze,
-    "report": cmd_report,
+#: Each command's stage and the settings it cannot run without.
+COMMANDS: dict[str, tuple[Callable[[RunConfig], Artifacts], tuple[str, ...]]] = {
+    "ingest": (cmd_ingest, ("claims_path", "evidence_path")),
+    "recast": (cmd_recast, ("triplets_path",)),
+    "retrieve": (cmd_retrieve, ("claims_path",)),
+    "profile": (cmd_profile, ("claims_path", "evidence_path")),
+    "score": (cmd_score, ("claims_path", "evidence_path", "claim_template", "evidence_template")),
+    "analyze": (cmd_analyze, ("scored_path", "evidence_path")),
+    "report": (cmd_report, ("run_dir",)),
 }
 
 
@@ -624,41 +606,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _discard_if_empty(run_dir: Optional[Path]) -> None:
-    """Drop a run dir that never got past the echoed config."""
-    if run_dir is None:
-        return
-    leftovers = [p.name for p in run_dir.iterdir()]
-    if leftovers in ([], ["resolved_config.json"]):
-        for p in run_dir.iterdir():
-            p.unlink()
-        run_dir.rmdir()
-        try:
-            run_dir.parent.rmdir()
-        except OSError:
-            pass
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    run_dir: Optional[Path] = None
+    stage, required = COMMANDS[args.command]
     try:
-        overrides = {dest: getattr(args, dest) for _, dest, _ in _FLAGS}
-        config = load_config(args.config, overrides)
-        run_dir = make_run_dir(config, args.command)
-        outputs = COMMANDS[args.command](config, run_dir)
+        config = load_config(args.config, {dest: getattr(args, dest) for _, dest, _ in _FLAGS})
+        _check_out_dir(config)
+        missing = [name for name in required if not getattr(config, name)]
+        if missing:
+            raise ConfigError(f"missing required settings: {', '.join(missing)}")
+        artifacts = stage(config)
+        run_dir = write_run(config, args.command, artifacts)
     except ContextMeterError as exc:
-        _discard_if_empty(run_dir)
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1
-    print(
-        canonical_json(
-            {"command": args.command, "outputs": outputs, "run_dir": str(run_dir)}
-        )
-    )
+    print(canonical_json({"command": args.command, "outputs": list(artifacts), "run_dir": str(run_dir)}))
     return 0
 
 

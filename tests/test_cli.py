@@ -42,6 +42,12 @@ def read_rows(path: Path) -> list[dict]:
     return [row for _, row in read_jsonl(path)]
 
 
+def source_env() -> dict[str, str]:
+    """The environment with the imported package's source root first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def header_line(path: Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8").splitlines()[0])
 
@@ -185,6 +191,7 @@ class TestRunContract:
             [sys.executable, "-m", "contextmeter.cli", "--version"],
             capture_output=True,
             text=True,
+            env=source_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == __version__
@@ -194,9 +201,7 @@ class TestRunContract:
         # HTTP stack and the HTML parser load on the first live request only.
         probed = {"scipy", "numpy", "requests", "http.client", "urllib.request", "ssl", "email", "html.parser"}
         probe = f"import sys, contextmeter.cli; print(sorted({probed!r} & set(sys.modules)))"
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=source_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -406,9 +411,13 @@ class TestConfigErrors:
             "not-utf8-ingest", "not-utf8-recast", "not-utf8-profile", "not-utf8-replay-store",
             "not-utf8-config", "not-utf8-field-map", "not-utf8-report-artifact",
             "report-artifact-is-directory", "out-is-file", "out-under-file",
+            "out-is-dangling-symlink", "out-is-file-before-live-score", "analyze-characteristics-not-json",
+            "dangling-profile", "dangling-replay-score", "write-fails",
         ],
     )
-    def test_config_error_leaves_no_run_dir(self, druid_fixture_paths, tmp_path, case):
+    def test_config_error_leaves_no_run_dir(
+        self, druid_fixture_paths, replay_store, scored_run, tmp_path, monkeypatch, case
+    ):
         claims_path, evidence_path = druid_fixture_paths
         out = tmp_path / "runs"
         bad = tmp_path / "bad.jsonl"
@@ -439,6 +448,11 @@ class TestConfigErrors:
         ingest_with_map = [
             "ingest", "--claims", claims_path, "--evidence", evidence_path, "--field-map", field_map,
         ]
+        builtin_templates = ["--claim-template", "claim-0shot", "--evidence-template", "evidence-0shot"]
+        dangling = json.dumps({
+            "id": "e-x", "claim_id": "c-missing", "text": "Dangling evidence.",
+            "url": "https://example.org/x", "relevance": "relevant", "stance": "supports",
+        })
         # case: (exit code, {input file: content}, argv)
         cases = {
             "no-templates": (2, {}, ["score", "--claims", claims_path, "--evidence", evidence_path]),
@@ -501,6 +515,28 @@ class TestConfigErrors:
             "report-artifact-is-directory": (1, {}, ["report", "--run-dir", tmp_path]),
             "out-is-file": (2, {blocker: "a file"}, profile),
             "out-under-file": (2, {blocker: "a file"}, profile),
+            "out-is-dangling-symlink": (2, {blocker: "a file"}, profile),
+            # The --out check runs before the stage, so no provider is called.
+            "out-is-file-before-live-score": (
+                2,
+                {blocker: "a file"},
+                ["score", "--claims", claims_path, "--evidence", evidence_path, *builtin_templates,
+                 "--provider-endpoint", "http://127.0.0.1:9/v1", "--provider-id", "m"],
+            ),
+            "analyze-characteristics-not-json": (
+                1,
+                {bad: "{broken"},
+                ["analyze", "--scored", scored_run / "scored.jsonl", "--evidence", evidence_path,
+                 "--characteristics", bad],
+            ),
+            "dangling-profile": (1, {bad: dangling}, ["profile", "--claims", claims_path, "--evidence", bad]),
+            "dangling-replay-score": (
+                1,
+                {bad: dangling},
+                ["score", "--claims", claims_path, "--evidence", bad, *builtin_templates,
+                 "--replay", replay_store, "--provider-id", "hash-mock"],
+            ),
+            "write-fails": (1, {}, profile),
         }
         expected_code, files, argv = cases[case]
         for path, text in files.items():
@@ -510,7 +546,20 @@ class TestConfigErrors:
                 path.write_text(text + "\n", encoding="utf-8")
         if case == "report-artifact-is-directory":
             (tmp_path / "profile.json").mkdir()
-        out_root = {"out-is-file": blocker, "out-under-file": blocker / "runs"}.get(case, out)
+        if case == "out-is-dangling-symlink":
+            (tmp_path / "link").symlink_to(tmp_path / "nowhere")
+        if case == "write-fails":
+
+            def write_jsonl(path, *_args, **_kwargs):
+                raise OSError(28, "No space left on device", str(path))
+
+            monkeypatch.setattr(cli, "write_jsonl", write_jsonl)
+        out_root = {
+            "out-is-file": blocker,
+            "out-under-file": blocker / "runs",
+            "out-is-file-before-live-score": blocker,
+            "out-is-dangling-symlink": tmp_path / "link",
+        }.get(case, out)
         code, _, stderr = run_cli(*map(str, argv), "--out", str(out_root))
         assert code == expected_code
         assert len(stderr.strip().splitlines()) == 1
@@ -541,6 +590,16 @@ class TestConfigErrors:
         elif case.startswith("out-"):
             assert payload["error"] == "ConfigError"
             assert blocker.read_text(encoding="utf-8") == "a file\n"
+        elif case.startswith("dangling-"):
+            assert payload == {
+                "error": "DanglingReference",
+                "message": "evidence e-x references unknown claim c-missing",
+            }
+        elif case == "write-fails":
+            assert payload["error"] == "ContextMeterError"
+            assert "No space left on device" in payload["message"]
+            assert list(out.iterdir()) == []
+            out.rmdir()
         elif expected_code == 1:
             assert payload["error"] == "ParseError"
             assert re.search(r"\.jsonl?:\d+: ", payload["message"])
