@@ -30,9 +30,7 @@ from typing import Any, Callable, Optional
 
 from . import analysis, characteristics, ingest, lm, metrics, retrieval
 from ._version import __version__
-from .errors import (
-    ConfigError, ContextMeterError, DanglingReference, InvariantViolation, NoPairableValues, ParseError,
-)
+from .errors import ConfigError, ContextMeterError, InvariantViolation, NoPairableValues, ParseError
 from .model import (
     CharacteristicVector,
     ClaimRecord,
@@ -320,7 +318,7 @@ def _build_search_clients(config: RunConfig) -> list:
 
 
 def cmd_retrieve(config: RunConfig) -> Artifacts:
-    claims = _load_records(config.claims_path, ClaimRecord)
+    claims = list(ingest.load_druid(Path(config.claims_path)).claims.values())
     engines = _build_search_clients(config)
     if config.rerank_endpoint:
         reranker = retrieval.HttpRerankClient(
@@ -342,26 +340,12 @@ def cmd_retrieve(config: RunConfig) -> Artifacts:
     }
 
 
-def _load_pairs(config: RunConfig) -> tuple[list[ClaimRecord], list[tuple[ClaimRecord, EvidencePiece]]]:
-    """The claims, and each evidence row paired with its claim; evidence
-    naming an absent claim is a DanglingReference."""
-    claims = _load_records(config.claims_path, ClaimRecord)
-    by_id = {claim.id: claim for claim in claims}
-    pairs = []
-    for piece in _load_records(config.evidence_path, EvidencePiece):
-        claim = by_id.get(piece.claim_id)
-        if claim is None:
-            raise DanglingReference(f"evidence {piece.id} references unknown claim {piece.claim_id}")
-        pairs.append((claim, piece))
-    return claims, pairs
-
-
 def cmd_profile(config: RunConfig) -> Artifacts:
-    _, pairs = _load_pairs(config)
+    corpus = ingest.load_druid(Path(config.claims_path), Path(config.evidence_path))
     providers = characteristics.DetectorProviders(
         perplexity_model=config.provider_id or "model"
     )
-    vectors, report = characteristics.profile(pairs, providers=providers)
+    vectors, report = characteristics.profile(corpus.pairs(), providers=providers)
     return {"characteristics.jsonl": vectors, "profile.json": {"profile": report.to_dict()}}
 
 
@@ -400,8 +384,9 @@ def cmd_score(config: RunConfig) -> Artifacts:
     scorer = _build_scorer(config)
     acu_config = metrics.AcuConfig(form=config.acu_form)
 
-    claims, pairs = _load_pairs(config)
-    pairs = [(claim, piece) for claim, piece in pairs if piece.stance is not None]
+    corpus = ingest.load_druid(Path(config.claims_path), Path(config.evidence_path))
+    claims = list(corpus.claims.values())
+    pairs = [(claim, piece) for claim, piece in corpus.pairs() if piece.stance is not None]
     prompt_id = f"{claim_template.id}+{evidence_template.id}"
 
     claim_records = _parallel_map(

@@ -22,10 +22,6 @@ class InvariantViolation(ContextMeterError):
         self.field = field
 
 
-class DanglingReference(ContextMeterError):
-    """Evidence points at an unknown claim id."""
-
-
 class ParseError(ContextMeterError):
     """A line of an input file failed to parse; carries the line number."""
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Any, Optional
 
 from importlib import resources
 
@@ -46,17 +46,14 @@ class VerdictMappingTable:
         self.mapping = dict(mapping)
 
     @classmethod
-    def from_file(cls, path: Path) -> "VerdictMappingTable":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    def default(cls) -> "VerdictMappingTable":
+        path = resources.files("contextmeter") / "data" / "verdict_mapping.json"
+        raw = json.loads(path.read_text(encoding="utf-8"))
         return cls({label: ClaimVerdict(target) for label, target in raw.items()})
 
-    @classmethod
-    def default(cls) -> "VerdictMappingTable":
-        return cls.from_file(resources.files("contextmeter") / "data" / "verdict_mapping.json")
-
-    def map_verdict(self, raw_label: str) -> Optional[ClaimVerdict]:
+    def map_verdict(self, raw_label: Any) -> Optional[ClaimVerdict]:
         """Mapped verdict, or None as the drop marker."""
-        return self.mapping.get(raw_label)
+        return self.mapping.get(raw_label) if isinstance(raw_label, str) else None
 
 
 @dataclass
@@ -66,6 +63,10 @@ class Corpus:
     claims: dict[str, ClaimRecord]
     evidence: list[EvidencePiece]
     dropped_claims: int = 0
+
+    def pairs(self) -> list[tuple[ClaimRecord, EvidencePiece]]:
+        """Each evidence piece with its claim, in evidence order."""
+        return [(self.claims[piece.claim_id], piece) for piece in self.evidence]
 
     def per_source_counts(self) -> dict[str, tuple[int, int]]:
         """source -> (claims, evidence samples)."""
@@ -101,8 +102,8 @@ class Corpus:
         return count_inter_context_conflicts(self.claims.values(), self.evidence)
 
 
-def _translate(row: dict, field_map: Optional[dict[str, str]]) -> dict:
-    if not field_map:
+def _translate(row: Any, field_map: Optional[dict[str, str]]) -> Any:
+    if not field_map or not isinstance(row, dict):
         return row
     translated = dict(row)
     for ours, theirs in field_map.items():
@@ -113,15 +114,19 @@ def _translate(row: dict, field_map: Optional[dict[str, str]]) -> dict:
 
 def load_druid(
     claims_path: Path,
-    evidence_path: Path,
+    evidence_path: Optional[Path] = None,
     field_map: Optional[dict[str, dict[str, str]]] = None,
 ) -> Corpus:
-    """Load a claims + evidence JSON Lines pair into a validated corpus.
+    """Load a claims JSON Lines file, and the evidence joined to its claims,
+    into a validated corpus; every stage that reads claims reads them here.
 
     ``field_map`` translates upstream field names, e.g. ``{"claims":
     {"text": "claim"}}``. Rows carrying only a raw verdict are mapped
     through the default verdict mapping table; unmapped verdicts drop the
-    claim and its evidence.
+    claim and its evidence. A malformed row, a duplicate claim or evidence
+    id, evidence naming an unknown claim and a ``pub_after_claim`` flag that
+    disagrees with the dates are each a ParseError at the row's
+    ``path:line``. Without ``evidence_path`` the corpus holds no evidence.
     """
     field_map = field_map or {}
     table = VerdictMappingTable.default()
@@ -131,11 +136,11 @@ def load_druid(
     dropped_ids: set[str] = set()
     for line_no, row in read_jsonl(Path(claims_path)):
         row = _translate(row, field_map.get("claims"))
-        if "verdict" not in row or row["verdict"] is None:
-            verdict = table.map_verdict(row.get("raw_verdict", ""))
+        if isinstance(row, dict) and row.get("verdict") is None:
+            verdict = table.map_verdict(row.get("raw_verdict"))
             if verdict is None:
                 dropped += 1
-                if row.get("id"):
+                if isinstance(row.get("id"), str):
                     dropped_ids.add(row["id"])
                 continue
             row["verdict"] = verdict.value
@@ -148,6 +153,8 @@ def load_druid(
         claims[claim.id] = claim
 
     evidence: list[EvidencePiece] = []
+    if evidence_path is None:
+        return Corpus(claims=claims, evidence=evidence, dropped_claims=dropped)
     seen_evidence: set[str] = set()
     for line_no, row in read_jsonl(Path(evidence_path)):
         row = _translate(row, field_map.get("evidence"))
@@ -169,7 +176,10 @@ def load_druid(
                 f"evidence {piece.id!r} references unknown claim "
                 f"{piece.claim_id!r}",
             )
-        validate_sample(claims[piece.claim_id], piece)
+        try:
+            validate_sample(claims[piece.claim_id], piece)
+        except InvariantViolation as exc:
+            raise ParseError(str(evidence_path), line_no, str(exc)) from exc
         seen_evidence.add(piece.id)
         evidence.append(piece)
 

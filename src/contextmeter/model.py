@@ -30,7 +30,7 @@ from typing import (
     get_type_hints,
 )
 
-from .errors import DanglingReference, InvariantViolation, ParseError
+from .errors import InvariantViolation, ParseError
 
 
 class StanceLabel(str, Enum):
@@ -384,12 +384,7 @@ class CharacteristicVector(Record):
 def validate_sample(
     claim: ClaimRecord, evidence: EvidencePiece
 ) -> tuple[ClaimRecord, EvidencePiece]:
-    """Cross-validate a (claim, evidence) pair beyond per-type invariants."""
-    if evidence.claim_id != claim.id:
-        raise DanglingReference(
-            f"evidence {evidence.id} references claim {evidence.claim_id!r}, "
-            f"not {claim.id!r}"
-        )
+    """Check that evidence's ``pub_after_claim`` flag agrees with the dates."""
     if (
         evidence.pub_after_claim is not None
         and evidence.pub_date is not None

@@ -403,7 +403,7 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "case",
         [
-            "no-templates", "missing-claims-file", "claim-without-id", "bad-scored-mode",
+            "no-templates", "missing-claims-file", "claim-without-id", "claim-not-object", "bad-scored-mode",
             "report-artifact-not-json", "report-artifact-not-object",
             "sidecar-without-mode", "sidecar-not-json", "sidecar-unknown-mode",
             "field-map-list", "field-map-section-list", "field-map-name-not-string",
@@ -412,11 +412,14 @@ class TestConfigErrors:
             "not-utf8-config", "not-utf8-field-map", "not-utf8-report-artifact",
             "report-artifact-is-directory", "out-is-file", "out-under-file",
             "out-is-dangling-symlink", "out-is-file-before-live-score", "analyze-characteristics-not-json",
-            "dangling-profile", "dangling-replay-score", "write-fails",
+            "dangling-ingest", "dangling-profile", "dangling-replay-score",
+            "duplicate-evidence-ingest", "duplicate-evidence-profile", "duplicate-evidence-replay-score",
+            "pub-after-claim-ingest", "pub-after-claim-profile", "pub-after-claim-replay-score",
+            "duplicate-claim-profile", "duplicate-claim-retrieve", "write-fails",
         ],
     )
     def test_config_error_leaves_no_run_dir(
-        self, druid_fixture_paths, replay_store, scored_run, tmp_path, monkeypatch, case
+        self, druid_fixture_paths, fixture_corpus_dir, replay_store, scored_run, tmp_path, monkeypatch, case
     ):
         claims_path, evidence_path = druid_fixture_paths
         out = tmp_path / "runs"
@@ -449,10 +452,39 @@ class TestConfigErrors:
             "ingest", "--claims", claims_path, "--evidence", evidence_path, "--field-map", field_map,
         ]
         builtin_templates = ["--claim-template", "claim-0shot", "--evidence-template", "evidence-0shot"]
-        dangling = json.dumps({
-            "id": "e-x", "claim_id": "c-missing", "text": "Dangling evidence.",
+        piece = {
+            "id": "e-x", "claim_id": "c-pf-001", "text": "Some evidence.",
             "url": "https://example.org/x", "relevance": "relevant", "stance": "supports",
-        })
+        }
+        first_claim = claims_path.read_text(encoding="utf-8").splitlines()[0]
+        # Faults in joining evidence to claims: (bad file content, the one
+        # message every stage that reads the pair gives for it).
+        join_faults = {
+            "dangling": (
+                json.dumps({**piece, "claim_id": "c-missing"}),
+                f"{bad}:1: evidence 'e-x' references unknown claim 'c-missing'",
+            ),
+            "duplicate-evidence": (
+                json.dumps(piece) + "\n" + json.dumps(piece), f"{bad}:2: duplicate evidence id 'e-x'",
+            ),
+            "pub-after-claim": (
+                json.dumps({**piece, "pub_date": "2022-05-01", "pub_after_claim": True}),
+                f"{bad}:1: pub_after_claim: flag True inconsistent with dates 2022-05-01 vs 2022-05-10",
+            ),
+            "duplicate-claim": (first_claim + "\n" + first_claim, f"{bad}:2: duplicate claim id 'c-pf-001'"),
+        }
+        evidence_stages = {
+            "ingest": ["ingest", "--claims", claims_path, "--evidence", bad],
+            "profile": ["profile", "--claims", claims_path, "--evidence", bad],
+            "replay-score": [
+                "score", "--claims", claims_path, "--evidence", bad, *builtin_templates,
+                "--replay", replay_store, "--provider-id", "hash-mock",
+            ],
+        }
+        claim_stages = {
+            "profile": ["profile", "--claims", bad, "--evidence", evidence_path],
+            "retrieve": ["retrieve", "--claims", bad, "--fixture-corpus", fixture_corpus_dir],
+        }
         # case: (exit code, {input file: content}, argv)
         cases = {
             "no-templates": (2, {}, ["score", "--claims", claims_path, "--evidence", evidence_path]),
@@ -463,6 +495,11 @@ class TestConfigErrors:
                 1,
                 {bad: json.dumps({"text": "A claim.", "source": "politifact", "verdict": "True"})},
                 ["profile", "--claims", bad, "--evidence", evidence_path],
+            ),
+            "claim-not-object": (
+                1,
+                {bad: "5", field_map: '{"claims": {"text": "claim"}}'},
+                ["ingest", "--claims", bad, "--evidence", evidence_path, "--field-map", field_map],
             ),
             "bad-scored-mode": (
                 1, {bad: json.dumps(scored)}, ["analyze", "--scored", bad, "--evidence", evidence_path],
@@ -529,13 +566,15 @@ class TestConfigErrors:
                 ["analyze", "--scored", scored_run / "scored.jsonl", "--evidence", evidence_path,
                  "--characteristics", bad],
             ),
-            "dangling-profile": (1, {bad: dangling}, ["profile", "--claims", claims_path, "--evidence", bad]),
-            "dangling-replay-score": (
-                1,
-                {bad: dangling},
-                ["score", "--claims", claims_path, "--evidence", bad, *builtin_templates,
-                 "--replay", replay_store, "--provider-id", "hash-mock"],
-            ),
+            **{
+                f"{fault}-{stage}": (1, {bad: join_faults[fault][0]}, argv)
+                for fault in ("dangling", "duplicate-evidence", "pub-after-claim")
+                for stage, argv in evidence_stages.items()
+            },
+            **{
+                f"duplicate-claim-{stage}": (1, {bad: join_faults["duplicate-claim"][0]}, argv)
+                for stage, argv in claim_stages.items()
+            },
             "write-fails": (1, {}, profile),
         }
         expected_code, files, argv = cases[case]
@@ -561,6 +600,7 @@ class TestConfigErrors:
             "out-is-dangling-symlink": tmp_path / "link",
         }.get(case, out)
         code, _, stderr = run_cli(*map(str, argv), "--out", str(out_root))
+        join_fault = next((fault for fault in join_faults if case.startswith(f"{fault}-")), None)
         assert code == expected_code
         assert len(stderr.strip().splitlines()) == 1
         payload = json.loads(stderr)
@@ -590,11 +630,8 @@ class TestConfigErrors:
         elif case.startswith("out-"):
             assert payload["error"] == "ConfigError"
             assert blocker.read_text(encoding="utf-8") == "a file\n"
-        elif case.startswith("dangling-"):
-            assert payload == {
-                "error": "DanglingReference",
-                "message": "evidence e-x references unknown claim c-missing",
-            }
+        elif join_fault:
+            assert payload == {"error": "ParseError", "message": join_faults[join_fault][1]}
         elif case == "write-fails":
             assert payload["error"] == "ContextMeterError"
             assert "No space left on device" in payload["message"]
@@ -777,6 +814,33 @@ class TestIngestRecast:
         reloaded = [ClaimRecord.from_dict(row) for row in read_rows(artifact)]
         original = [ClaimRecord.from_dict(row) for _, row in read_jsonl(claims_path)]
         assert reloaded == original
+
+    def test_profile_maps_raw_verdicts_as_ingest_does(self, tmp_path):
+        claims = tmp_path / "claims.jsonl"
+        evidence = tmp_path / "evidence.jsonl"
+        claim = {"text": "The national debt doubled in a single year.", "source": "politifact"}
+        claims.write_text(
+            json.dumps({**claim, "id": "c1", "raw_verdict": "MISLEADING"}) + "\n"
+            + json.dumps({**claim, "id": "c2", "raw_verdict": "Pants on Fire!"}) + "\n"
+        )
+        evidence.write_text("".join(
+            json.dumps({"id": f"e-{claim_id}", "claim_id": claim_id, "text": "Borrowing doubled."}) + "\n"
+            for claim_id in ("c1", "c2")
+        ))
+        code, stdout, stderr = run_cli(
+            "ingest", "--claims", str(claims), "--evidence", str(evidence), "--out", str(tmp_path),
+        )
+        assert code == 0, stderr
+        ingested = run_dir_of(stdout)
+        rows = []
+        for inputs in ((claims, evidence), (ingested / "claims.jsonl", ingested / "evidence.jsonl")):
+            code, stdout, stderr = run_cli(
+                "profile", "--claims", str(inputs[0]), "--evidence", str(inputs[1]), "--out", str(tmp_path),
+            )
+            assert code == 0, stderr
+            rows.append(read_rows(run_dir_of(stdout) / "characteristics.jsonl"))
+        assert [row["evidence_id"] for row in rows[0]] == ["e-c1"]
+        assert rows[0] == rows[1]
 
     def test_recast_counterfact_writes_balanced_corpus(self, tmp_path):
         triplets = tmp_path / "triplets.jsonl"

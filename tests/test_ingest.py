@@ -43,13 +43,6 @@ class TestVerdictMapping:
         assert table.map_verdict("Pants on Fire!") is None
         assert table.map_verdict("") is None
 
-    def test_custom_table_from_file(self, tmp_path):
-        path = tmp_path / "mapping.json"
-        path.write_text(json.dumps({"Yes": "True", "No": "False"}))
-        table = ing.VerdictMappingTable.from_file(path)
-        assert table.map_verdict("Yes") is ClaimVerdict.TRUE
-        assert table.map_verdict("Maybe") is None
-
 
 class TestLoadDruid:
     def test_fixture_statistics(self, druid_fixture_paths):
@@ -131,14 +124,16 @@ class TestLoadDruid:
         evidence = tmp_path / "evidence.jsonl"
         row = claim_row(raw_verdict="Pants on Fire!")
         del row["verdict"]
-        write_lines(claims, [row])
+        # A label that is not a string has no mapping either, whatever its id.
+        not_a_label = {**row, "id": ["c2"], "raw_verdict": ["MISLEADING"]}
+        write_lines(claims, [row, not_a_label])
         write_lines(
             evidence,
             [{"id": "e1", "claim_id": "c1", "text": "t", "url": "https://x.example"}],
         )
         corpus = ing.load_druid(claims, evidence)
         assert corpus.totals() == (0, 0)
-        assert corpus.dropped_claims == 1
+        assert corpus.dropped_claims == 2
 
     def test_empty_files(self, tmp_path):
         claims = tmp_path / "claims.jsonl"
@@ -183,8 +178,11 @@ class TestLoadDruid:
                 }
             ],
         )
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(ParseError) as exc_info:
             ing.load_druid(claims, evidence)
+        assert str(exc_info.value) == (
+            f"{evidence}:1: pub_after_claim: flag True inconsistent with dates 2021-01-01 vs 2022-01-01"
+        )
 
 
 class TestRecastCounterfact:

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from contextmeter.errors import (
-    DanglingReference,
     InvariantViolation,
     ParseError,
     ZeroMass,
@@ -245,12 +244,6 @@ class TestScoredSample:
 
 
 class TestValidateSample:
-    def test_dangling_reference(self):
-        claim = make_claim(id="c1")
-        piece = make_evidence(claim_id="c2")
-        with pytest.raises(DanglingReference):
-            validate_sample(claim, piece)
-
     def test_pub_after_claim_consistency(self):
         claim = make_claim(claim_date=date(2022, 1, 1))
         piece = make_evidence(pub_date=date(2021, 1, 1), pub_after_claim=True)
