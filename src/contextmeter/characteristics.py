@@ -360,12 +360,11 @@ class DetectorProviders:
 
 def _vectors(
     pairs: Iterable[tuple[ClaimRecord, EvidencePiece]], lexicon: Optional[HedgeLexicon],
-    reliability: Optional[ReliabilityList], providers: Optional[DetectorProviders],
+    reliability: Optional[ReliabilityList], providers: DetectorProviders,
 ) -> list[CharacteristicVector]:
     """Run every configured detector on each pair, with the views ``profile`` describes."""
     lexicon = lexicon or HedgeLexicon.default()
     reliability = reliability or ReliabilityList.default()
-    providers = providers or DetectorProviders()
     claim_views: dict[str, tuple[TextView, list[TextView]]] = {}
     syllables: dict[str, Optional[int]] = {}
     vectors = []
@@ -421,17 +420,6 @@ def _vectors(
             )
         )
     return vectors
-
-
-def characteristic_vector(
-    claim: ClaimRecord,
-    evidence: EvidencePiece,
-    lexicon: Optional[HedgeLexicon] = None,
-    reliability: Optional[ReliabilityList] = None,
-    providers: Optional[DetectorProviders] = None,
-) -> CharacteristicVector:
-    """Run every configured detector on one (claim, evidence) pair."""
-    return _vectors([(claim, evidence)], lexicon, reliability, providers)[0]
 
 
 #: Reporting rows of the corpus profile and the correlation grid, in order,

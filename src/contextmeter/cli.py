@@ -358,9 +358,7 @@ def _build_scorer(config: RunConfig) -> lm.VerdictScorer:
         if not config.provider_id:
             raise ConfigError("replay without a provider requires provider_id")
         store = lm.ReplayStore(Path(config.replay_store))
-        return lm.VerdictScorer(
-            store=store, mode="replay", provider_id=config.provider_id
-        )
+        return lm.VerdictScorer(store=store, provider_id=config.provider_id)
     if not config.provider_endpoint:
         raise ConfigError("score needs a provider endpoint or a replay store")
     if not config.provider_id:
@@ -371,10 +369,8 @@ def _build_scorer(config: RunConfig) -> lm.VerdictScorer:
         auth_env_var=config.auth_env_var,
         timeout=config.request_timeout,
     )
-    if config.record_store:
-        store = lm.ReplayStore(Path(config.record_store))
-        return lm.VerdictScorer(provider=provider, store=store, mode="record")
-    return lm.VerdictScorer(provider=provider)
+    store = lm.ReplayStore(Path(config.record_store)) if config.record_store else None
+    return lm.VerdictScorer(provider=provider, store=store)
 
 
 def cmd_score(config: RunConfig) -> Artifacts:

@@ -8,8 +8,10 @@ falls back to its longest present prefix (the first token of a multi-token
 label). Masses are mapped through the template's verbalizer and
 renormalized to sum to 1.
 
-All scoring can run through a record/replay store so that downstream
-reports are reproducible without model access.
+Scoring can run through a record/replay store: a prompt the store holds
+is served from it, any other goes to the provider and is appended, so
+downstream reports are reproducible without model access and a crashed
+recording run resumes where it stopped.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Protocol, Union
+from typing import Optional, Protocol
 
 from importlib import resources
 
@@ -31,6 +33,7 @@ from .errors import (
     DegenerateText,
     InvariantViolation,
     MissingSlotValue,
+    ParseError,
     ProviderError,
     ReplayMiss,
     StoreCorruption,
@@ -44,7 +47,7 @@ from .model import (
     VerdictLabel,
     VerdictProbabilities,
     canonical_json,
-    split_lines,
+    read_jsonl,
 )
 
 CLAIMANT_SLOT = "<claimant>"
@@ -126,20 +129,6 @@ def load_template(template_id: str, base_dir: Optional[Path] = None) -> PromptTe
         ) from exc
 
 
-BUILTIN_TEMPLATE_IDS = (
-    "llama-claim-3shot",
-    "pythia-claim-3shot",
-    "claim-0shot",
-    "llama-evidence-3shot",
-    "pythia-evidence-3shot",
-    "evidence-0shot",
-)
-
-
-def builtin_templates() -> dict[str, PromptTemplate]:
-    return {tid: load_template(tid) for tid in BUILTIN_TEMPLATE_IDS}
-
-
 def _drop_claimant_lines(body: str) -> str:
     lines = body.split("\n")
     kept: list[str] = []
@@ -158,39 +147,30 @@ def _drop_claimant_lines(body: str) -> str:
 
 def render_prompt(
     template: PromptTemplate,
-    claim: Union[ClaimRecord, str],
-    evidence: Union[EvidencePiece, str, None] = None,
-    claimant: Optional[str] = None,
+    claim: ClaimRecord,
+    evidence: Optional[EvidencePiece] = None,
 ) -> str:
-    """Substitute slot values into the template body.
+    """Substitute the records' values into the template body.
 
-    ``claim``/``evidence`` accept records or raw strings; a claimant passed
-    explicitly overrides the record's. Claimant lines are removed wholesale
-    when the template says to exclude them.
+    Claimant lines are removed wholesale when the template excludes them or
+    the claim has no claimant (None); an empty claimant is a missing value.
     """
-    if isinstance(claim, ClaimRecord):
-        claim_text = claim.text
-        if claimant is None:
-            claimant = claim.claimant
-    else:
-        claim_text = claim
-    evidence_text = evidence.text if isinstance(evidence, EvidencePiece) else evidence
-
-    if not claim_text:
+    evidence_text = None if evidence is None else evidence.text
+    if not claim.text:
         raise MissingSlotValue("claim text is empty")
     if template.mode is PromptMode.CLAIM_EVIDENCE and not evidence_text:
         raise MissingSlotValue("claim+evidence template requires evidence text")
-    if template.mode is PromptMode.CLAIM_ONLY and evidence_text is not None:
+    if template.mode is PromptMode.CLAIM_ONLY and evidence is not None:
         raise InvariantViolation("evidence", "claim-only template does not accept evidence")
 
     body = template.body
-    if template.include_claimant:
-        if not claimant:
-            raise MissingSlotValue("template includes claimant lines but no claimant given")
-        body = body.replace(CLAIMANT_SLOT, claimant)
+    if template.include_claimant and claim.claimant is not None:
+        if not claim.claimant:
+            raise MissingSlotValue("template includes claimant lines but the claimant is empty")
+        body = body.replace(CLAIMANT_SLOT, claim.claimant)
     else:
         body = _drop_claimant_lines(body)
-    body = body.replace(CLAIM_SLOT, claim_text)
+    body = body.replace(CLAIM_SLOT, claim.text)
     if template.mode is PromptMode.CLAIM_EVIDENCE:
         body = body.replace(EVIDENCE_SLOT, evidence_text)
     return body
@@ -386,23 +366,15 @@ class ReplayStore:
             self._load()
 
     def _load(self) -> None:
-        with self.path.open("rb") as handle:
-            for line_no, raw in enumerate(split_lines(handle), start=1):
+        try:
+            for line_no, data in read_jsonl(self.path):
                 try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise StoreCorruption(f"{self.path}:{line_no}: not UTF-8: {exc.reason}") from exc
-                if not line.strip():
-                    continue
-                try:
-                    record = ScoreRecord.from_dict(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise StoreCorruption(
-                        f"{self.path}:{line_no}: unparseable line ({exc.msg})"
-                    ) from exc
+                    record = ScoreRecord.from_dict(data)
                 except StoreCorruption as exc:
                     raise StoreCorruption(f"{self.path}:{line_no}: {exc}") from exc
                 self._records[record.key] = record
+        except ParseError as exc:
+            raise StoreCorruption(str(exc)) from exc
 
     def __len__(self) -> int:
         return len(self._records)
@@ -417,54 +389,45 @@ class ReplayStore:
                 handle.write(canonical_json(record.to_dict()) + "\n")
 
 
-SCORER_MODES = ("record", "replay", "passthrough")
-
-
 class VerdictScorer:
-    """Scores prompts through a provider and/or a replay store.
+    """Scores prompts from a replay store, calling the provider for the rest.
 
-    record: call the provider, persist every result.
-    replay: serve exclusively from the store; the provider is never
-      contacted (it may be omitted entirely).
-    passthrough: call the provider, persist nothing.
+    A prompt the store holds is served from it and never reaches the
+    provider. Any other prompt goes to the provider, and its record is
+    appended to the store when there is one; with no provider it is a
+    ReplayMiss.
     """
 
     def __init__(
         self,
         provider: Optional[LogprobProvider] = None,
         store: Optional[ReplayStore] = None,
-        mode: str = "passthrough",
         provider_id: Optional[str] = None,
     ):
-        if mode not in SCORER_MODES:
-            raise InvariantViolation("mode", f"expected one of {SCORER_MODES}, got {mode!r}")
-        if mode in ("record", "passthrough") and provider is None:
-            raise InvariantViolation("provider", f"{mode} mode requires a provider")
-        if mode in ("record", "replay") and store is None:
-            raise InvariantViolation("store", f"{mode} mode requires a store")
-        self.mode = mode
         self._provider = provider
         self._store = store
         self.provider_id = provider_id or (provider.provider_id if provider else None)
         if self.provider_id is None:
-            raise InvariantViolation("provider_id", "replay without provider needs an explicit provider_id")
+            raise InvariantViolation("provider_id", "a scorer without a provider needs an explicit provider_id")
 
-    def score_prompt(
+    def score(
         self,
-        prompt: str,
-        verbalizer_map: dict[str, VerdictLabel],
-        mode: PromptMode,
+        template: PromptTemplate,
+        claim: ClaimRecord,
+        evidence: Optional[EvidencePiece] = None,
     ) -> ScoreRecord:
+        prompt = render_prompt(template, claim, evidence)
         key_hash = prompt_hash(prompt)
-        if self.mode == "replay":
+        if self._store is not None:
             record = self._store.get(key_hash, self.provider_id)
-            if record is None:
-                raise ReplayMiss(
-                    f"no record for prompt_hash {key_hash[:12]} under provider {self.provider_id!r}"
-                )
-            return record
+            if record is not None:
+                return record
+        if self._provider is None:
+            raise ReplayMiss(
+                f"no record for prompt_hash {key_hash[:12]} under provider {self.provider_id!r}"
+            )
         probs, surface_probs = verdict_probabilities(
-            self._provider, prompt, verbalizer_map, mode
+            self._provider, prompt, template.verbalizer_map, template.mode
         )
         record = ScoreRecord(
             prompt_hash=key_hash,
@@ -473,17 +436,6 @@ class VerdictScorer:
             provider_id=self.provider_id,
             timestamp=time.time(),
         )
-        if self.mode == "record":
+        if self._store is not None:
             self._store.append(record)
         return record
-
-    def score(
-        self,
-        template: PromptTemplate,
-        claim: Union[ClaimRecord, str],
-        evidence: Union[EvidencePiece, str, None] = None,
-    ) -> ScoreRecord:
-        if isinstance(claim, ClaimRecord) and claim.claimant is None and template.include_claimant:
-            template = replace(template, include_claimant=False)
-        prompt = render_prompt(template, claim, evidence)
-        return self.score_prompt(prompt, template.verbalizer_map, template.mode)

@@ -19,7 +19,6 @@ from operator import attrgetter
 from pathlib import Path
 from typing import (
     Any,
-    BinaryIO,
     Callable,
     Iterable,
     Iterator,
@@ -128,6 +127,12 @@ def _sequence(converters: tuple[Optional[Callable], ...], build: Callable, each:
     return convert_fixed
 
 
+def _string(value: Any) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
 def _type_codec(tp: Any) -> tuple[Optional[Callable], Optional[Callable]]:
     """(encode, decode) for one annotated type; None means "pass as is"."""
     args = get_args(tp)
@@ -150,6 +155,8 @@ def _type_codec(tp: Any) -> tuple[Optional[Callable], Optional[Callable]]:
             return date.isoformat, date.fromisoformat
         if tp is bool:
             return None, bool
+        if tp is str:
+            return None, _string
     return None, None
 
 
@@ -173,8 +180,9 @@ class Record:
     """Base of the JSON Lines record types: one codec for every dataclass.
 
     Encoding maps enums to their values, dates to ISO-8601 strings, tuples
-    to lists and nested records to dicts; decoding inverts each step and
-    coerces ``bool`` fields with ``bool()``. A missing key takes the
+    to lists and nested records to dicts; decoding inverts each step,
+    coerces ``bool`` fields with ``bool()`` and rejects a ``str`` field
+    holding anything but a string. A missing key takes the
     field's default, or None for an ``Optional`` field. A missing required
     key or a value that does not convert raises InvariantViolation naming
     the field.
@@ -416,24 +424,20 @@ def write_jsonl(path: Path, records: Iterable[Any], header: Optional[dict] = Non
             fh.write(encode_line(record) + "\n")
 
 
-def split_lines(fh: BinaryIO) -> Iterator[bytes]:
-    """A binary file's lines, split as text mode splits them: at LF, CRLF or a lone CR."""
-    for block in fh:
-        yield from block.splitlines()
+def read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line_no, object) pairs, skipping a leading header line.
 
-
-def read_jsonl(path: Path, skip_header: bool = True) -> Iterator[tuple[int, dict]]:
-    """Yield (line_no, object) pairs; raises ParseError with the line number.
-
-    A line that is not UTF-8 or not JSON is a ParseError at that line; a
-    file that cannot be opened is one at line 0.
+    Lines split as text mode splits them: at LF, CRLF or a lone CR. A line
+    that is not UTF-8 or not JSON is a ParseError at that line; a file that
+    cannot be opened is one at line 0.
     """
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise ParseError(str(path), 0, f"cannot open: {exc.strerror or exc}") from exc
     with fh:
-        for line_no, raw in enumerate(split_lines(fh), start=1):
+        lines = (line for block in fh for line in block.splitlines())
+        for line_no, raw in enumerate(lines, start=1):
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:
@@ -444,6 +448,6 @@ def read_jsonl(path: Path, skip_header: bool = True) -> Iterator[tuple[int, dict
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(str(path), line_no, str(exc)) from exc
-            if skip_header and line_no == 1 and isinstance(obj, dict) and obj.get("kind") == "header":
+            if line_no == 1 and isinstance(obj, dict) and obj.get("kind") == "header":
                 continue
             yield line_no, obj

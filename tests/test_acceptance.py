@@ -445,7 +445,6 @@ def test_criterion_09_replay_determinism(druid_fixture_paths, tmp_path):
     recorder = lm.VerdictScorer(
         provider=HashLogprobProvider(),
         store=lm.ReplayStore(store_path),
-        mode="record",
     )
     claim_template = lm.load_template("claim-0shot")
     evidence_template = lm.load_template("evidence-0shot")
@@ -501,7 +500,6 @@ def test_criterion_09_replay_determinism(druid_fixture_paths, tmp_path):
     replayer = lm.VerdictScorer(
         provider=PoisonProvider(),
         store=lm.ReplayStore(store_path),
-        mode="replay",
         provider_id="hash-mock",
     )
     for claim in claims:

@@ -1,0 +1,66 @@
+"""The benchmark's tracer still finds every name it wraps in the package.
+
+``bench/tracing.py`` patches contextmeter functions and methods by name, so
+renaming one of them breaks traced benchmark runs. Installing and removing
+the tracer here makes such a rename fail the test suite instead.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from conftest import HashLogprobProvider, make_claim
+from contextmeter import analysis, characteristics, cli, ingest, lm, metrics, model, retrieval
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+MODULES = (analysis, characteristics, cli, ingest, lm, metrics, model, retrieval)
+CLASSES = (
+    lm.ReplayStore,
+    lm.ScoreRecord,
+    lm.VerdictScorer,
+    ingest.Corpus,
+    characteristics.HedgeLexicon,
+    characteristics.ReliabilityList,
+    HashLogprobProvider,
+)
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def namespaces():
+    return {owner: dict(vars(owner)) for owner in (*MODULES, *CLASSES)}
+
+
+def test_install_wraps_and_uninstall_restores(tmp_path):
+    before = namespaces()
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install(HashLogprobProvider)
+        wrapped = [
+            (lm, "render_prompt"),
+            (lm, "prompt_hash"),
+            (lm, "load_template"),
+            (model, "read_jsonl"),
+            (lm.ReplayStore, "__init__"),
+            (lm.ReplayStore, "get"),
+            (lm.ReplayStore, "append"),
+            (lm.ScoreRecord, "checksum"),
+            (lm.VerdictScorer, "score"),
+        ]
+        for owner, name in wrapped:
+            assert vars(owner)[name] is not before[owner][name], f"{owner.__name__}.{name} not wrapped"
+        assert vars(lm)["read_jsonl"] is vars(model)["read_jsonl"]
+
+        store_path = tmp_path / "store.jsonl"
+        scorer = lm.VerdictScorer(provider=HashLogprobProvider(), store=lm.ReplayStore(store_path))
+        scorer.score(lm.load_template("claim-0shot"), make_claim())
+        lm.ReplayStore(store_path)
+        expected = {"lm.replay_misses": 1, "lm.provider.calls": 1, "lm.store_appends": 1, "lm.store_records_loaded": 1}
+        assert {name: tracer.counts[name] for name in expected} == expected
+    finally:
+        tracer.uninstall()
+    assert namespaces() == before

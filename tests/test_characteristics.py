@@ -369,7 +369,7 @@ class TestCharacteristicVector:
         )
         claim = make_claim()
         evidence = make_evidence(is_gold_source=True, pub_after_claim=False)
-        vector = ch.characteristic_vector(claim, evidence, providers=providers)
+        (vector,), _ = ch.profile([(claim, evidence)], providers=providers)
         assert vector.claim_id == claim.id
         assert vector.evidence_id == evidence.id
         assert vector.perplexity == 12.5
@@ -381,7 +381,7 @@ class TestCharacteristicVector:
         assert vector.evidence_len_chars == len(evidence.text)
 
     def test_optional_detectors_default_to_none(self):
-        vector = ch.characteristic_vector(make_claim(), make_evidence())
+        (vector,), _ = ch.profile([(make_claim(), make_evidence())])
         assert vector.perplexity is None
         assert vector.refers_external is None
 
@@ -450,9 +450,8 @@ class TestProfile:
         assert all(value is None for value in report.rows.values())
 
     def test_perplexity_model_names_row(self):
-        vector = ch.characteristic_vector(
-            make_claim(),
-            make_evidence(),
+        (vector,), _ = ch.profile(
+            [(make_claim(), make_evidence())],
             providers=ch.DetectorProviders(
                 perplexity=lambda t: 5.0, perplexity_model="llama"
             ),
@@ -795,14 +794,3 @@ def test_profile_keeps_no_syllable_counts_between_calls(monkeypatch):
     first = len(calls)
     ch.profile(pairs)
     assert first == len(calls) - first == len(set(text.split()))
-
-
-def test_characteristic_vector_skips_the_corpus_aggregate(monkeypatch):
-    def no_aggregate(*_args, **_kwargs):
-        raise AssertionError("characteristic_vector built the corpus aggregate")
-
-    monkeypatch.setattr(ch, "aggregate_profile", no_aggregate)
-    claim, evidence = make_claim(), make_evidence()
-    assert ch.characteristic_vector(claim, evidence) == text_characteristic_vector(
-        claim, evidence, ch.HedgeLexicon.default(), ch.ReliabilityList.default(), ch.DetectorProviders()
-    )

@@ -22,7 +22,7 @@ from conftest import HashLogprobProvider
 from contextmeter import cli, lm, retrieval
 from contextmeter._version import __version__
 from contextmeter.analysis import GRID_CHARACTERISTICS
-from contextmeter.errors import InvariantViolation, ParseError
+from contextmeter.errors import InvariantViolation, ParseError, ProviderError
 from contextmeter.model import ClaimRecord, EvidencePiece, read_jsonl
 
 
@@ -65,7 +65,6 @@ def replay_store(tmp_path_factory, druid_fixture_paths) -> Path:
     scorer = lm.VerdictScorer(
         provider=HashLogprobProvider(),
         store=lm.ReplayStore(store_path),
-        mode="record",
     )
     claim_template = lm.load_template("claim-0shot")
     evidence_template = lm.load_template("evidence-0shot")
@@ -404,6 +403,7 @@ class TestConfigErrors:
         "case",
         [
             "no-templates", "missing-claims-file", "claim-without-id", "claim-not-object", "bad-scored-mode",
+            "claim-id-list", "claim-text-number", "evidence-claim-id-list",
             "report-artifact-not-json", "report-artifact-not-object",
             "sidecar-without-mode", "sidecar-not-json", "sidecar-unknown-mode",
             "field-map-list", "field-map-section-list", "field-map-name-not-string",
@@ -485,6 +485,15 @@ class TestConfigErrors:
             "profile": ["profile", "--claims", bad, "--evidence", evidence_path],
             "retrieve": ["retrieve", "--claims", bad, "--fixture-corpus", fixture_corpus_dir],
         }
+        # A string field holding another JSON type: (row, argv, message after path:line).
+        claim = {"id": "c1", "text": "A claim.", "source": "politifact", "verdict": "True"}
+        type_faults = {
+            "claim-id-list": ({**claim, "id": ["c1"]}, claim_stages["profile"], "id: expected a string, got list"),
+            "claim-text-number": ({**claim, "text": 7}, claim_stages["profile"], "text: expected a string, got int"),
+            "evidence-claim-id-list": (
+                {**piece, "claim_id": ["c-pf-001"]}, evidence_stages["profile"], "claim_id: expected a string, got list",
+            ),
+        }
         # case: (exit code, {input file: content}, argv)
         cases = {
             "no-templates": (2, {}, ["score", "--claims", claims_path, "--evidence", evidence_path]),
@@ -501,6 +510,7 @@ class TestConfigErrors:
                 {bad: "5", field_map: '{"claims": {"text": "claim"}}'},
                 ["ingest", "--claims", bad, "--evidence", evidence_path, "--field-map", field_map],
             ),
+            **{case: (1, {bad: json.dumps(row)}, argv) for case, (row, argv, _) in type_faults.items()},
             "bad-scored-mode": (
                 1, {bad: json.dumps(scored)}, ["analyze", "--scored", bad, "--evidence", evidence_path],
             ),
@@ -637,6 +647,8 @@ class TestConfigErrors:
             assert "No space left on device" in payload["message"]
             assert list(out.iterdir()) == []
             out.rmdir()
+        elif case in type_faults:
+            assert payload == {"error": "ParseError", "message": f"{bad}:1: {type_faults[case][2]}"}
         elif expected_code == 1:
             assert payload["error"] == "ParseError"
             assert re.search(r"\.jsonl?:\d+: ", payload["message"])
@@ -765,7 +777,6 @@ class TestFailureExitCode:
         scorer = lm.VerdictScorer(
             provider=HashLogprobProvider(),
             store=lm.ReplayStore(store_path),
-            mode="record",
         )
         template = lm.load_template("claim-0shot")
         for _, row in read_jsonl(claims_path):
@@ -948,6 +959,64 @@ class TestScore:
         assert set(means) == set(sums)
         for key, value in means.items():
             assert value == pytest.approx(sums[key] / 3)
+
+    def test_record_resumes_after_a_crash(self, druid_fixture_paths, tmp_path, monkeypatch):
+        claims_path, evidence_path = druid_fixture_paths
+        calls = []
+
+        class FailingProvider(HashLogprobProvider):
+            """Answers ``limit`` prompts in all, then fails every call."""
+
+            limit = None
+
+            def __init__(self, endpoint, provider_id, **_kwargs):
+                super().__init__(provider_id=provider_id)
+
+            def next_token_distribution(self, prompt):
+                if self.limit is not None and len(calls) >= self.limit:
+                    raise ProviderError("connection reset")
+                calls.append(prompt)
+                return super().next_token_distribution(prompt)
+
+        monkeypatch.setattr(lm, "HttpLogprobProvider", FailingProvider)
+
+        def record(workdir, limit=None):
+            # Relative store and out paths keep the config hash, and so the
+            # artifact headers, equal across the working directories.
+            workdir.mkdir(exist_ok=True)
+            monkeypatch.chdir(workdir)
+            FailingProvider.limit = limit
+            calls.clear()
+            return run_cli(
+                "score", "--claims", str(claims_path), "--evidence", str(evidence_path),
+                "--claim-template", "claim-0shot", "--evidence-template", "evidence-0shot",
+                "--provider-endpoint", "http://127.0.0.1:9/v1", "--provider-id", "hash-mock",
+                "--record", "store.jsonl", "--max-concurrency", "1", "--out", "runs",
+            )
+
+        code, stdout, stderr = record(tmp_path / "whole")
+        assert code == 0, stderr
+        uninterrupted = (run_dir_of(stdout) / "scored.jsonl").read_bytes()
+        prompts = len(calls)
+        assert prompts == 15  # 5 claims and 10 claim-evidence pairs
+
+        resumed = tmp_path / "resumed"
+        code, _, stderr = record(resumed, limit=7)
+        assert code == 1
+        assert json.loads(stderr)["error"] == "ProviderError"
+        assert not (resumed / "runs").exists()
+        assert len(lm.ReplayStore(resumed / "store.jsonl")) == 7
+        first_calls = list(calls)
+
+        code, stdout, stderr = record(resumed)
+        assert code == 0, stderr
+        assert len(calls) == prompts - 7
+        assert not set(calls) & set(first_calls)
+        assert (run_dir_of(stdout) / "scored.jsonl").read_bytes() == uninterrupted
+
+        code, _, stderr = record(resumed)
+        assert code == 0, stderr
+        assert calls == []
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -16,6 +17,7 @@ from contextmeter.errors import (
     StoreCorruption,
     ZeroMass,
 )
+from contextmeter.ingest import load_druid
 from contextmeter.model import PromptMode, VerdictLabel
 
 from conftest import (
@@ -32,14 +34,24 @@ FULL_MAP = {
     "False": VerdictLabel.FALSE,
 }
 
+TEMPLATE_IDS = (
+    "llama-claim-3shot",
+    "pythia-claim-3shot",
+    "claim-0shot",
+    "llama-evidence-3shot",
+    "pythia-evidence-3shot",
+    "evidence-0shot",
+)
+
 
 class TestBuiltinTemplates:
     def test_six_templates(self):
-        assert set(lm.builtin_templates()) == set(lm.BUILTIN_TEMPLATE_IDS)
-        assert len(lm.BUILTIN_TEMPLATE_IDS) == 6
+        shipped = {path.stem for path in lm._template_dir().iterdir() if path.name.endswith(".json")}
+        assert shipped == set(TEMPLATE_IDS)
+        assert {lm.load_template(tid).id for tid in TEMPLATE_IDS} == set(TEMPLATE_IDS)
 
     def test_modes_and_shots(self):
-        templates = lm.builtin_templates()
+        templates = {tid: lm.load_template(tid) for tid in TEMPLATE_IDS}
         expected = {
             "claim-0shot": (PromptMode.CLAIM_ONLY, 0),
             "evidence-0shot": (PromptMode.CLAIM_EVIDENCE, 0),
@@ -56,7 +68,7 @@ class TestBuiltinTemplates:
             assert len(template.verbalizer_map) == 3
 
     def test_evidence_templates_preserve_source_quirks(self):
-        body = lm.builtin_templates()["llama-evidence-3shot"].body
+        body = lm.load_template("llama-evidence-3shot").body
         # exact exemplar text: typographic quotes and a second exemplar whose
         # Claim/Evidence lines are adjacent without a blank line
         assert "“" in body
@@ -64,7 +76,7 @@ class TestBuiltinTemplates:
         assert re.search(r'Claim: "[^"]+"\nEvidence:', body)
 
     def test_llama_evidence_verbalizer(self):
-        template = lm.builtin_templates()["llama-evidence-3shot"]
+        template = lm.load_template("llama-evidence-3shot")
         assert template.verbalizer_map == {
             "Support": VerdictLabel.TRUE,
             "None": VerdictLabel.NONE,
@@ -130,7 +142,7 @@ class TestTemplateValidation:
 
 class TestRenderPrompt:
     def test_claimant_lines_present(self):
-        template = lm.builtin_templates()["llama-claim-3shot"]
+        template = lm.load_template("llama-claim-3shot")
         prompt = lm.render_prompt(template, make_claim(text="The sky is green."))
         assert prompt.count("Claimant:") == 4  # three exemplars + the target
         assert 'Claim: "The sky is green."' in prompt
@@ -138,7 +150,7 @@ class TestRenderPrompt:
 
     def test_claimant_dropped_when_disabled(self):
         template = replace(
-            lm.builtin_templates()["llama-claim-3shot"], include_claimant=False
+            lm.load_template("llama-claim-3shot"), include_claimant=False
         )
         prompt = lm.render_prompt(template, make_claim(claimant=None))
         assert "Claimant:" not in prompt
@@ -146,12 +158,12 @@ class TestRenderPrompt:
         assert "\n\n\n" not in prompt
 
     def test_claimant_from_record(self):
-        template = lm.builtin_templates()["llama-claim-3shot"]
+        template = lm.load_template("llama-claim-3shot")
         prompt = lm.render_prompt(template, make_claim(claimant="Jane Roe"))
         assert "Claimant: Jane Roe" in prompt
 
     def test_evidence_template(self):
-        template = lm.builtin_templates()["llama-evidence-3shot"]
+        template = lm.load_template("llama-evidence-3shot")
         prompt = lm.render_prompt(
             template,
             make_claim(text="The sky is green."),
@@ -161,31 +173,58 @@ class TestRenderPrompt:
         assert prompt.endswith("Answer:")
 
     def test_evidence_rejected_for_claim_only(self):
-        template = lm.builtin_templates()["llama-claim-3shot"]
+        template = lm.load_template("llama-claim-3shot")
         with pytest.raises(InvariantViolation):
             lm.render_prompt(template, make_claim(), evidence=make_evidence())
 
     def test_missing_evidence_rejected(self):
-        template = lm.builtin_templates()["llama-evidence-3shot"]
+        template = lm.load_template("llama-evidence-3shot")
         with pytest.raises(MissingSlotValue):
             lm.render_prompt(template, make_claim())
 
     def test_missing_claimant_rejected(self):
-        template = lm.builtin_templates()["llama-claim-3shot"]
+        template = lm.load_template("llama-claim-3shot")
         with pytest.raises(MissingSlotValue):
-            lm.render_prompt(template, make_claim(claimant=None))
+            lm.render_prompt(template, make_claim(claimant=""))
 
-    def test_plain_string_inputs(self):
-        template = lm.builtin_templates()["evidence-0shot"]
-        prompt = lm.render_prompt(
-            template, "The sky is green.", evidence="It is blue.",
-            claimant="Jane Roe",
+    def test_none_claimant_drops_claimant_lines(self):
+        template = lm.load_template("llama-claim-3shot")
+        claim = make_claim(claimant=None)
+        assert lm.render_prompt(template, claim) == lm.render_prompt(
+            replace(template, include_claimant=False), claim
         )
-        assert 'Claim: "The sky is green."' in prompt
 
     def test_prompt_hash_stable(self):
         assert lm.prompt_hash("abc") == lm.prompt_hash("abc")
         assert lm.prompt_hash("abc") != lm.prompt_hash("abd")
+
+
+#: prompt_hash of every built-in template rendered for make_claim() (with
+#: the default claimant, and with none) and, for evidence templates,
+#: make_evidence(). A store keys its records on these hashes, so a change
+#: to rendering that moves one of them orphans every store recorded before.
+GOLDEN_PROMPT_HASHES = {
+    ("claim-0shot", "Somebody"): "37f3d3184ec127b42eb24673965a360714944e4e84f108478c27890772fa5378",
+    ("claim-0shot", None): "f6a9b15a86a0377f3665461223ed36627eb830a13aebf5b14d5c894a6da73987",
+    ("evidence-0shot", "Somebody"): "bd88f90b2b78c571ecce9d9ec4d915f4405c7f3698640ca28a5fb43fb758fe55",
+    ("evidence-0shot", None): "1c83430b3b033654e0d30340da16586bb93901acee65c0b0fe0857d96f65c0bf",
+    ("llama-claim-3shot", "Somebody"): "97267177cfe9b51a022ed6ecc8eb5214a0bfaabb4f3bc3e4ca41b595b487abd0",
+    ("llama-claim-3shot", None): "a1904ccf2473ce9195c25613dbda6e1a40c43d37792ec92c4cea3f6fbc11f9a3",
+    ("llama-evidence-3shot", "Somebody"): "24a7c0c313117fa47b0566f9f299263aaddddc91e190d98671c97992bdf53fc4",
+    ("llama-evidence-3shot", None): "f27da3b6ba063d227222f619e0816c36ff6a606a7542fbae32e95e72b1fe82ff",
+    ("pythia-claim-3shot", "Somebody"): "e1f0a3ee6ae8e5b88ada541e3366c29e7f9364afb5b9d0985820f0708a22f595",
+    ("pythia-claim-3shot", None): "d5d3362ed938c987f36f1f936af7f8109a46d5134b67e3dc4c609e2215db5ffe",
+    ("pythia-evidence-3shot", "Somebody"): "e1700122d3fffbfe3753851d256bab3abb7f6e731d8a4b57cd7579a0ccfadd4e",
+    ("pythia-evidence-3shot", None): "57efab35d1d529c8703416bba713c0526c973dcbd47b790bbbc48be1caae467d",
+}
+
+
+@pytest.mark.parametrize("template_id, claimant", sorted(GOLDEN_PROMPT_HASHES, key=str))
+def test_golden_prompt_hashes(template_id, claimant):
+    template = lm.load_template(template_id)
+    evidence = make_evidence() if template.mode is PromptMode.CLAIM_EVIDENCE else None
+    prompt = lm.render_prompt(template, make_claim(claimant=claimant), evidence)
+    assert lm.prompt_hash(prompt) == GOLDEN_PROMPT_HASHES[template_id, claimant]
 
 
 class TestSurfaceMass:
@@ -288,8 +327,8 @@ class TestPerplexity:
 class TestScoreRecord:
     def _record(self):
         provider = HashLogprobProvider()
-        scorer = lm.VerdictScorer(provider=provider, mode="passthrough")
-        return scorer.score(lm.builtin_templates()["claim-0shot"], make_claim())
+        scorer = lm.VerdictScorer(provider=provider)
+        return scorer.score(lm.load_template("claim-0shot"), make_claim())
 
     def test_round_trip(self):
         record = self._record()
@@ -329,17 +368,16 @@ class TestReplayStore:
     def test_record_then_replay_identical(self, tmp_path):
         store_path = tmp_path / "store.jsonl"
         provider = HashLogprobProvider()
-        template = lm.builtin_templates()["claim-0shot"]
+        template = lm.load_template("claim-0shot")
         claim = make_claim(text="The sky is green.")
 
         recorder = lm.VerdictScorer(
-            provider=provider, store=lm.ReplayStore(store_path), mode="record"
+            provider=provider, store=lm.ReplayStore(store_path)
         )
         recorded = recorder.score(template, claim)
 
         replayer = lm.VerdictScorer(
-            store=lm.ReplayStore(store_path), mode="replay",
-            provider_id=provider.provider_id,
+            store=lm.ReplayStore(store_path), provider_id=provider.provider_id,
         )
         replayed = replayer.score(template, claim)
         assert replayed.probs == recorded.probs
@@ -349,29 +387,28 @@ class TestReplayStore:
     def test_replay_never_contacts_provider(self, tmp_path):
         store_path = tmp_path / "store.jsonl"
         provider = HashLogprobProvider()
-        template = lm.builtin_templates()["claim-0shot"]
+        template = lm.load_template("claim-0shot")
         claim = make_claim()
         lm.VerdictScorer(
-            provider=provider, store=lm.ReplayStore(store_path), mode="record"
+            provider=provider, store=lm.ReplayStore(store_path)
         ).score(template, claim)
 
         poisoned = lm.VerdictScorer(
             provider=PoisonProvider(), store=lm.ReplayStore(store_path),
-            mode="replay", provider_id=provider.provider_id,
+            provider_id=provider.provider_id,
         )
         poisoned.score(template, claim)  # PoisonProvider raises if touched
 
     def test_replay_miss(self, tmp_path):
         store_path = tmp_path / "store.jsonl"
         provider = HashLogprobProvider()
-        template = lm.builtin_templates()["claim-0shot"]
+        template = lm.load_template("claim-0shot")
         lm.VerdictScorer(
-            provider=provider, store=lm.ReplayStore(store_path), mode="record"
+            provider=provider, store=lm.ReplayStore(store_path)
         ).score(template, make_claim(text="Seen claim."))
 
         replayer = lm.VerdictScorer(
-            store=lm.ReplayStore(store_path), mode="replay",
-            provider_id=provider.provider_id,
+            store=lm.ReplayStore(store_path), provider_id=provider.provider_id,
         )
         with pytest.raises(ReplayMiss):
             replayer.score(template, make_claim(text="Unseen claim."))
@@ -379,9 +416,9 @@ class TestReplayStore:
     def test_tampered_store_rejected(self, tmp_path):
         store_path = tmp_path / "store.jsonl"
         provider = HashLogprobProvider()
-        template = lm.builtin_templates()["claim-0shot"]
+        template = lm.load_template("claim-0shot")
         record = lm.VerdictScorer(
-            provider=provider, store=lm.ReplayStore(store_path), mode="record"
+            provider=provider, store=lm.ReplayStore(store_path)
         ).score(template, make_claim())
 
         lines = store_path.read_text(encoding="utf-8").splitlines()
@@ -406,8 +443,8 @@ class TestReplayStore:
     def test_corruption_names_path_and_line(self, tmp_path, tamper, reason):
         store_path = tmp_path / "store.jsonl"
         store = lm.ReplayStore(store_path)
-        scorer = lm.VerdictScorer(provider=HashLogprobProvider(), store=store, mode="record")
-        template = lm.builtin_templates()["claim-0shot"]
+        scorer = lm.VerdictScorer(provider=HashLogprobProvider(), store=store)
+        template = lm.load_template("claim-0shot")
         scorer.score(template, make_claim(id="c1", text="First claim."))
         scorer.score(template, make_claim(id="c2", text="Second claim."))
         lines = store_path.read_text(encoding="utf-8").splitlines()
@@ -422,8 +459,8 @@ class TestReplayStore:
     def test_lines_may_end_in_lone_cr(self, tmp_path):
         store_path = tmp_path / "store.jsonl"
         store = lm.ReplayStore(store_path)
-        scorer = lm.VerdictScorer(provider=HashLogprobProvider(), store=store, mode="record")
-        template = lm.builtin_templates()["claim-0shot"]
+        scorer = lm.VerdictScorer(provider=HashLogprobProvider(), store=store)
+        template = lm.load_template("claim-0shot")
         scorer.score(template, make_claim(id="c1", text="First claim."))
         scorer.score(template, make_claim(id="c2", text="Second claim."))
         lines = store_path.read_text(encoding="utf-8").splitlines()
@@ -432,7 +469,7 @@ class TestReplayStore:
         store_path.write_text(lines[0] + "\r{broken\r", encoding="utf-8", newline="")
         with pytest.raises(StoreCorruption) as excinfo:
             lm.ReplayStore(store_path)
-        assert str(excinfo.value).startswith(f"{store_path}:2: unparseable line")
+        assert str(excinfo.value).startswith(f"{store_path}:2: Expecting property name")
 
     def test_truncated_line_rejected(self, tmp_path):
         store_path = tmp_path / "store.jsonl"
@@ -446,31 +483,45 @@ class TestReplayStore:
 
 
 class TestVerdictScorer:
-    def test_passthrough_requires_provider(self):
+    def test_needs_a_provider_id(self, tmp_path):
         with pytest.raises(InvariantViolation):
-            lm.VerdictScorer(mode="passthrough")
-
-    def test_unknown_mode_rejected(self):
+            lm.VerdictScorer()
         with pytest.raises(InvariantViolation):
-            lm.VerdictScorer(
-                provider=UniformLogprobProvider(), mode="cached"
-            )
-
-    def test_passthrough_does_not_write(self, tmp_path):
-        store_path = tmp_path / "store.jsonl"
-        scorer = lm.VerdictScorer(
-            provider=HashLogprobProvider(), store=lm.ReplayStore(store_path),
-            mode="passthrough",
-        )
-        scorer.score(lm.builtin_templates()["claim-0shot"], make_claim())
-        assert not store_path.exists() or len(lm.ReplayStore(store_path)) == 0
+            lm.VerdictScorer(store=lm.ReplayStore(tmp_path / "store.jsonl"))
 
     def test_none_claimant_falls_back_to_claimantless_prompt(self):
         provider = HashLogprobProvider()
-        scorer = lm.VerdictScorer(provider=provider, mode="passthrough")
-        template = lm.builtin_templates()["llama-claim-3shot"]
+        scorer = lm.VerdictScorer(provider=provider)
+        template = lm.load_template("llama-claim-3shot")
         record = scorer.score(template, make_claim(claimant=None))
         assert record.provider_id == provider.provider_id
+
+    def test_provider_called_only_for_unstored_prompts(self, druid_fixture_paths, tmp_path):
+        corpus = load_druid(*druid_fixture_paths)
+        claim_template, evidence_template = lm.load_template("claim-0shot"), lm.load_template("evidence-0shot")
+        requests = [(claim_template, claim, None) for claim in corpus.claims.values()]
+        requests += [(evidence_template, claim, piece) for claim, piece in corpus.pairs()]
+        prompts = [lm.render_prompt(*request) for request in requests]
+        assert len(set(prompts)) == len(prompts) > 2
+
+        store_path = tmp_path / "store.jsonl"
+        recorder = lm.VerdictScorer(provider=HashLogprobProvider(), store=lm.ReplayStore(store_path))
+        stored = {prompt: recorder.score(*request) for prompt, request in zip(prompts[::2], requests[::2])}
+
+        class Counting(HashLogprobProvider):
+            def next_token_distribution(self, prompt):
+                seen[prompt] += 1
+                return super().next_token_distribution(prompt)
+
+        seen = Counter()
+        scorer = lm.VerdictScorer(provider=Counting(), store=lm.ReplayStore(store_path))
+        records = [scorer.score(*request) for request in requests]
+        assert seen == Counter(prompt for prompt in prompts if prompt not in stored)
+        for prompt, record in zip(prompts, records):
+            if prompt in stored:
+                assert record == stored[prompt]
+        assert len(store_path.read_text(encoding="utf-8").splitlines()) == len(prompts)
+        assert len(lm.ReplayStore(store_path)) == len(prompts)
 
 
 class TestHttpProvider:

@@ -276,21 +276,21 @@ class TestJsonlIO:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "ok"}\n{broken\n', encoding="utf-8")
         with pytest.raises(ParseError) as exc_info:
-            list(read_jsonl(path, skip_header=False))
+            list(read_jsonl(path))
         assert exc_info.value.line_no == 2
         assert str(path) in str(exc_info.value)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.jsonl"
         path.write_text('{"a": 1}\n\n{"a": 2}\n', encoding="utf-8")
-        assert len(list(read_jsonl(path, skip_header=False))) == 2
+        assert len(list(read_jsonl(path))) == 2
 
     def test_lines_end_at_lf_crlf_or_lone_cr(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
         path.write_bytes(b'{"a": 1}\r{"a": 2}\r\n\r{"a": 3}\n{broken\r{"a": 4}')
         rows = []
         with pytest.raises(ParseError) as exc_info:
-            rows.extend(read_jsonl(path, skip_header=False))
+            rows.extend(read_jsonl(path))
         assert rows == [(1, {"a": 1}), (2, {"a": 2}), (4, {"a": 3})]
         assert exc_info.value.line_no == 5
 
@@ -298,7 +298,7 @@ class TestJsonlIO:
         path = tmp_path / "latin1.jsonl"
         path.write_bytes(b'{"a": 1}\r{"a": "\xe9"}\n')
         with pytest.raises(ParseError) as exc_info:
-            list(read_jsonl(path, skip_header=False))
+            list(read_jsonl(path))
         assert exc_info.value.line_no == 2
         assert "not UTF-8" in str(exc_info.value)
 
