@@ -21,7 +21,7 @@ def post_json(
     an object fail fast, while 5xx, connection errors, timeouts and a reply
     that is not JSON are retried.
 
-    ``error_cls`` must accept ``(message, retryable=...)``.
+    Every failure is raised as ``error_cls(message)``.
     """
     # Imported on first use: the HTTP stack (email, ssl, socket) adds ~33 ms to every start-up.
     import http.client
@@ -39,15 +39,15 @@ def post_json(
         except urllib.error.HTTPError as exc:
             exc.close()
             if 400 <= exc.code < 500:
-                raise error_cls(f"{url} returned {exc.code}", retryable=False) from None
-            last_error = error_cls(f"{url} returned {exc.code}", retryable=True)
+                raise error_cls(f"{url} returned {exc.code}") from None
+            last_error = error_cls(f"{url} returned {exc.code}")
         except (OSError, http.client.HTTPException, ValueError) as exc:
             # URLError and timeouts are OSErrors; a malformed URL and a
             # body that is not JSON are ValueErrors.
             last_error = exc
         else:
             if not isinstance(data, dict):
-                raise error_cls(f"{url} returned JSON {type(data).__name__}, not an object", retryable=False)
+                raise error_cls(f"{url} returned JSON {type(data).__name__}, not an object")
             return data
         if attempt < retries:
             time.sleep(backoff * (2 ** attempt))
@@ -56,11 +56,11 @@ def post_json(
 
 @contextmanager
 def reply_shape(url: str, error_cls) -> Iterator[None]:
-    """Report a reply without the documented fields or value types as a
-    non-retryable ``error_cls`` instead of a builtin exception."""
+    """Report a reply without the documented fields or value types as an
+    ``error_cls`` instead of a builtin exception."""
     try:
         yield
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise error_cls(
-            f"{url} returned a malformed reply: {type(exc).__name__}: {exc}", retryable=False
+            f"{url} returned a malformed reply: {type(exc).__name__}: {exc}"
         ) from exc

@@ -218,33 +218,10 @@ def krippendorff_alpha(units: Sequence[Sequence[Optional[object]]]) -> float:
 
 # -- stratified aggregation --------------------------------------------------------
 
-@dataclass(frozen=True)
-class StratifiedAcu:
-    """Per-stance mean ± population std of ACU, plus the grand mean."""
-
-    strata: dict[StanceLabel, tuple[float, float, int]]
-    grand_mean: float
-    grand_std: float
-    n: int
-    empty_strata: tuple[StanceLabel, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "strata": {
-                stance.value: {"mean": mean, "std": std, "n": count}
-                for stance, (mean, std, count) in self.strata.items()
-            },
-            "grand_mean": self.grand_mean,
-            "grand_std": self.grand_std,
-            "n": self.n,
-            "empty_strata": [stance.value for stance in self.empty_strata],
-        }
-
-
-def stratified_acu(
-    acus: Sequence[float], stances: Sequence[StanceLabel]
-) -> StratifiedAcu:
-    """Group ACU scores by evidence stance; empty strata are reported, not fatal."""
+def stratified_acu(acus: Sequence[float], stances: Sequence[StanceLabel]) -> dict:
+    """Group ACU scores by evidence stance: the exact-sum mean, population
+    std and count of each present stratum and of all scores, as
+    ``analysis.json`` holds them. Empty strata are listed, not fatal."""
     if len(acus) != len(stances):
         raise LengthMismatch(f"{len(acus)} scores vs {len(stances)} stances")
     if not acus:
@@ -252,68 +229,25 @@ def stratified_acu(
     groups: dict[StanceLabel, list[float]] = {}
     for value, stance in zip(acus, stances):
         groups.setdefault(stance, []).append(value)
-    strata = {}
-    for stance in StanceLabel:
-        if stance in groups:
-            stats = mean_std(groups[stance])
-            strata[stance] = (stats["mean"], stats["std"], stats["n"])
     grand = mean_std(acus)
-    return StratifiedAcu(
-        strata=strata,
-        grand_mean=grand["mean"],
-        grand_std=grand["std"],
-        n=len(acus),
-        empty_strata=tuple(s for s in StanceLabel if s not in groups),
-    )
+    return {
+        "strata": {stance.value: mean_std(groups[stance]) for stance in StanceLabel if stance in groups},
+        "grand_mean": grand["mean"],
+        "grand_std": grand["std"],
+        "n": len(acus),
+        "empty_strata": [stance.value for stance in StanceLabel if stance not in groups],
+    }
 
 
 # -- prediction-shift accounting ---------------------------------------------------
-
-@dataclass(frozen=True)
-class ShiftRow:
-    """One evidence-stance stratum of the prediction-shift table."""
-
-    n: int
-    counts_without: dict[VerdictLabel, int]
-    counts_with: dict[VerdictLabel, int]
-    delta: dict[VerdictLabel, int]
-    sum_delta_n_d: int
-    desirable_switches: int
-    undesirable_switches: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "counts_without": {k.value: v for k, v in self.counts_without.items()},
-            "counts_with": {k.value: v for k, v in self.counts_with.items()},
-            "delta": {k.value: v for k, v in self.delta.items()},
-            "sum_delta_n_d": self.sum_delta_n_d,
-            "desirable_switches": self.desirable_switches,
-            "undesirable_switches": self.undesirable_switches,
-        }
-
-
-@dataclass(frozen=True)
-class ShiftTable:
-    strata: dict[StanceLabel, ShiftRow]
-    total_delta_n_d: int
-    n: int
-
-    def to_dict(self) -> dict:
-        return {
-            "strata": {stance.value: row.to_dict() for stance, row in self.strata.items()},
-            "total_delta_n_d": self.total_delta_n_d,
-            "n": self.n,
-        }
-
 
 def prediction_shift(
     claim_only_preds: Sequence[VerdictLabel],
     with_evidence_preds: Sequence[VerdictLabel],
     stances: Sequence[StanceLabel],
-) -> ShiftTable:
+) -> dict:
     """Per-stance label counts in both modes and the desirability-signed
-    change ΣΔN_D = Σ_t D(t, S_E) · ΔN(t).
+    change ΣΔN_D = Σ_t D(t, S_E) · ΔN(t), as ``analysis.json`` holds them.
 
     A sample switching between labels contributes D(new) − D(old); crossing
     from an undesirable to a desirable label adds +2, the reverse −2, and a
@@ -331,19 +265,19 @@ def prediction_shift(
     for before, after, stance in zip(claim_only_preds, with_evidence_preds, stances):
         grouped.setdefault(stance, []).append((before, after))
 
-    strata: dict[StanceLabel, ShiftRow] = {}
+    strata: dict[str, dict] = {}
     total = 0
     for stance in StanceLabel:
         if stance not in grouped:
             continue
         pairs = grouped[stance]
-        counts_without = {label: 0 for label in CANONICAL_LABELS}
-        counts_with = {label: 0 for label in CANONICAL_LABELS}
+        counts_without = {label.value: 0 for label in CANONICAL_LABELS}
+        counts_with = dict(counts_without)
         desirable = 0
         undesirable = 0
         for before, after in pairs:
-            counts_without[before] += 1
-            counts_with[after] += 1
+            counts_without[before.value] += 1
+            counts_with[after.value] += 1
             if before != after:
                 d_before = DESIRABILITY[(before, stance)]
                 d_after = DESIRABILITY[(after, stance)]
@@ -351,24 +285,21 @@ def prediction_shift(
                     desirable += 1
                 elif d_after < d_before:
                     undesirable += 1
-        delta = {
-            label: counts_with[label] - counts_without[label]
-            for label in CANONICAL_LABELS
-        }
+        delta = {label: counts_with[label] - counts_without[label] for label in counts_with}
         sum_dnd = sum(
-            DESIRABILITY[(label, stance)] * delta[label] for label in CANONICAL_LABELS
+            DESIRABILITY[(label, stance)] * delta[label.value] for label in CANONICAL_LABELS
         )
-        strata[stance] = ShiftRow(
-            n=len(pairs),
-            counts_without=counts_without,
-            counts_with=counts_with,
-            delta=delta,
-            sum_delta_n_d=sum_dnd,
-            desirable_switches=desirable,
-            undesirable_switches=undesirable,
-        )
+        strata[stance.value] = {
+            "n": len(pairs),
+            "counts_without": counts_without,
+            "counts_with": counts_with,
+            "delta": delta,
+            "sum_delta_n_d": sum_dnd,
+            "desirable_switches": desirable,
+            "undesirable_switches": undesirable,
+        }
         total += sum_dnd
-    return ShiftTable(strata=strata, total_delta_n_d=total, n=len(stances))
+    return {"strata": strata, "total_delta_n_d": total, "n": len(stances)}
 
 
 # -- balanced mean absolute error --------------------------------------------------

@@ -470,33 +470,14 @@ def _unreliable_percent(verdicts: Sequence[Reliability]) -> dict[str, Optional[f
     }
 
 
-@dataclass
-class ProfileReport:
-    """Corpus-level aggregate of characteristic vectors.
-
-    ``rows`` is keyed by the reporting row names; continuous rows carry
-    mean/std, flag rows carry a percentage.
-    """
-
-    rows: dict[str, Optional[dict]]
-    total_instances: int
-    skipped: dict[str, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "Total instances": self.total_instances,
-            "skipped": self.skipped,
-        }
-
-
 def profile(
     pairs: Iterable[tuple[ClaimRecord, EvidencePiece]],
     lexicon: Optional[HedgeLexicon] = None,
     reliability: Optional[ReliabilityList] = None,
     providers: Optional[DetectorProviders] = None,
-) -> tuple[list[CharacteristicVector], ProfileReport]:
-    """Compute vectors for every pair plus the corpus aggregate report.
+) -> tuple[list[CharacteristicVector], dict]:
+    """Compute vectors for every pair plus the corpus aggregate
+    (``aggregate_profile``).
 
     Each call builds, once, the view of each evidence text, the views of each
     distinct claim text and its entities, and each distinct token's syllables.
@@ -508,7 +489,13 @@ def profile(
 
 def aggregate_profile(
     vectors: Sequence[CharacteristicVector], perplexity_model: str = "model"
-) -> ProfileReport:
+) -> dict:
+    """The corpus profile as ``profile.json`` holds it.
+
+    ``rows`` is keyed by the reporting row names: continuous rows carry
+    mean/std, flag rows a percentage, and a row no vector has a value for
+    is None. ``skipped`` counts, per row, the vectors without a value.
+    """
     rows: dict[str, Optional[dict]] = {}
     skipped: dict[str, int] = {}
     for name, attr in ROWS:
@@ -525,4 +512,4 @@ def aggregate_profile(
             rows[name] = _percent(present)
         else:
             rows[name] = mean_std(present)
-    return ProfileReport(rows=rows, total_instances=len(vectors), skipped=skipped)
+    return {"rows": rows, "Total instances": len(vectors), "skipped": skipped}

@@ -22,6 +22,7 @@ import json
 import os
 import shutil
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
@@ -194,33 +195,54 @@ def write_run(config: RunConfig, command: str, artifacts: Artifacts) -> Path:
     return run_dir
 
 
-def _load_records(path: str, cls: type) -> list:
-    """Decode every row of a JSON Lines file; a bad row is a ParseError."""
-    records = []
+def _load_records(path: str, cls: type, key: str) -> dict:
+    """Decode every row of a JSON Lines file, in file order, keyed by the
+    evidence id each record holds in its ``key`` field; a bad row or a
+    repeated id is a ParseError."""
+    records = {}
     for line_no, row in read_jsonl(Path(path)):
         try:
-            records.append(cls.from_dict(row))
+            record = cls.from_dict(row)
         except (InvariantViolation, TypeError) as exc:
             raise ParseError(path, line_no, str(exc)) from exc
+        evidence_id = getattr(record, key)
+        if evidence_id in records:
+            raise ParseError(path, line_no, f"duplicate evidence id {evidence_id!r}")
+        records[evidence_id] = record
     return records
 
 
 def _parallel_map(fn: Callable, items: list, label: Callable[[Any], str], workers: int) -> list:
     """``fn`` over ``items`` on a thread pool, results in input order.
 
-    A package error raised for an item gets ``label(item)`` prefixed to its
-    message, on the same exception object.
+    The first item to fail stops the map: no item starts after it, and its
+    error is raised once the items already running have finished. A package
+    error raised for an item gets ``label(item)`` prefixed to its message,
+    on the same exception object.
     """
+    failed = threading.Event()
 
     def run(item):
+        # Items start in input order, so one skipped here comes after the
+        # failure that the results loop below raises first.
+        if failed.is_set():
+            return None
         try:
             return fn(item)
-        except ContextMeterError as exc:
-            exc.args = (f"{label(item)}: {exc}",)
+        except Exception as exc:
+            failed.set()
+            if isinstance(exc, ContextMeterError):
+                exc.args = (f"{label(item)}: {exc}",)
             raise
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, items))
+        futures = [pool.submit(run, item) for item in items]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise
 
 
 def _load_field_map(config: RunConfig, per_file: bool) -> Optional[dict]:
@@ -346,7 +368,7 @@ def cmd_profile(config: RunConfig) -> Artifacts:
         perplexity_model=config.provider_id or "model"
     )
     vectors, report = characteristics.profile(corpus.pairs(), providers=providers)
-    return {"characteristics.jsonl": vectors, "profile.json": {"profile": report.to_dict()}}
+    return {"characteristics.jsonl": vectors, "profile.json": {"profile": report}}
 
 
 def _build_scorer(config: RunConfig) -> lm.VerdictScorer:
@@ -417,15 +439,15 @@ def cmd_score(config: RunConfig) -> Artifacts:
 
 
 def cmd_analyze(config: RunConfig) -> Artifacts:
-    scored = _load_records(config.scored_path, ScoredSample)
-    evidence = {piece.id: piece for piece in _load_records(config.evidence_path, EvidencePiece)}
+    scored = _load_records(config.scored_path, ScoredSample, "evidence_id")
+    evidence = _load_records(config.evidence_path, EvidencePiece, "id")
 
     kept: list[ScoredSample] = []
     acus, stances = [], []
     preds_without, preds_with = [], []
     conflicts = 0
     skipped = 0
-    for sample in scored:
+    for sample in scored.values():
         piece = evidence.get(sample.evidence_id)
         if piece is None or piece.stance is None:
             skipped += 1
@@ -441,9 +463,6 @@ def cmd_analyze(config: RunConfig) -> Artifacts:
             conflicts += 1
     if not acus:
         raise ContextMeterError("no scored samples with stance-annotated evidence")
-
-    stratified = analysis.stratified_acu(acus, stances)
-    shift = analysis.prediction_shift(preds_without, preds_with, stances)
 
     agreement: dict[str, Optional[float]] = {}
     for name, picker in (
@@ -461,8 +480,8 @@ def cmd_analyze(config: RunConfig) -> Artifacts:
             agreement[name] = None
 
     payload = {
-        "stratified_acu": stratified.to_dict(),
-        "prediction_shift": shift.to_dict(),
+        "stratified_acu": analysis.stratified_acu(acus, stances),
+        "prediction_shift": analysis.prediction_shift(preds_without, preds_with, stances),
         "memory_conflicts": {
             "count": conflicts,
             "rate": conflicts / len(acus),
@@ -473,10 +492,7 @@ def cmd_analyze(config: RunConfig) -> Artifacts:
     artifacts: Artifacts = {"analysis.json": {"analysis": payload}}
 
     if config.characteristics_path:
-        vectors = {
-            vector.evidence_id: vector
-            for vector in _load_records(config.characteristics_path, CharacteristicVector)
-        }
+        vectors = _load_records(config.characteristics_path, CharacteristicVector, "evidence_id")
         grid_samples = [
             analysis.GridSample(
                 dataset=config.dataset, stance=stance, acu=sample.acu, vector=vectors[sample.evidence_id]

@@ -1,8 +1,7 @@
 """Exception types shared across the package.
 
 Every error raised by this package derives from ContextMeterError so callers
-can catch at a single root. Retryable backend failures carry a `retryable`
-attribute consumed by the clients' backoff loops.
+can catch at a single root.
 """
 
 from __future__ import annotations
@@ -42,17 +41,9 @@ class MalformedTriplet(ContextMeterError):
 class SearchBackendError(ContextMeterError):
     """Search backend failure after exhausting retries."""
 
-    def __init__(self, message: str, retryable: bool = True):
-        super().__init__(message)
-        self.retryable = retryable
-
 
 class RerankBackendError(ContextMeterError):
     """Rerank backend failure after exhausting retries."""
-
-    def __init__(self, message: str, retryable: bool = True):
-        super().__init__(message)
-        self.retryable = retryable
 
 
 # -- characteristics ----------------------------------------------------------
@@ -67,10 +58,6 @@ class DegenerateClaim(ContextMeterError):
 
 class ProviderError(ContextMeterError):
     """A model/tagger provider failed."""
-
-    def __init__(self, message: str, retryable: bool = False):
-        super().__init__(message)
-        self.retryable = retryable
 
 
 class UnparseableJudgement(ContextMeterError):

@@ -32,7 +32,6 @@ from .model import (
     StanceLabel,
     fallback_id,
     read_jsonl,
-    validate_sample,
 )
 
 class VerdictMappingTable:
@@ -176,10 +175,12 @@ def load_druid(
                 f"evidence {piece.id!r} references unknown claim "
                 f"{piece.claim_id!r}",
             )
-        try:
-            validate_sample(claims[piece.claim_id], piece)
-        except InvariantViolation as exc:
-            raise ParseError(str(evidence_path), line_no, str(exc)) from exc
+        flag, claim_date = piece.pub_after_claim, claims[piece.claim_id].claim_date
+        if None not in (flag, piece.pub_date, claim_date) and flag != (piece.pub_date > claim_date):
+            raise ParseError(
+                str(evidence_path), line_no,
+                f"pub_after_claim: flag {flag} inconsistent with dates {piece.pub_date} vs {claim_date}",
+            )
         seen_evidence.add(piece.id)
         evidence.append(piece)
 
@@ -188,125 +189,74 @@ def load_druid(
 
 # -- recasting ---------------------------------------------------------------------
 
-_COUNTERFACT_FIELDS = ("subject", "relation", "object_true", "object_edited")
-_CONFLICTQA_FIELDS = ("memory_answer", "parametric_evidence", "counter_evidence")
-
-
-@dataclass(frozen=True)
-class RawTripletRecord:
-    """Either a knowledge-edit triplet or a memory/counter-memory record."""
-
-    subject: Optional[str] = None
-    relation: Optional[str] = None
-    object_true: Optional[str] = None
-    object_edited: Optional[str] = None
-    memory_answer: Optional[str] = None
-    parametric_evidence: Optional[str] = None
-    counter_evidence: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        has_edit = any(getattr(self, f) is not None for f in _COUNTERFACT_FIELDS)
-        has_memory = any(getattr(self, f) is not None for f in _CONFLICTQA_FIELDS)
-        if has_edit == has_memory:
-            raise InvariantViolation(
-                "shape", "exactly one of the two record shapes must be populated"
-            )
-
-    @property
-    def shape(self) -> str:
-        return "counterfact" if self.subject is not None or self.relation is not None else "conflictqa"
-
-
-def _require(record: RawTripletRecord, fields: tuple[str, ...]) -> None:
-    for name in fields:
-        value = getattr(record, name)
-        if value is None or not str(value).strip():
-            raise MalformedTriplet(f"field {name!r} is missing or empty")
-
-
 def _sentence(text: str) -> str:
     text = text.strip()
     return text if text.endswith((".", "!", "?")) else text + "."
 
 
-def recast_counterfact(record: RawTripletRecord) -> tuple[ClaimRecord, list[EvidencePiece]]:
+def _claim_with_pair(
+    source: str, id_parts: tuple[str, ...], claim_text: str, verdict: ClaimVerdict,
+    supports: tuple[str, str], refutes: tuple[str, str],
+) -> tuple[ClaimRecord, list[EvidencePiece]]:
+    """A recast claim, its id derived from ``source`` and ``id_parts``, and
+    its one supporting and one refuting evidence piece; ``supports`` and
+    ``refutes`` are each (the text the piece's id derives from, its text)."""
+    claim_id = fallback_id(source, *id_parts)
+    claim = ClaimRecord(
+        id=claim_id, text=claim_text, claimant=None, source=source, claim_date=None,
+        verdict=verdict, raw_verdict=verdict.value,
+    )
+    pieces = [
+        EvidencePiece(
+            id=fallback_id(claim_id, stance.value, id_text), claim_id=claim_id, text=text, url="",
+            relevance=Relevance.RELEVANT, stance=stance,
+        )
+        for stance, (id_text, text) in ((StanceLabel.SUPPORTS, supports), (StanceLabel.REFUTES, refutes))
+    ]
+    return claim, pieces
+
+
+def recast_counterfact(
+    subject: str, relation: str, object_true: str, object_edited: str
+) -> tuple[ClaimRecord, list[EvidencePiece]]:
     """Edited triplet -> false claim, plus verbatim-supporting and
     true-object-refuting evidence.
 
     The claim is synthesized from the record's own surface strings:
     ``"<subject> <relation> <object_edited>."``.
     """
-    _require(record, _COUNTERFACT_FIELDS)
-    if record.object_edited.strip() == record.object_true.strip():
+    if object_edited.strip() == object_true.strip():
         raise MalformedTriplet("edited object equals true object; no conflict to construct")
-
-    claim_text = _sentence(f"{record.subject} {record.relation} {record.object_edited}")
-    true_text = _sentence(f"{record.subject} {record.relation} {record.object_true}")
-    claim_id = fallback_id("counterfact", record.subject, record.relation, record.object_edited)
-    claim = ClaimRecord(
-        id=claim_id,
-        text=claim_text,
-        claimant=None,
-        source="counterfact",
-        claim_date=None,
-        verdict=ClaimVerdict.FALSE,
-        raw_verdict="False",
+    claim_text = _sentence(f"{subject} {relation} {object_edited}")
+    true_text = _sentence(f"{subject} {relation} {object_true}")
+    return _claim_with_pair(
+        "counterfact", (subject, relation, object_edited), claim_text, ClaimVerdict.FALSE,
+        supports=(claim_text, claim_text), refutes=(true_text, true_text),
     )
-    supports = EvidencePiece(
-        id=fallback_id(claim_id, "supports", claim_text),
-        claim_id=claim_id,
-        text=claim_text,
-        url="",
-        relevance=Relevance.RELEVANT,
-        stance=StanceLabel.SUPPORTS,
-    )
-    refutes = EvidencePiece(
-        id=fallback_id(claim_id, "refutes", true_text),
-        claim_id=claim_id,
-        text=true_text,
-        url="",
-        relevance=Relevance.RELEVANT,
-        stance=StanceLabel.REFUTES,
-    )
-    return claim, [supports, refutes]
 
 
-def recast_conflictqa(record: RawTripletRecord) -> tuple[ClaimRecord, list[EvidencePiece]]:
+def recast_conflictqa(
+    memory_answer: str, parametric_evidence: str, counter_evidence: str
+) -> tuple[ClaimRecord, list[EvidencePiece]]:
     """Memory answer -> claim; parametric-aligned evidence supports it,
     counter-memory evidence refutes it.
 
     The claim carries verdict True: it restates the answer the model holds
     parametrically, and no external ground truth is available.
     """
-    _require(record, _CONFLICTQA_FIELDS)
-    claim_text = record.memory_answer.strip()
-    claim_id = fallback_id("conflictqa", claim_text)
-    claim = ClaimRecord(
-        id=claim_id,
-        text=claim_text,
-        claimant=None,
-        source="conflictqa",
-        claim_date=None,
-        verdict=ClaimVerdict.TRUE,
-        raw_verdict="True",
+    claim_text = memory_answer.strip()
+    return _claim_with_pair(
+        "conflictqa", (claim_text,), claim_text, ClaimVerdict.TRUE,
+        supports=(parametric_evidence, parametric_evidence.strip()),
+        refutes=(counter_evidence, counter_evidence.strip()),
     )
-    supports = EvidencePiece(
-        id=fallback_id(claim_id, "supports", record.parametric_evidence),
-        claim_id=claim_id,
-        text=record.parametric_evidence.strip(),
-        url="",
-        relevance=Relevance.RELEVANT,
-        stance=StanceLabel.SUPPORTS,
-    )
-    refutes = EvidencePiece(
-        id=fallback_id(claim_id, "refutes", record.counter_evidence),
-        claim_id=claim_id,
-        text=record.counter_evidence.strip(),
-        url="",
-        relevance=Relevance.RELEVANT,
-        stance=StanceLabel.REFUTES,
-    )
-    return claim, [supports, refutes]
+
+
+#: Each triplet dataset's recaster and the row fields it reads, in argument order.
+_RECASTERS = {
+    "counterfact": (recast_counterfact, ("subject", "relation", "object_true", "object_edited")),
+    "conflictqa": (recast_conflictqa, ("memory_answer", "parametric_evidence", "counter_evidence")),
+}
 
 
 def load_triplets(
@@ -314,26 +264,30 @@ def load_triplets(
     dataset: str,
     field_map: Optional[dict[str, str]] = None,
 ) -> Corpus:
-    """Read raw triplet JSON Lines and recast every record."""
-    if dataset == "counterfact":
-        recast = recast_counterfact
-        names = _COUNTERFACT_FIELDS
-    elif dataset == "conflictqa":
-        recast = recast_conflictqa
-        names = _CONFLICTQA_FIELDS
-    else:
+    """Read raw triplet JSON Lines and recast every record.
+
+    Each row must be an object whose fields the dataset reads are non-blank
+    strings; a row that is not, or that recasts to no conflict, is a
+    ParseError at its ``path:line``.
+    """
+    if dataset not in _RECASTERS:
         raise InvariantViolation("dataset", f"unknown triplet dataset {dataset!r}")
+    recast, names = _RECASTERS[dataset]
 
     claims: dict[str, ClaimRecord] = {}
     evidence: list[EvidencePiece] = []
     for line_no, row in read_jsonl(Path(path)):
         row = _translate(row, field_map)
         try:
-            record = RawTripletRecord(**{name: row.get(name) for name in names})
-        except (InvariantViolation, TypeError) as exc:
-            raise ParseError(str(path), line_no, str(exc)) from exc
-        try:
-            claim, pieces = recast(record)
+            if not isinstance(row, dict):
+                raise MalformedTriplet(f"not a JSON object: {row!r}")
+            for name in names:
+                value = row.get(name)
+                if value is not None and not isinstance(value, str):
+                    raise MalformedTriplet(f"{name}: expected a string, got {type(value).__name__}")
+                if value is None or not value.strip():
+                    raise MalformedTriplet(f"field {name!r} is missing or empty")
+            claim, pieces = recast(*(row[name] for name in names))
         except MalformedTriplet as exc:
             raise ParseError(str(path), line_no, str(exc)) from exc
         if claim.id in claims:
@@ -342,4 +296,3 @@ def load_triplets(
         claims[claim.id] = claim
         evidence.extend(pieces)
     return Corpus(claims=claims, evidence=evidence)
-

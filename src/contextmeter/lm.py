@@ -225,10 +225,7 @@ class HttpLogprobProvider:
         if auth_env_var:
             token = os.environ.get(auth_env_var)
             if not token:
-                raise ProviderError(
-                    f"auth environment variable {auth_env_var!r} is not set",
-                    retryable=False,
-                )
+                raise ProviderError(f"auth environment variable {auth_env_var!r} is not set")
             self._headers = {"Authorization": f"Bearer {token}"}
 
     def next_token_distribution(self, prompt: str) -> dict[str, float]:
@@ -242,7 +239,7 @@ class HttpLogprobProvider:
         )
         top = data.get("top_logprobs")
         if not isinstance(top, dict):
-            raise ProviderError("malformed top_logprobs payload", retryable=False)
+            raise ProviderError("malformed top_logprobs payload")
         with reply_shape(self._endpoint, ProviderError):
             return {token: math.exp(logprob) for token, logprob in top.items()}
 
@@ -257,7 +254,7 @@ class HttpLogprobProvider:
         )
         values = data.get("token_logprobs")
         if not isinstance(values, list):
-            raise ProviderError("malformed token_logprobs payload", retryable=False)
+            raise ProviderError("malformed token_logprobs payload")
         with reply_shape(self._endpoint, ProviderError):
             return [float(v) for v in values]
 

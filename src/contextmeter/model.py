@@ -388,26 +388,6 @@ class CharacteristicVector(Record):
             raise InvariantViolation("perplexity", "must be positive")
 
 
-
-def validate_sample(
-    claim: ClaimRecord, evidence: EvidencePiece
-) -> tuple[ClaimRecord, EvidencePiece]:
-    """Check that evidence's ``pub_after_claim`` flag agrees with the dates."""
-    if (
-        evidence.pub_after_claim is not None
-        and evidence.pub_date is not None
-        and claim.claim_date is not None
-    ):
-        expected = evidence.pub_date > claim.claim_date
-        if evidence.pub_after_claim != expected:
-            raise InvariantViolation(
-                "pub_after_claim",
-                f"flag {evidence.pub_after_claim} inconsistent with dates "
-                f"{evidence.pub_date} vs {claim.claim_date}",
-            )
-    return claim, evidence
-
-
 # -- JSON Lines IO -------------------------------------------------------------
 
 def encode_line(record: Any) -> str:

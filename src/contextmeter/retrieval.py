@@ -261,7 +261,7 @@ class HttpRerankClient:
         )
         scores = data.get("scores")
         if not isinstance(scores, list) or len(scores) != len(texts):
-            raise RerankBackendError("malformed scores payload", retryable=False)
+            raise RerankBackendError("malformed scores payload")
         with reply_shape(self._endpoint, RerankBackendError):
             return [float(s) for s in scores]
 
@@ -276,7 +276,7 @@ def search(
     First occurrence wins for page content; per-engine ranks are merged.
     """
     if not engines:
-        raise SearchBackendError("no search client configured", retryable=False)
+        raise SearchBackendError("no search client configured")
     merged: dict[str, SearchResult] = {}
     for engine in engines:
         for result in engine.search(claim.text):

@@ -230,28 +230,28 @@ class TestStratifiedAcu:
                 StanceLabel.REFUTES,
             ],
         )
-        assert result.strata[StanceLabel.SUPPORTS] == (1.5, 0.5, 2)
-        assert result.strata[StanceLabel.REFUTES] == (0.0, 0.5, 2)
-        assert result.grand_mean == pytest.approx(0.75)
+        assert result["strata"]["supports"] == {"mean": 1.5, "std": 0.5, "n": 2}
+        assert result["strata"]["refutes"] == {"mean": 0.0, "std": 0.5, "n": 2}
+        assert result["grand_mean"] == pytest.approx(0.75)
         # population std over all four values
-        assert result.grand_std == pytest.approx(
+        assert result["grand_std"] == pytest.approx(
             math.sqrt(sum((v - 0.75) ** 2 for v in [1.0, 2.0, 0.5, -0.5]) / 4)
         )
-        assert result.n == 4
-        assert len(result.empty_strata) == 4
+        assert result["n"] == 4
+        assert len(result["empty_strata"]) == 4
 
     def test_single_sample(self):
         result = an.stratified_acu([0.3], [StanceLabel.SUPPORTS])
-        assert result.strata[StanceLabel.SUPPORTS] == (0.3, 0.0, 1)
-        assert result.grand_std == 0.0
+        assert result["strata"]["supports"] == {"mean": 0.3, "std": 0.0, "n": 1}
+        assert result["grand_std"] == 0.0
 
     def test_sign_symmetry(self):
         plus = an.stratified_acu([0.2, 0.8], [StanceLabel.SUPPORTS] * 2)
         minus = an.stratified_acu([-0.2, -0.8], [StanceLabel.SUPPORTS] * 2)
-        mean_p, std_p, _ = plus.strata[StanceLabel.SUPPORTS]
-        mean_m, std_m, _ = minus.strata[StanceLabel.SUPPORTS]
-        assert mean_p == pytest.approx(-mean_m)
-        assert std_p == pytest.approx(std_m)
+        stratum_p = plus["strata"]["supports"]
+        stratum_m = minus["strata"]["supports"]
+        assert stratum_p["mean"] == pytest.approx(-stratum_m["mean"])
+        assert stratum_p["std"] == pytest.approx(stratum_m["std"])
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -266,27 +266,27 @@ class TestPredictionShift:
     def test_no_changes_zero(self):
         stances = [StanceLabel.REFUTES] * 3
         table = an.prediction_shift([T, N, F], [T, N, F], stances)
-        assert table.total_delta_n_d == 0
-        row = table.strata[StanceLabel.REFUTES.value]
-        assert row.sum_delta_n_d == 0
-        assert row.desirable_switches == 0
-        assert row.undesirable_switches == 0
+        assert table["total_delta_n_d"] == 0
+        row = table["strata"]["refutes"]
+        assert row["sum_delta_n_d"] == 0
+        assert row["desirable_switches"] == 0
+        assert row["undesirable_switches"] == 0
 
     def test_single_desirable_crossing_counts_twice(self):
         # True -> False under refutes: one count leaves an undesirable
         # label (-1 loses one) and lands on the desirable one (+1 gains
         # one), so the signed sum moves by 2
         table = an.prediction_shift([T], [F], [StanceLabel.REFUTES])
-        row = table.strata[StanceLabel.REFUTES.value]
-        assert row.sum_delta_n_d == 2
-        assert row.desirable_switches == 1
-        assert row.undesirable_switches == 0
+        row = table["strata"]["refutes"]
+        assert row["sum_delta_n_d"] == 2
+        assert row["desirable_switches"] == 1
+        assert row["undesirable_switches"] == 0
 
     def test_within_class_flip_is_zero(self):
         # True -> None under refutes: both labels are undesirable, the
         # signed sum is unchanged
         table = an.prediction_shift([T], [N], [StanceLabel.REFUTES])
-        assert table.total_delta_n_d == 0
+        assert table["total_delta_n_d"] == 0
 
     def test_six_sample_fixture(self):
         stances = [StanceLabel.REFUTES] * 3 + [StanceLabel.SUPPORTS] * 3
@@ -295,24 +295,24 @@ class TestPredictionShift:
         # refutes: two desirable crossings (+2 each); supports: one
         # desirable crossing (+2); net +6
         table = an.prediction_shift(without, with_ev, stances)
-        assert table.total_delta_n_d == 6
-        assert table.strata[StanceLabel.REFUTES.value].sum_delta_n_d == 4
-        assert table.strata[StanceLabel.SUPPORTS.value].sum_delta_n_d == 2
-        assert table.strata[StanceLabel.SUPPORTS.value].desirable_switches == 1
+        assert table["total_delta_n_d"] == 6
+        assert table["strata"]["refutes"]["sum_delta_n_d"] == 4
+        assert table["strata"]["supports"]["sum_delta_n_d"] == 2
+        assert table["strata"]["supports"]["desirable_switches"] == 1
 
     def test_undesirable_crossing(self):
         table = an.prediction_shift([F], [T], [StanceLabel.REFUTES])
-        row = table.strata[StanceLabel.REFUTES.value]
-        assert row.sum_delta_n_d == -2
-        assert row.undesirable_switches == 1
+        row = table["strata"]["refutes"]
+        assert row["sum_delta_n_d"] == -2
+        assert row["undesirable_switches"] == 1
 
     def test_marginals_invariant(self):
         stances = [StanceLabel.REFUTES] * 4
         table = an.prediction_shift([T, N, F, T], [F, F, N, T], stances)
-        row = table.strata[StanceLabel.REFUTES.value]
-        assert sum(row.counts_without.values()) == row.n
-        assert sum(row.counts_with.values()) == row.n
-        assert sum(row.delta.values()) == 0
+        row = table["strata"]["refutes"]
+        assert sum(row["counts_without"].values()) == row["n"]
+        assert sum(row["counts_with"].values()) == row["n"]
+        assert sum(row["delta"].values()) == 0
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):

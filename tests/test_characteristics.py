@@ -402,9 +402,9 @@ class TestProfile:
     def test_fixture_aggregates(self, druid_fixture_paths):
         pairs = self._pairs(druid_fixture_paths)
         vectors, report = ch.profile(pairs)
-        assert report.total_instances == 12
+        assert report["Total instances"] == 12
         assert len(vectors) == 12
-        assert set(report.rows) == {
+        assert set(report["rows"]) == {
             "Jaccard similarity",
             "Claim-evidence overlap",
             "Repeats claim (%)",
@@ -424,30 +424,30 @@ class TestProfile:
             "Pub. after claim (%)",
         }
         # detectors without providers are skipped, not zero
-        assert report.rows["model: Perplexity"] is None
-        assert report.skipped["model: Perplexity"] == 12
-        assert report.rows["Fact-check source (%)"]["percent"] == pytest.approx(
+        assert report["rows"]["model: Perplexity"] is None
+        assert report["skipped"]["model: Perplexity"] == 12
+        assert report["rows"]["Fact-check source (%)"]["percent"] == pytest.approx(
             100 / 12
         )
-        assert report.rows["Gold source (%)"]["percent"] == pytest.approx(100 / 12)
+        assert report["rows"]["Gold source (%)"]["percent"] == pytest.approx(100 / 12)
         # three fixture evidence rows have no pub_date
-        assert report.rows["Pub. after claim (%)"]["n"] == 9
+        assert report["rows"]["Pub. after claim (%)"]["n"] == 9
 
     def test_shuffle_invariance(self, druid_fixture_paths):
         pairs = self._pairs(druid_fixture_paths)
         vectors, _ = ch.profile(pairs)
         shuffled = list(vectors)
         random.Random(3).shuffle(shuffled)
-        assert ch.aggregate_profile(vectors).rows == (
-            ch.aggregate_profile(shuffled).rows
+        assert ch.aggregate_profile(vectors)["rows"] == (
+            ch.aggregate_profile(shuffled)["rows"]
         )
 
     def test_empty_input(self):
         vectors, report = ch.profile([])
         assert vectors == []
-        assert report.total_instances == 0
-        assert len(report.rows) == 17
-        assert all(value is None for value in report.rows.values())
+        assert report["Total instances"] == 0
+        assert len(report["rows"]) == 17
+        assert all(value is None for value in report["rows"].values())
 
     def test_perplexity_model_names_row(self):
         (vector,), _ = ch.profile(
@@ -457,8 +457,8 @@ class TestProfile:
             ),
         )
         report = ch.aggregate_profile([vector], perplexity_model="llama")
-        assert "llama: Perplexity" in report.rows
-        assert report.rows["llama: Perplexity"]["mean"] == pytest.approx(5.0)
+        assert "llama: Perplexity" in report["rows"]
+        assert report["rows"]["llama: Perplexity"]["mean"] == pytest.approx(5.0)
 
 
 def reference_aggregate_profile(vectors, perplexity_model="model"):
@@ -528,7 +528,7 @@ def reference_aggregate_profile(vectors, perplexity_model="model"):
     percent("Fact-check source (%)", [v.fact_check_source for v in vectors])
     percent("Gold source (%)", [v.gold_source for v in vectors])
     percent("Pub. after claim (%)", [v.pub_after_claim for v in vectors])
-    return ch.ProfileReport(rows=rows, total_instances=len(vectors), skipped=skipped)
+    return {"rows": rows, "Total instances": len(vectors), "skipped": skipped}
 
 
 class TestAggregateProfileMatchesReference:
@@ -539,15 +539,15 @@ class TestAggregateProfileMatchesReference:
     def test_same_rows_skips_and_bytes(self, vectors, perplexity_model):
         report = ch.aggregate_profile(vectors, perplexity_model=perplexity_model)
         reference = reference_aggregate_profile(vectors, perplexity_model=perplexity_model)
-        assert report.rows == reference.rows
-        assert list(report.rows) == list(reference.rows)
-        assert report.skipped == reference.skipped
-        assert canonical_json(report.to_dict()) == canonical_json(reference.to_dict())
+        assert report["rows"] == reference["rows"]
+        assert list(report["rows"]) == list(reference["rows"])
+        assert report["skipped"] == reference["skipped"]
+        assert canonical_json(report) == canonical_json(reference)
 
     @given(perplexity_model=st.sampled_from(["model", "llama-2-7b"]))
     def test_row_names_are_the_grid_rows(self, perplexity_model):
         report = ch.aggregate_profile([], perplexity_model=perplexity_model)
-        assert tuple(report.rows) == tuple(
+        assert tuple(report["rows"]) == tuple(
             f"{perplexity_model}: {name}" if name == "Perplexity" else name
             for name in GRID_CHARACTERISTICS
         )

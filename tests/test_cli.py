@@ -6,6 +6,7 @@ bytes are compared directly where the contract promises reproducibility.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -22,8 +23,8 @@ from conftest import HashLogprobProvider
 from contextmeter import cli, lm, retrieval
 from contextmeter._version import __version__
 from contextmeter.analysis import GRID_CHARACTERISTICS
-from contextmeter.errors import InvariantViolation, ParseError, ProviderError
-from contextmeter.model import ClaimRecord, EvidencePiece, read_jsonl
+from contextmeter.errors import ContextMeterError, InvariantViolation, ParseError, ProviderError
+from contextmeter.model import ClaimRecord, EvidencePiece, canonical_json, read_jsonl
 
 
 def run_cli(*args: str):
@@ -111,6 +112,30 @@ def profile_run(druid_fixture_paths, out_root) -> Path:
     )
     assert code == 0, stderr
     return run_dir_of(stdout)
+
+
+class TestParallelMap:
+    def test_first_failure_stops_the_map(self):
+        calls = []
+
+        def double(item):
+            calls.append(item)
+            if item == 30:
+                raise ContextMeterError("boom")
+            return 2 * item
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert cli._parallel_map(double, list(range(30)), str, 8) == [2 * i for i in range(30)]
+            calls.clear()
+            with pytest.raises(ContextMeterError) as info:
+                cli._parallel_map(double, list(range(400)), lambda i: f"item {i}", 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert str(info.value) == "item 30: boom"
+        # Only items that had started before the failure was recorded ran.
+        assert len(calls) < 400
 
 
 class TestRunContract:
@@ -404,6 +429,8 @@ class TestConfigErrors:
         [
             "no-templates", "missing-claims-file", "claim-without-id", "claim-not-object", "bad-scored-mode",
             "claim-id-list", "claim-text-number", "evidence-claim-id-list",
+            "triplet-not-object", "triplet-subject-number", "triplet-memory-answer-list",
+            "analyze-duplicate-scored", "analyze-duplicate-evidence", "analyze-duplicate-characteristics",
             "report-artifact-not-json", "report-artifact-not-object",
             "sidecar-without-mode", "sidecar-not-json", "sidecar-unknown-mode",
             "field-map-list", "field-map-section-list", "field-map-name-not-string",
@@ -419,7 +446,8 @@ class TestConfigErrors:
         ],
     )
     def test_config_error_leaves_no_run_dir(
-        self, druid_fixture_paths, fixture_corpus_dir, replay_store, scored_run, tmp_path, monkeypatch, case
+        self, druid_fixture_paths, fixture_corpus_dir, replay_store, scored_run, profile_run, tmp_path, monkeypatch,
+        case,
     ):
         claims_path, evidence_path = druid_fixture_paths
         out = tmp_path / "runs"
@@ -485,15 +513,46 @@ class TestConfigErrors:
             "profile": ["profile", "--claims", bad, "--evidence", evidence_path],
             "retrieve": ["retrieve", "--claims", bad, "--fixture-corpus", fixture_corpus_dir],
         }
-        # A string field holding another JSON type: (row, argv, message after path:line).
+        recast = {
+            dataset: ["recast", "--triplets", bad, "--dataset", dataset] for dataset in ("counterfact", "conflictqa")
+        }
+        # A row that is not an object, or a string field holding another JSON
+        # type: (row, argv, message after path:line).
         claim = {"id": "c1", "text": "A claim.", "source": "politifact", "verdict": "True"}
+        edit = {"subject": "Ann", "relation": "works for", "object_true": "A", "object_edited": "B"}
+        memory = {"memory_answer": "An answer.", "parametric_evidence": "For.", "counter_evidence": "Against."}
         type_faults = {
+            "triplet-not-object": ([1, 2], recast["counterfact"], "not a JSON object: [1, 2]"),
+            "triplet-subject-number": (
+                {**edit, "subject": 5}, recast["counterfact"], "subject: expected a string, got int",
+            ),
+            "triplet-memory-answer-list": (
+                {**memory, "memory_answer": ["x"]}, recast["conflictqa"], "memory_answer: expected a string, got list",
+            ),
             "claim-id-list": ({**claim, "id": ["c1"]}, claim_stages["profile"], "id: expected a string, got list"),
             "claim-text-number": ({**claim, "text": 7}, claim_stages["profile"], "text: expected a string, got int"),
             "evidence-claim-id-list": (
                 {**piece, "claim_id": ["c-pf-001"]}, evidence_stages["profile"], "claim_id: expected a string, got list",
             ),
         }
+        # One of analyze's inputs with its last row repeated: (file content,
+        # argv, message). Each input is keyed by evidence id.
+        analyze_inputs = {
+            "scored": (scored_run / "scored.jsonl", "evidence_id"),
+            "evidence": (evidence_path, "id"),
+            "characteristics": (profile_run / "characteristics.jsonl", "evidence_id"),
+        }
+        duplicate_faults = {}
+        for name, (source, key) in analyze_inputs.items():
+            lines = source.read_text(encoding="utf-8").splitlines()
+            argv = ["analyze"]
+            for other, (path, _) in analyze_inputs.items():
+                argv += [f"--{other}", bad if other == name else path]
+            duplicate_faults[f"analyze-duplicate-{name}"] = (
+                "\n".join(lines + lines[-1:]),
+                argv,
+                f"{bad}:{len(lines) + 1}: duplicate evidence id {json.loads(lines[-1])[key]!r}",
+            )
         # case: (exit code, {input file: content}, argv)
         cases = {
             "no-templates": (2, {}, ["score", "--claims", claims_path, "--evidence", evidence_path]),
@@ -511,6 +570,7 @@ class TestConfigErrors:
                 ["ingest", "--claims", bad, "--evidence", evidence_path, "--field-map", field_map],
             ),
             **{case: (1, {bad: json.dumps(row)}, argv) for case, (row, argv, _) in type_faults.items()},
+            **{case: (1, {bad: text}, argv) for case, (text, argv, _) in duplicate_faults.items()},
             "bad-scored-mode": (
                 1, {bad: json.dumps(scored)}, ["analyze", "--scored", bad, "--evidence", evidence_path],
             ),
@@ -649,6 +709,8 @@ class TestConfigErrors:
             out.rmdir()
         elif case in type_faults:
             assert payload == {"error": "ParseError", "message": f"{bad}:1: {type_faults[case][2]}"}
+        elif case in duplicate_faults:
+            assert payload == {"error": "ParseError", "message": duplicate_faults[case][2]}
         elif expected_code == 1:
             assert payload["error"] == "ParseError"
             assert re.search(r"\.jsonl?:\d+: ", payload["message"])
@@ -1018,6 +1080,45 @@ class TestScore:
         assert code == 0, stderr
         assert calls == []
 
+    def test_record_stops_calling_the_provider_after_a_failure(self, druid_fixture_paths, tmp_path, monkeypatch):
+        claims_path, evidence_path = druid_fixture_paths
+        calls = []
+
+        class FailingProvider(HashLogprobProvider):
+            """Fails from its 4th call on."""
+
+            def __init__(self, endpoint, provider_id, **_kwargs):
+                super().__init__(provider_id=provider_id)
+
+            def next_token_distribution(self, prompt):
+                calls.append(prompt)
+                if len(calls) >= 4:
+                    raise ProviderError("connection reset")
+                return super().next_token_distribution(prompt)
+
+        monkeypatch.setattr(lm, "HttpLogprobProvider", FailingProvider)
+        code, _, stderr = run_cli(
+            "score", "--claims", str(claims_path), "--evidence", str(evidence_path),
+            "--claim-template", "claim-0shot", "--evidence-template", "evidence-0shot",
+            "--provider-endpoint", "http://127.0.0.1:9/v1", "--provider-id", "hash-mock",
+            "--record", str(tmp_path / "store.jsonl"), "--max-concurrency", "1", "--out", str(tmp_path / "runs"),
+        )
+        assert code == 1
+        assert json.loads(stderr)["error"] == "ProviderError"
+        # The 5th claim is never sent once the 4th has failed.
+        assert len(calls) == 4
+        assert len(lm.ReplayStore(tmp_path / "store.jsonl")) == 3
+        assert not (tmp_path / "runs").exists()
+
+
+#: Computed from the druid fixture run before the analysis and profile
+#: results became plain objects.
+GOLDEN_SUMMARY_SHA256 = {
+    "analysis": "b5f5ffd4619c36e8d44a5a2a730ff36458813acc2fa35fc16b07b2733076a72b",
+    "grid": "4a637bad6db146d3e005e2ed67a86d42f2baef7063f188abf60ae53e7a0bb493",
+    "profile": "7b2860193721aaf913c4ba006a91e3d0ed9f2973db47354d63438413ea80be5b",
+}
+
 
 @pytest.fixture(scope="module")
 def analysis_run(druid_fixture_paths, scored_run, profile_run, out_root) -> Path:
@@ -1092,6 +1193,22 @@ class TestAnalyze:
         assert lines[0].startswith("# config_hash=")
         assert lines[1].split(",")[0] == "characteristic"
         assert len(lines) == 2 + len(GRID_CHARACTERISTICS)
+
+    def test_golden_summary_objects(self, analysis_run, profile_run):
+        # SHA-256 of the canonical JSON of each summary object the fixture
+        # run writes, without "meta"; any changed byte in them shows here.
+        documents = {
+            "analysis": analysis_run / "analysis.json",
+            "grid": analysis_run / "grid.json",
+            "profile": profile_run / "profile.json",
+        }
+        digests = {
+            name: hashlib.sha256(
+                canonical_json(json.loads(path.read_text(encoding="utf-8"))[name]).encode("utf-8")
+            ).hexdigest()
+            for name, path in documents.items()
+        }
+        assert digests == GOLDEN_SUMMARY_SHA256
 
 
 class TestReport:

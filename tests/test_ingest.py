@@ -185,6 +185,16 @@ class TestLoadDruid:
         )
 
 
+EDIT = {"subject": "Ann", "relation": "works for", "object_true": "A", "object_edited": "B"}
+MEMORY = {"memory_answer": "An answer.", "parametric_evidence": "For.", "counter_evidence": "Against."}
+
+
+def load_one_triplet(tmp_path, dataset, row):
+    path = tmp_path / "triplets.jsonl"
+    write_lines(path, [row])
+    return ing.load_triplets(path, dataset=dataset)
+
+
 class TestRecastCounterfact:
     def _record(self, **kwargs):
         fields = dict(
@@ -194,17 +204,17 @@ class TestRecastCounterfact:
             object_edited="BBC",
         )
         fields.update(kwargs)
-        return ing.RawTripletRecord(**fields)
+        return fields
 
     def test_claim_construction(self):
-        claim, evidences = ing.recast_counterfact(self._record())
+        claim, evidences = ing.recast_counterfact(**self._record())
         assert claim.text == "Geoffrey Hinton works for BBC."
         assert claim.verdict is ClaimVerdict.FALSE
         assert claim.source == "counterfact"
         assert len(evidences) == 2
 
     def test_one_supports_one_refutes(self):
-        _, evidences = ing.recast_counterfact(self._record())
+        _, evidences = ing.recast_counterfact(**self._record())
         assert [e.stance for e in evidences] == [
             StanceLabel.SUPPORTS,
             StanceLabel.REFUTES,
@@ -212,25 +222,25 @@ class TestRecastCounterfact:
         assert all(e.relevance is Relevance.RELEVANT for e in evidences)
 
     def test_supporting_evidence_repeats_claim(self):
-        claim, evidences = ing.recast_counterfact(self._record())
+        claim, evidences = ing.recast_counterfact(**self._record())
         assert evidences[0].text == claim.text
         # the refuting piece names the true object instead
         assert "Google" in evidences[1].text
         assert "BBC" not in evidences[1].text
 
     def test_deterministic_ids(self):
-        first_claim, first_ev = ing.recast_counterfact(self._record())
-        second_claim, second_ev = ing.recast_counterfact(self._record())
+        first_claim, first_ev = ing.recast_counterfact(**self._record())
+        second_claim, second_ev = ing.recast_counterfact(**self._record())
         assert first_claim.id == second_claim.id
         assert [e.id for e in first_ev] == [e.id for e in second_ev]
 
-    def test_empty_field_rejected(self):
-        with pytest.raises(MalformedTriplet):
-            ing.recast_counterfact(self._record(subject=""))
+    def test_empty_field_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match=r":1: field 'subject' is missing or empty$"):
+            load_one_triplet(tmp_path, "counterfact", self._record(subject=""))
 
     def test_degenerate_edit_rejected(self):
         with pytest.raises(MalformedTriplet):
-            ing.recast_counterfact(self._record(object_edited="Google"))
+            ing.recast_counterfact(**self._record(object_edited="Google"))
 
     @given(
         subject=st.text(alphabet="abcXYZ ", min_size=1, max_size=12).filter(str.strip),
@@ -239,11 +249,9 @@ class TestRecastCounterfact:
         edited=st.text(alphabet="qrst", min_size=1, max_size=6),
     )
     def test_always_one_supports_one_refutes(self, subject, relation, obj, edited):
-        record = ing.RawTripletRecord(
-            subject=subject, relation=relation, object_true=obj,
-            object_edited=edited,
+        claim, evidences = ing.recast_counterfact(
+            subject=subject, relation=relation, object_true=obj, object_edited=edited,
         )
-        claim, evidences = ing.recast_counterfact(record)
         assert claim.verdict is ClaimVerdict.FALSE
         stances = sorted(e.stance.value for e in evidences)
         assert stances == ["refutes", "supports"]
@@ -257,10 +265,10 @@ class TestRecastConflictqa:
             counter_evidence="George Rankin was a military officer.",
         )
         fields.update(kwargs)
-        return ing.RawTripletRecord(**fields)
+        return fields
 
     def test_claim_is_memory_answer(self):
-        claim, evidences = ing.recast_conflictqa(self._record())
+        claim, evidences = ing.recast_conflictqa(**self._record())
         assert claim.text == "George Rankin is a politician."
         assert claim.verdict is ClaimVerdict.TRUE
         assert claim.source == "conflictqa"
@@ -269,20 +277,13 @@ class TestRecastConflictqa:
             StanceLabel.REFUTES,
         ]
 
-    def test_missing_counter_evidence_rejected(self):
-        with pytest.raises(MalformedTriplet):
-            ing.recast_conflictqa(self._record(counter_evidence=None))
+    def test_missing_counter_evidence_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match=r":1: field 'counter_evidence' is missing or empty$"):
+            load_one_triplet(tmp_path, "conflictqa", self._record(counter_evidence=None))
 
-    def test_mixed_shape_rejected(self):
-        with pytest.raises(InvariantViolation):
-            ing.RawTripletRecord(
-                subject="s", relation="r", object_true="a", object_edited="b",
-                memory_answer="also set",
-            )
-
-    def test_empty_shape_rejected(self):
-        with pytest.raises(InvariantViolation):
-            ing.RawTripletRecord()
+    def test_empty_shape_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match=r":1: field 'memory_answer' is missing or empty$"):
+            load_one_triplet(tmp_path, "conflictqa", {})
 
 
 class TestLoadTriplets:
@@ -337,6 +338,65 @@ class TestLoadTriplets:
         with pytest.raises(ParseError) as exc_info:
             ing.load_triplets(path, dataset="counterfact")
         assert exc_info.value.line_no == 2
+
+    @pytest.mark.parametrize(
+        "dataset, row, expected",
+        [
+            (
+                "counterfact",
+                {
+                    "subject": " Geoffrey Hinton", "relation": "works for ",
+                    "object_true": "Google ", "object_edited": " BBC",
+                },
+                [
+                    ("14e7ad4aa2faef7c", "Geoffrey Hinton works for   BBC."),
+                    ("6f82f322b4fe92c0", "Geoffrey Hinton works for   BBC."),
+                    ("133d844450bb937c", "Geoffrey Hinton works for  Google."),
+                ],
+            ),
+            (
+                "conflictqa",
+                {
+                    "memory_answer": " George Rankin is a politician. ",
+                    "parametric_evidence": "Rankin served in parliament.\n",
+                    "counter_evidence": "  George Rankin was a soldier.",
+                },
+                [
+                    ("11b89471b7f8c5cf", "George Rankin is a politician."),
+                    ("14aebb89742b45a3", "Rankin served in parliament."),
+                    ("a8f1649b3a0cbe56", "George Rankin was a soldier."),
+                ],
+            ),
+        ],
+    )
+    def test_ids_and_texts_are_pinned(self, tmp_path, dataset, row, expected):
+        # Computed before the two recasters shared one builder: counterfact
+        # ids come from the raw fields, conflictqa evidence ids from the
+        # unstripped texts.
+        corpus = load_one_triplet(tmp_path, dataset, row)
+        records = [*corpus.claims.values(), *corpus.evidence]
+        assert [(record.id, record.text) for record in records] == expected
+
+    def test_other_dataset_fields_are_ignored(self, tmp_path):
+        row = {**EDIT, **MEMORY}
+        counterfact = load_one_triplet(tmp_path, "counterfact", row)
+        conflictqa = load_one_triplet(tmp_path, "conflictqa", row)
+        assert [claim.text for claim in counterfact.claims.values()] == ["Ann works for B."]
+        assert [claim.text for claim in conflictqa.claims.values()] == ["An answer."]
+
+    @pytest.mark.parametrize(
+        "dataset, row, message",
+        [
+            ("counterfact", [1, 2], "not a JSON object: [1, 2]"),
+            ("counterfact", {**EDIT, "object_true": 5}, "object_true: expected a string, got int"),
+            ("conflictqa", {**MEMORY, "counter_evidence": ["x"]}, "counter_evidence: expected a string, got list"),
+            ("conflictqa", {**MEMORY, "parametric_evidence": " "}, "field 'parametric_evidence' is missing or empty"),
+        ],
+    )
+    def test_row_must_be_an_object_of_non_blank_strings(self, tmp_path, dataset, row, message):
+        with pytest.raises(ParseError) as exc_info:
+            load_one_triplet(tmp_path, dataset, row)
+        assert str(exc_info.value) == f"{tmp_path / 'triplets.jsonl'}:1: {message}"
 
     def test_unknown_dataset_rejected(self, tmp_path):
         path = tmp_path / "x.jsonl"

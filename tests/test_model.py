@@ -12,6 +12,7 @@ from contextmeter.errors import (
     ParseError,
     ZeroMass,
 )
+from contextmeter.ingest import load_druid
 from contextmeter.model import (
     CANONICAL_LABELS,
     CharacteristicVector,
@@ -29,7 +30,6 @@ from contextmeter.model import (
     encode_line,
     fallback_id,
     read_jsonl,
-    validate_sample,
     word_count,
     write_jsonl,
 )
@@ -244,21 +244,30 @@ class TestScoredSample:
 
 
 class TestValidateSample:
-    def test_pub_after_claim_consistency(self):
+    """``load_druid`` checks each evidence row's ``pub_after_claim`` flag
+    against the evidence and claim dates."""
+
+    def load(self, tmp_path, claim, piece):
+        claims_path, evidence_path = tmp_path / "claims.jsonl", tmp_path / "evidence.jsonl"
+        write_jsonl(claims_path, [claim])
+        write_jsonl(evidence_path, [piece])
+        return load_druid(claims_path, evidence_path)
+
+    def test_pub_after_claim_consistency(self, tmp_path):
         claim = make_claim(claim_date=date(2022, 1, 1))
         piece = make_evidence(pub_date=date(2021, 1, 1), pub_after_claim=True)
-        with pytest.raises(InvariantViolation):
-            validate_sample(claim, piece)
+        with pytest.raises(ParseError, match=r"evidence\.jsonl:1: pub_after_claim: flag True inconsistent"):
+            self.load(tmp_path, claim, piece)
 
-    def test_consistent_pair_passes(self):
+    def test_consistent_pair_passes(self, tmp_path):
         claim = make_claim(claim_date=date(2022, 1, 1))
         piece = make_evidence(pub_date=date(2023, 1, 1), pub_after_claim=True)
-        assert validate_sample(claim, piece) == (claim, piece)
+        assert self.load(tmp_path, claim, piece).pairs() == [(claim, piece)]
 
-    def test_missing_dates_not_checked(self):
+    def test_missing_dates_not_checked(self, tmp_path):
         claim = make_claim(claim_date=None)
         piece = make_evidence(pub_date=None, pub_after_claim=True)
-        validate_sample(claim, piece)
+        self.load(tmp_path, claim, piece)
 
 
 class TestJsonlIO:
