@@ -23,50 +23,5 @@ Layout:
 
 from ._version import __version__
 from .errors import ContextMeterError
-from .metrics import (
-    AcuConfig,
-    argmax_label,
-    delta_p,
-    delta_p_vector,
-    desirability,
-    memory_conflict,
-    score_sample,
-)
-from .model import (
-    CANONICAL_LABELS,
-    CharacteristicVector,
-    ClaimRecord,
-    ClaimVerdict,
-    EvidencePiece,
-    PromptMode,
-    Relevance,
-    Reliability,
-    ScoredSample,
-    StanceLabel,
-    VerdictLabel,
-    VerdictProbabilities,
-)
 
-__all__ = [
-    "__version__",
-    "ContextMeterError",
-    "AcuConfig",
-    "argmax_label",
-    "delta_p",
-    "delta_p_vector",
-    "desirability",
-    "memory_conflict",
-    "score_sample",
-    "CANONICAL_LABELS",
-    "CharacteristicVector",
-    "ClaimRecord",
-    "ClaimVerdict",
-    "EvidencePiece",
-    "PromptMode",
-    "Relevance",
-    "Reliability",
-    "ScoredSample",
-    "StanceLabel",
-    "VerdictLabel",
-    "VerdictProbabilities",
-]
+__all__ = ["__version__", "ContextMeterError"]

@@ -8,7 +8,7 @@ correlation grid emitter produces plot-ready CSV/JSON only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .characteristics import ROWS, mean_std
@@ -53,8 +53,6 @@ class CorrelationResult:
     rho: float
     p_value: Optional[float]
     n: int
-    characteristic: str = ""
-    stratum: str = ""
 
     @property
     def significant(self) -> bool:
@@ -62,8 +60,6 @@ class CorrelationResult:
 
     def to_dict(self) -> dict:
         return {
-            "characteristic": self.characteristic,
-            "stratum": self.stratum,
             "rho": self.rho,
             "p_value": self.p_value,
             "n": self.n,
@@ -397,10 +393,10 @@ def correlation_grid(samples: Iterable[GridSample]) -> dict:
             xs = [p[0] for p in pairs]
             ys = [p[1] for p in pairs]
             try:
-                result = spearman(xs, ys)
+                cell = spearman(xs, ys).to_dict()
             except DegenerateInput:
                 continue
-            cells[row][column] = replace(result, characteristic=row, stratum=column).to_dict()
+            cells[row][column] = {"characteristic": row, "stratum": column, **cell}
     return {"rows": list(GRID_CHARACTERISTICS), "columns": columns, "cells": cells}
 
 

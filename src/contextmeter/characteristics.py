@@ -243,15 +243,11 @@ class HedgeLexicon:
     hedging_discourse_markers: frozenset[str]
 
     @classmethod
-    def from_files(cls, hedge_path: Path, discourse_path: Path) -> "HedgeLexicon":
-        return cls(
-            hedge_words=_read_lexicon_file(Path(hedge_path)),
-            hedging_discourse_markers=_read_lexicon_file(Path(discourse_path)),
-        )
-
-    @classmethod
     def default(cls) -> "HedgeLexicon":
-        return cls.from_files(_data_path("hedges.txt"), _data_path("hedging_discourse.txt"))
+        return cls(
+            hedge_words=_read_lexicon_file(_data_path("hedges.txt")),
+            hedging_discourse_markers=_read_lexicon_file(_data_path("hedging_discourse.txt")),
+        )
 
     @cached_property
     def _needles(self) -> tuple[tuple[frozenset[str], tuple[str, ...]], ...]:
@@ -292,8 +288,8 @@ class ReliabilityList:
     coverage: frozenset[str] = frozenset()
 
     @classmethod
-    def from_directory(cls, directory: Path) -> "ReliabilityList":
-        directory = Path(directory)
+    def default(cls) -> "ReliabilityList":
+        directory = _data_path("reliability")
         flagged: dict[str, str] = {}
         for category in ("questionable", "conspiracy_pseudoscience", "satire"):
             path = directory / f"{category}.txt"
@@ -305,10 +301,6 @@ class ReliabilityList:
         if coverage_path.exists():
             coverage |= _read_lexicon_file(coverage_path)
         return cls(flagged=flagged, coverage=frozenset(coverage))
-
-    @classmethod
-    def default(cls) -> "ReliabilityList":
-        return cls.from_directory(_data_path("reliability"))
 
 
 def normalize_domain(url: str) -> str:
@@ -356,70 +348,6 @@ class DetectorProviders:
     judge: Optional[Callable[[str], str]] = None
     perplexity: Optional[Callable[[str], float]] = None
     perplexity_model: str = "model"
-
-
-def _vectors(
-    pairs: Iterable[tuple[ClaimRecord, EvidencePiece]], lexicon: Optional[HedgeLexicon],
-    reliability: Optional[ReliabilityList], providers: DetectorProviders,
-) -> list[CharacteristicVector]:
-    """Run every configured detector on each pair, with the views ``profile`` describes."""
-    lexicon = lexicon or HedgeLexicon.default()
-    reliability = reliability or ReliabilityList.default()
-    claim_views: dict[str, tuple[TextView, list[TextView]]] = {}
-    syllables: dict[str, Optional[int]] = {}
-    vectors = []
-    for claim, evidence in pairs:
-        if claim.text not in claim_views:
-            entities = [TextView.of(entity) for entity in providers.ner(claim.text)]
-            claim_views[claim.text] = TextView.of(claim.text), entities
-        claim_view, entities = claim_views[claim.text]
-        evidence_view = TextView.of(evidence.text)
-        try:
-            overlap = claim_evidence_overlap(claim_view, evidence_view)
-        except DegenerateClaim:
-            overlap = None
-        try:
-            flesch = flesch_reading_ease(evidence.text, syllables)
-        except DegenerateText:
-            flesch = None
-        overlap_value, no_entity = entity_overlap(entities, evidence_view)
-        refers = None
-        if providers.judge is not None:
-            refers = refers_external_source(evidence.text, providers.judge)
-        perplexity_value = None
-        if providers.perplexity is not None:
-            perplexity_value = providers.perplexity(evidence.text)
-        try:
-            unreliable = unreliable_source(evidence.url, reliability)
-        except MalformedUrl:
-            unreliable = None
-        hedging, hedging_discourse = hedging_flags(evidence_view, lexicon)
-        contains_true, contains_false = verdict_word_flags(evidence.text)
-        vectors.append(
-            CharacteristicVector(
-                claim_id=claim.id,
-                evidence_id=evidence.id,
-                jaccard=jaccard(claim_view, evidence_view),
-                claim_evidence_overlap=overlap,
-                repeats_claim=repeats_claim(claim_view, evidence_view),
-                flesch=flesch,
-                claim_len_chars=len(claim.text),
-                evidence_len_chars=len(evidence.text),
-                perplexity=perplexity_value,
-                entity_overlap=overlap_value,
-                no_entity_flag=no_entity,
-                refers_external=refers,
-                hedging=hedging,
-                hedging_discourse=hedging_discourse,
-                unreliable=unreliable,
-                contains_true_word=contains_true,
-                contains_false_word=contains_false,
-                pub_after_claim=evidence.pub_after_claim,
-                fact_check_source=evidence.is_fact_check_source,
-                gold_source=evidence.is_gold_source,
-            )
-        )
-    return vectors
 
 
 #: Reporting rows of the corpus profile and the correlation grid, in order,
@@ -483,7 +411,62 @@ def profile(
     distinct claim text and its entities, and each distinct token's syllables.
     """
     providers = providers or DetectorProviders()
-    vectors = _vectors(pairs, lexicon, reliability, providers)
+    lexicon = lexicon or HedgeLexicon.default()
+    reliability = reliability or ReliabilityList.default()
+    claim_views: dict[str, tuple[TextView, list[TextView]]] = {}
+    syllables: dict[str, Optional[int]] = {}
+    vectors = []
+    for claim, evidence in pairs:
+        if claim.text not in claim_views:
+            entities = [TextView.of(entity) for entity in providers.ner(claim.text)]
+            claim_views[claim.text] = TextView.of(claim.text), entities
+        claim_view, entities = claim_views[claim.text]
+        evidence_view = TextView.of(evidence.text)
+        try:
+            overlap = claim_evidence_overlap(claim_view, evidence_view)
+        except DegenerateClaim:
+            overlap = None
+        try:
+            flesch = flesch_reading_ease(evidence.text, syllables)
+        except DegenerateText:
+            flesch = None
+        overlap_value, no_entity = entity_overlap(entities, evidence_view)
+        refers = None
+        if providers.judge is not None:
+            refers = refers_external_source(evidence.text, providers.judge)
+        perplexity_value = None
+        if providers.perplexity is not None:
+            perplexity_value = providers.perplexity(evidence.text)
+        try:
+            unreliable = unreliable_source(evidence.url, reliability)
+        except MalformedUrl:
+            unreliable = None
+        hedging, hedging_discourse = hedging_flags(evidence_view, lexicon)
+        contains_true, contains_false = verdict_word_flags(evidence.text)
+        vectors.append(
+            CharacteristicVector(
+                claim_id=claim.id,
+                evidence_id=evidence.id,
+                jaccard=jaccard(claim_view, evidence_view),
+                claim_evidence_overlap=overlap,
+                repeats_claim=repeats_claim(claim_view, evidence_view),
+                flesch=flesch,
+                claim_len_chars=len(claim.text),
+                evidence_len_chars=len(evidence.text),
+                perplexity=perplexity_value,
+                entity_overlap=overlap_value,
+                no_entity_flag=no_entity,
+                refers_external=refers,
+                hedging=hedging,
+                hedging_discourse=hedging_discourse,
+                unreliable=unreliable,
+                contains_true_word=contains_true,
+                contains_false_word=contains_false,
+                pub_after_claim=evidence.pub_after_claim,
+                fact_check_source=evidence.is_fact_check_source,
+                gold_source=evidence.is_gold_source,
+            )
+        )
     return vectors, aggregate_profile(vectors, perplexity_model=providers.perplexity_model)
 
 

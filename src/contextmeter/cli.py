@@ -377,22 +377,22 @@ def _build_scorer(config: RunConfig) -> lm.VerdictScorer:
         for name in ("provider_endpoint", "record_store"):
             if getattr(config, name):
                 raise ConfigError(f"replay_store conflicts with {name}; set one or the other")
-        if not config.provider_id:
-            raise ConfigError("replay without a provider requires provider_id")
-        store = lm.ReplayStore(Path(config.replay_store))
-        return lm.VerdictScorer(store=store, provider_id=config.provider_id)
-    if not config.provider_endpoint:
+    elif not config.provider_endpoint:
         raise ConfigError("score needs a provider endpoint or a replay store")
     if not config.provider_id:
-        raise ConfigError("provider_endpoint requires provider_id")
-    provider = lm.HttpLogprobProvider(
+        raise ConfigError(
+            "replay without a provider requires provider_id" if config.replay_store
+            else "provider_endpoint requires provider_id"
+        )
+    provider = None if config.replay_store else lm.HttpLogprobProvider(
         endpoint=config.provider_endpoint,
         provider_id=config.provider_id,
         auth_env_var=config.auth_env_var,
         timeout=config.request_timeout,
     )
-    store = lm.ReplayStore(Path(config.record_store)) if config.record_store else None
-    return lm.VerdictScorer(provider=provider, store=store)
+    store_path = config.replay_store or config.record_store
+    store = lm.ReplayStore(Path(store_path)) if store_path else None
+    return lm.VerdictScorer(provider=provider, store=store, provider_id=config.provider_id)
 
 
 def cmd_score(config: RunConfig) -> Artifacts:

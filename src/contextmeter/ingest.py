@@ -23,7 +23,6 @@ from typing import Any, Optional
 from importlib import resources
 
 from .errors import InvariantViolation, MalformedTriplet, ParseError
-from .metrics import count_inter_context_conflicts
 from .model import (
     ClaimRecord,
     ClaimVerdict,
@@ -98,7 +97,12 @@ class Corpus:
         return histogram
 
     def inter_context_conflicts(self) -> int:
-        return count_inter_context_conflicts(self.claims.values(), self.evidence)
+        """Number of claims with at least one supports and one refutes piece."""
+        stances: dict[str, set[StanceLabel]] = {}
+        for piece in self.evidence:
+            stances.setdefault(piece.claim_id, set()).add(piece.stance)
+        polar = {StanceLabel.SUPPORTS, StanceLabel.REFUTES}
+        return sum(1 for claim_id in self.claims if polar <= stances.get(claim_id, set()))
 
 
 def _translate(row: Any, field_map: Optional[dict[str, str]]) -> Any:
@@ -276,6 +280,7 @@ def load_triplets(
 
     claims: dict[str, ClaimRecord] = {}
     evidence: list[EvidencePiece] = []
+    held: set[str] = set()
     for line_no, row in read_jsonl(Path(path)):
         row = _translate(row, field_map)
         try:
@@ -290,9 +295,9 @@ def load_triplets(
             claim, pieces = recast(*(row[name] for name in names))
         except MalformedTriplet as exc:
             raise ParseError(str(path), line_no, str(exc)) from exc
-        if claim.id in claims:
-            # Identical records recast identically; keep the first.
-            continue
-        claims[claim.id] = claim
-        evidence.extend(pieces)
+        # A repeated claim keeps its first record and gains the pieces it
+        # does not hold yet; identical rows recast to identical ids.
+        claims.setdefault(claim.id, claim)
+        evidence.extend(piece for piece in pieces if piece.id not in held)
+        held.update(piece.id for piece in pieces)
     return Corpus(claims=claims, evidence=evidence)

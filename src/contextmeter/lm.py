@@ -21,7 +21,6 @@ import json
 import math
 import os
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Protocol
@@ -228,33 +227,24 @@ class HttpLogprobProvider:
                 raise ProviderError(f"auth environment variable {auth_env_var!r} is not set")
             self._headers = {"Authorization": f"Bearer {token}"}
 
-    def next_token_distribution(self, prompt: str) -> dict[str, float]:
+    def _post(self, payload: dict, key: str, kind: type):
+        """POST ``payload`` and return the reply's ``key``, which must be a ``kind``."""
         data = post_json(
-            self._endpoint,
-            {"prompt": prompt, "max_tokens": 1, "logprobs": self._top_k},
-            self._timeout,
-            self._retries,
-            ProviderError,
-            headers=self._headers,
+            self._endpoint, payload, self._timeout, self._retries, ProviderError, headers=self._headers
         )
-        top = data.get("top_logprobs")
-        if not isinstance(top, dict):
-            raise ProviderError("malformed top_logprobs payload")
+        value = data.get(key)
+        if not isinstance(value, kind):
+            raise ProviderError(f"malformed {key} payload")
+        return value
+
+    def next_token_distribution(self, prompt: str) -> dict[str, float]:
+        payload = {"prompt": prompt, "max_tokens": 1, "logprobs": self._top_k}
+        top = self._post(payload, "top_logprobs", dict)
         with reply_shape(self._endpoint, ProviderError):
             return {token: math.exp(logprob) for token, logprob in top.items()}
 
     def token_logprobs(self, text: str) -> list[float]:
-        data = post_json(
-            self._endpoint,
-            {"text": text, "echo": True},
-            self._timeout,
-            self._retries,
-            ProviderError,
-            headers=self._headers,
-        )
-        values = data.get("token_logprobs")
-        if not isinstance(values, list):
-            raise ProviderError("malformed token_logprobs payload")
+        values = self._post({"text": text, "echo": True}, "token_logprobs", list)
         with reply_shape(self._endpoint, ProviderError):
             return [float(v) for v in values]
 
@@ -313,6 +303,10 @@ def perplexity(provider: LogprobProvider, text: str) -> float:
 
 # -- record / replay ---------------------------------------------------------------
 
+def _digest(obj: dict) -> str:
+    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+
+
 @dataclass(frozen=True)
 class ScoreRecord(Record):
     """One scored prompt, checksummed for store-integrity verification."""
@@ -321,22 +315,16 @@ class ScoreRecord(Record):
     surface_probs: dict[str, float]
     probs: VerdictProbabilities
     provider_id: str
-    timestamp: float
 
     @property
     def key(self) -> tuple[str, str]:
         return (self.prompt_hash, self.provider_id)
 
-    def _payload(self) -> dict:
-        return super().to_dict()
-
     def checksum(self) -> str:
-        return hashlib.sha256(canonical_json(self._payload()).encode("utf-8")).hexdigest()
+        return _digest(super().to_dict())
 
     def to_dict(self) -> dict:
-        payload = self._payload()
-        payload["checksum"] = self.checksum()
-        return payload
+        return {**super().to_dict(), "checksum": self.checksum()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoreRecord":
@@ -344,8 +332,9 @@ class ScoreRecord(Record):
             record = super().from_dict(data)
         except InvariantViolation as exc:
             raise StoreCorruption(f"malformed score record: {exc}") from exc
-        stored = data.get("checksum")
-        if stored != record.checksum():
+        # The checksum covers the object as stored, so a record carrying a
+        # key this class no longer has (the old ``timestamp``) still loads.
+        if data.get("checksum") != _digest({k: v for k, v in data.items() if k != "checksum"}):
             raise StoreCorruption(
                 f"checksum mismatch for prompt_hash {str(record.prompt_hash)[:12]}"
             )
@@ -353,16 +342,29 @@ class ScoreRecord(Record):
 
 
 class ReplayStore:
-    """JSON Lines store of ScoreRecords keyed by (prompt_hash, provider_id)."""
+    """JSON Lines store of ScoreRecords keyed by (prompt_hash, provider_id).
+
+    A final line without its newline, as a crash mid-append leaves it, is
+    skipped on load when it is not JSON, and the first append cuts it away;
+    a whole record there gets its missing newline before the first append.
+    Any other bad line is a StoreCorruption at ``path:line``.
+    """
 
     def __init__(self, path: Path):
         self.path = Path(path)
         self._records: dict[tuple[str, str], ScoreRecord] = {}
         self._lock = threading.Lock()
+        # (length to cut the file to, text to write) before the first append.
+        self._tail: Optional[tuple[int, str]] = None
         if self.path.exists():
             self._load()
 
     def _load(self) -> None:
+        with self.path.open("rb") as handle:
+            size = handle.seek(0, os.SEEK_END)
+            handle.seek(max(size - 1, 0))
+            if handle.read(1) not in b"\r\n":  # an empty file reads b"", which is in it
+                self._tail = (size, "\n")
         try:
             for line_no, data in read_jsonl(self.path):
                 try:
@@ -371,7 +373,11 @@ class ReplayStore:
                     raise StoreCorruption(f"{self.path}:{line_no}: {exc}") from exc
                 self._records[record.key] = record
         except ParseError as exc:
-            raise StoreCorruption(str(exc)) from exc
+            raw = self.path.read_bytes()
+            start = max(raw.rfind(b"\n"), raw.rfind(b"\r")) + 1
+            if self._tail is None or exc.line_no != len(raw[:start].splitlines()) + 1:
+                raise StoreCorruption(str(exc)) from exc
+            self._tail = (start, "")
 
     def __len__(self) -> int:
         return len(self._records)
@@ -380,10 +386,15 @@ class ReplayStore:
         return self._records.get((prompt_hash_value, provider_id))
 
     def append(self, record: ScoreRecord) -> None:
+        line = canonical_json(record.to_dict()) + "\n"
         with self._lock:
             self._records[record.key] = record
+            if self._tail is not None:
+                length, prefix = self._tail
+                os.truncate(self.path, length)
+                line, self._tail = prefix + line, None
             with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(canonical_json(record.to_dict()) + "\n")
+                handle.write(line)
 
 
 class VerdictScorer:
@@ -431,7 +442,6 @@ class VerdictScorer:
             surface_probs=surface_probs,
             probs=probs,
             provider_id=self.provider_id,
-            timestamp=time.time(),
         )
         if self._store is not None:
             self._store.append(record)

@@ -26,8 +26,6 @@ from typing import Iterable, Sequence
 from .errors import InvariantViolation
 from .model import (
     CANONICAL_LABELS,
-    ClaimRecord,
-    EvidencePiece,
     ScoredSample,
     StanceLabel,
     VerdictLabel,
@@ -169,29 +167,14 @@ def argmax_label(probs: VerdictProbabilities) -> VerdictLabel:
     return max(CANONICAL_LABELS, key=lambda label: (probs.get(label), -CANONICAL_LABELS.index(label)))
 
 
+#: The (parametric prediction, evidence stance) pairs that conflict.
+_CONFLICTS = {(VerdictLabel.TRUE, StanceLabel.REFUTES), (VerdictLabel.FALSE, StanceLabel.SUPPORTS)}
+
+
 def memory_conflict(parametric_prediction: VerdictLabel, stance: StanceLabel) -> bool:
     """Whether evidence stance opposes the model's parametric prediction.
 
     None predictions and non-polar stances (any insufficient-*) never
     conflict; only (True, refutes) and (False, supports) do.
     """
-    prediction = VerdictLabel(parametric_prediction)
-    stance = StanceLabel(stance)
-    if prediction not in (VerdictLabel.TRUE, VerdictLabel.FALSE):
-        return False
-    if stance not in (StanceLabel.SUPPORTS, StanceLabel.REFUTES):
-        return False
-    return (prediction is VerdictLabel.TRUE and stance is StanceLabel.REFUTES) or (
-        prediction is VerdictLabel.FALSE and stance is StanceLabel.SUPPORTS
-    )
-
-
-def count_inter_context_conflicts(
-    claims: Iterable[ClaimRecord], evidences: Iterable[EvidencePiece]
-) -> int:
-    """Number of claims with at least one supports and one refutes evidence."""
-    stances: dict[str, set[StanceLabel]] = {}
-    for evidence in evidences:
-        stances.setdefault(evidence.claim_id, set()).add(evidence.stance)
-    polar = {StanceLabel.SUPPORTS, StanceLabel.REFUTES}
-    return sum(1 for claim in claims if polar <= stances.get(claim.id, set()))
+    return (VerdictLabel(parametric_prediction), StanceLabel(stance)) in _CONFLICTS

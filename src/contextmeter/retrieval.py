@@ -64,7 +64,6 @@ class SearchResult:
     """One deduplicated search hit; ranks are kept per engine but unused."""
 
     url: str
-    title: str
     rank_per_engine: tuple[tuple[str, int], ...]
     fetched_text: str
     pub_date: Optional[date] = None
@@ -144,7 +143,7 @@ class FixtureSearchClient:
     """Search over a local directory of text pages with a JSON manifest.
 
     The manifest is a list of objects with ``file``, ``url`` and optional
-    ``title`` / ``pub_date`` fields. Pages are ranked by how many distinct
+    ``pub_date`` fields; any ``title`` is ignored. Pages are ranked by how many distinct
     query words they contain; pages sharing no word with the query do not
     match. The manifest and every page are read, and each page's word set
     built, once, when the client is built.
@@ -173,7 +172,6 @@ class FixtureSearchClient:
             results.append(
                 SearchResult(
                     url=url,
-                    title=entry.get("title", ""),
                     rank_per_engine=((self.name, rank),),
                     fetched_text=text,
                     pub_date=date.fromisoformat(pub_date) if pub_date else None,
@@ -186,8 +184,8 @@ class HttpSearchClient:
     """Search backend speaking JSON over HTTP.
 
     Request: ``{"query": str, "top_k": int}``. Response: ``{"results":
-    [{"url", "title", "text", "pub_date"?, "html"?}]}``. HTML bodies are
-    flattened to text locally.
+    [{"url", "text", "pub_date"?, "html"?}]}``; any ``title`` is ignored.
+    HTML bodies are flattened to text locally.
     """
 
     def __init__(self, endpoint: str, name: str, timeout: float = 30.0, retries: int = 2):
@@ -218,7 +216,6 @@ class HttpSearchClient:
                 results.append(
                     SearchResult(
                         url=url,
-                        title=item.get("title", ""),
                         rank_per_engine=((self.name, rank),),
                         fetched_text=text,
                         pub_date=date.fromisoformat(pub_date) if pub_date else None,
@@ -406,10 +403,10 @@ def select_pages(
 ) -> PageSelection:
     """Top-k pages by maximum chunk score, honoring the pre-claim quota.
 
-    When the plain top-k holds fewer than ``min_preclaim`` pages published
-    before the claim, the lowest-scoring post-claim picks are swapped for the
-    best remaining pre-claim pages. A remaining deficit (fewer pre-claim
-    pages exist than required) is reported as ``shortfall``, never silently
+    The best ``min(min_preclaim, k)`` pages published before the claim are
+    taken first, then the best remaining pages fill the free slots; the
+    selection keeps score order. A remaining deficit (fewer pre-claim pages
+    exist than required) is reported as ``shortfall``, never silently
     ignored. Claims without a date make the constraint inapplicable.
     """
     best_score: dict[str, float] = {}
@@ -418,37 +415,19 @@ def select_pages(
         if chunk.page_url not in best_score or score > best_score[chunk.page_url]:
             best_score[chunk.page_url] = score
     ordered = sorted(best_score, key=lambda url: (-best_score[url], url))
-
-    def is_preclaim(url: str) -> bool:
-        page_date = pub_dates.get(url)
-        return (
-            claim.claim_date is not None
-            and page_date is not None
-            and page_date < claim.claim_date
-        )
-
-    selection = ordered[:k]
     if claim.claim_date is None:
-        return PageSelection(urls=selection, shortfall=0)
+        return PageSelection(urls=ordered[:k])
 
-    preclaim_available = [url for url in ordered if is_preclaim(url)]
-    needed = min(min_preclaim, len(preclaim_available))
-    shortfall = min_preclaim - len(preclaim_available) if len(preclaim_available) < min_preclaim else 0
-
-    selected_preclaim = [url for url in selection if is_preclaim(url)]
-    if len(selected_preclaim) < needed:
-        replacements = [url for url in preclaim_available if url not in selection]
-        # Drop post-claim picks from the bottom of the ranking first.
-        for url in reversed(selection):
-            if len(selected_preclaim) >= needed or not replacements:
-                break
-            if not is_preclaim(url):
-                selection.remove(url)
-                incoming = replacements.pop(0)
-                selection.append(incoming)
-                selected_preclaim.append(incoming)
-        selection.sort(key=lambda url: (-best_score[url], url))
-    return PageSelection(urls=selection, shortfall=shortfall)
+    preclaim = [
+        url for url in ordered
+        if (page_date := pub_dates.get(url)) is not None and page_date < claim.claim_date
+    ]
+    chosen = set(preclaim[:min(min_preclaim, k)])
+    chosen.update([url for url in ordered if url not in chosen][:k - len(chosen)])
+    return PageSelection(
+        urls=[url for url in ordered if url in chosen],
+        shortfall=max(0, min_preclaim - len(preclaim)),
+    )
 
 
 def assemble_evidence(

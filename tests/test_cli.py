@@ -610,7 +610,9 @@ class TestConfigErrors:
             "not-utf8-profile": (1, {bad: not_utf8}, ["profile", "--claims", bad, "--evidence", evidence_path]),
             "not-utf8-replay-store": (
                 1,
-                {bad: not_utf8},
+                # Newline-terminated: an unterminated final line that is not
+                # JSON is a torn append, which the store skips.
+                {bad: not_utf8 + b"\n"},
                 ["score", "--claims", claims_path, "--evidence", evidence_path, "--replay", bad,
                  "--provider-id", "m", "--claim-template", "claim-0shot", "--evidence-template", "evidence-0shot"],
             ),
@@ -857,6 +859,49 @@ class TestFailureExitCode:
         assert json.loads(stderr)["error"] == "ReplayMiss"
 
 
+#: SHA-256 of the rows (the bytes after the header line) of the fixture
+#: retrieve run and of both recast datasets, computed before quota-first page
+#: selection and the recast loader's repeated-claim rule.
+GOLDEN_ROWS_SHA256 = {
+    "retrieve": {
+        "evidence.jsonl": "a39aae431bb21ed8f719ef69596099b716ef2055aee213edf302ed1e7aeed980",
+        "traces.jsonl": "fd723ef63d94e8c512df7175c2f4e76643c6829e054ec939e95d87e06801c2d2",
+    },
+    "counterfact": {
+        "claims.jsonl": "3065052d988a24a868be47c04ccb6c5875e5a27714a520434cba984f1d1d9e29",
+        "evidence.jsonl": "c37463895b733a47cace704df64a18225a02e0b53eba15e8a30df3753fa9f010",
+    },
+    "conflictqa": {
+        "claims.jsonl": "12c7efa9c4e8c389df6f10fa8f03407f66790c00cff16ed471cd96fc795d5e84",
+        "evidence.jsonl": "cd9a11de904a9881c4127162e1dab1c85b37f0d7da1c2825453f2cd2bb9ae8fa",
+    },
+}
+GOLDEN_TRIPLETS = {
+    "counterfact": [
+        {"subject": "Danube", "relation": "flows through", "object_true": "Vienna", "object_edited": "Oslo"},
+        {"subject": "Mount Kenya", "relation": "is located in", "object_true": "Kenya", "object_edited": "Chile"},
+        {"subject": "Ada Lovelace", "relation": "was born in", "object_true": "London", "object_edited": " Paris "},
+        {"subject": "Danube", "relation": "flows through", "object_true": "Vienna", "object_edited": "Oslo"},
+    ],
+    "conflictqa": [
+        {"memory_answer": "Paris is the capital of France.", "parametric_evidence": "Paris hosts the government. ",
+         "counter_evidence": "Lyon became the capital in 2020."},
+        {"memory_answer": " Water boils at 100 C at sea level", "parametric_evidence": "Textbooks give 100 C.",
+         "counter_evidence": "It boils at 90 C."},
+        {"memory_answer": "Paris is the capital of France.", "parametric_evidence": "Paris hosts the government. ",
+         "counter_evidence": "Lyon became the capital in 2020."},
+    ],
+}
+
+
+def rows_sha256(run_dir: Path) -> dict[str, str]:
+    """SHA-256 of each JSON Lines artifact's bytes after its header line."""
+    return {
+        path.name: hashlib.sha256(path.read_bytes().split(b"\n", 1)[1]).hexdigest()
+        for path in sorted(run_dir.glob("*.jsonl"))
+    }
+
+
 class TestIngestRecast:
     def test_corpus_stats_match_fixture(self, druid_fixture_paths, tmp_path):
         claims_path, evidence_path = druid_fixture_paths
@@ -915,6 +960,16 @@ class TestIngestRecast:
         assert [row["evidence_id"] for row in rows[0]] == ["e-c1"]
         assert rows[0] == rows[1]
 
+    @pytest.mark.parametrize("dataset", sorted(GOLDEN_TRIPLETS))
+    def test_golden_recast_rows(self, tmp_path, dataset):
+        triplets = tmp_path / "triplets.jsonl"
+        triplets.write_text("".join(json.dumps(row) + "\n" for row in GOLDEN_TRIPLETS[dataset]))
+        code, stdout, stderr = run_cli(
+            "recast", "--triplets", str(triplets), "--dataset", dataset, "--out", str(tmp_path),
+        )
+        assert code == 0, stderr
+        assert rows_sha256(run_dir_of(stdout)) == GOLDEN_ROWS_SHA256[dataset]
+
     def test_recast_counterfact_writes_balanced_corpus(self, tmp_path):
         triplets = tmp_path / "triplets.jsonl"
         rows = [
@@ -951,6 +1006,30 @@ class TestIngestRecast:
 
 
 class TestRetrieve:
+    def test_golden_rows(self, fixture_corpus_dir, tmp_path):
+        lighthouse = "The red lighthouse on Gull Island was built in 1932."
+        claims = [
+            ("c-dated", lighthouse, "2022-05-10"),
+            # The quota swaps the undated chess page for the pre-claim wildlife page.
+            ("c-swap", "Chess gambits, tomato soup and a registry entry: the island tower was first lit in 1932.",
+             "2020-01-01"),
+            ("c-early", lighthouse, "1990-01-01"),
+            ("c-undated", "Tomato soup with basil and chess gambits appear in the national registry of the island.",
+             None),
+        ]
+        claims_path = tmp_path / "claims.jsonl"
+        claims_path.write_text("".join(
+            json.dumps({"id": claim_id, "text": text, "claimant": None, "source": "politifact",
+                        "claim_date": claim_date, "verdict": "True", "raw_verdict": "True"}) + "\n"
+            for claim_id, text, claim_date in claims
+        ))
+        code, stdout, stderr = run_cli(
+            "retrieve", "--claims", str(claims_path), "--fixture-corpus", str(fixture_corpus_dir),
+            "--out", str(tmp_path),
+        )
+        assert code == 0, stderr
+        assert rows_sha256(run_dir_of(stdout)) == GOLDEN_ROWS_SHA256["retrieve"]
+
     def test_fixture_corpus_pipeline(self, fixture_corpus_dir, tmp_path):
         claims = tmp_path / "claims.jsonl"
         claims.write_text(
@@ -1075,10 +1154,14 @@ class TestScore:
         assert len(calls) == prompts - 7
         assert not set(calls) & set(first_calls)
         assert (run_dir_of(stdout) / "scored.jsonl").read_bytes() == uninterrupted
+        # Records carry no timestamp, so the resumed store is the whole one.
+        whole_store = (tmp_path / "whole" / "store.jsonl").read_bytes()
+        assert (resumed / "store.jsonl").read_bytes() == whole_store
 
         code, _, stderr = record(resumed)
         assert code == 0, stderr
         assert calls == []
+        assert (resumed / "store.jsonl").read_bytes() == whole_store
 
     def test_record_stops_calling_the_provider_after_a_failure(self, druid_fixture_paths, tmp_path, monkeypatch):
         claims_path, evidence_path = druid_fixture_paths

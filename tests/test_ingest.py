@@ -398,6 +398,24 @@ class TestLoadTriplets:
             load_one_triplet(tmp_path, dataset, row)
         assert str(exc_info.value) == f"{tmp_path / 'triplets.jsonl'}:1: {message}"
 
+    def test_repeated_claim_keeps_every_distinct_piece(self, tmp_path):
+        # Both rows recast to one claim id (conflictqa derives it from the
+        # memory answer alone); the second row's evidence is new, the third
+        # row repeats the second.
+        path = tmp_path / "qa.jsonl"
+        other = {**MEMORY, "parametric_evidence": "Other support.", "counter_evidence": "Other refutation."}
+        write_lines(path, [MEMORY, other, other])
+        corpus = ing.load_triplets(path, dataset="conflictqa")
+        assert corpus.totals() == (1, 4)
+        texts = [(piece.stance, piece.text) for piece in corpus.evidence]
+        assert texts == [
+            (StanceLabel.SUPPORTS, MEMORY["parametric_evidence"].strip()),
+            (StanceLabel.REFUTES, MEMORY["counter_evidence"].strip()),
+            (StanceLabel.SUPPORTS, "Other support."),
+            (StanceLabel.REFUTES, "Other refutation."),
+        ]
+        assert corpus.inter_context_conflicts() == 1
+
     def test_unknown_dataset_rejected(self, tmp_path):
         path = tmp_path / "x.jsonl"
         path.write_text("")

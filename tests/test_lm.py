@@ -1,5 +1,6 @@
 """Prompt templates, logprob extraction, and the record/replay scorer."""
 
+import hashlib
 import json
 import math
 import re
@@ -18,7 +19,7 @@ from contextmeter.errors import (
     ZeroMass,
 )
 from contextmeter.ingest import load_druid
-from contextmeter.model import PromptMode, VerdictLabel
+from contextmeter.model import PromptMode, VerdictLabel, canonical_json
 
 from conftest import (
     HashLogprobProvider,
@@ -345,7 +346,7 @@ class TestScoreRecord:
     @pytest.mark.parametrize(
         "tamper",
         [
-            lambda data: data.pop("timestamp"),
+            lambda data: data.pop("provider_id"),
             lambda data: data["probs"].update(mode="claim+context"),
             lambda data: data["probs"].update(p_true=0.9),
             lambda data: data["probs"].update(p_true="high"),
@@ -358,6 +359,15 @@ class TestScoreRecord:
         tamper(data)
         with pytest.raises(StoreCorruption):
             lm.ScoreRecord.from_dict(data)
+
+    def test_record_written_with_a_timestamp_still_loads(self):
+        # Stores written before the timestamp was dropped checksum it too.
+        record = self._record()
+        data = record.to_dict()
+        del data["checksum"]
+        data["timestamp"] = 1700000000.25
+        data["checksum"] = hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
+        assert lm.ScoreRecord.from_dict(json.loads(json.dumps(data))) == record
 
     def test_non_object_line_is_store_corruption(self):
         with pytest.raises(StoreCorruption):
@@ -436,7 +446,7 @@ class TestReplayStore:
         "tamper, reason",
         [
             (lambda data: data["surface_probs"].update({"True": 0.999}), "checksum mismatch"),
-            (lambda data: data.pop("timestamp"), "malformed score record"),
+            (lambda data: data.pop("provider_id"), "malformed score record"),
         ],
         ids=["checksum", "malformed"],
     )
@@ -476,6 +486,41 @@ class TestReplayStore:
         store_path.write_text('{"prompt_hash": "ab\n', encoding="utf-8")
         with pytest.raises(StoreCorruption):
             lm.ReplayStore(store_path)
+
+    @staticmethod
+    def _record_claims(store_path, numbers):
+        scorer = lm.VerdictScorer(provider=HashLogprobProvider(), store=lm.ReplayStore(store_path))
+        template = lm.load_template("claim-0shot")
+        for n in numbers:
+            scorer.score(template, make_claim(id=f"c{n}", text=f"Claim number {n}."))
+
+    def test_torn_final_line_is_skipped_then_cut_away(self, tmp_path):
+        uninterrupted = tmp_path / "uninterrupted.jsonl"
+        self._record_claims(uninterrupted, (1, 2, 3))
+        store_path = tmp_path / "store.jsonl"
+        self._record_claims(store_path, (1, 2))
+        # A crash mid-append leaves part of a record without its newline.
+        torn = store_path.read_bytes() + uninterrupted.read_bytes().splitlines()[2][:40]
+        store_path.write_bytes(torn)
+        replayer = lm.VerdictScorer(
+            store=lm.ReplayStore(store_path), provider_id=HashLogprobProvider().provider_id,
+        )
+        replayer.score(lm.load_template("claim-0shot"), make_claim(id="c2", text="Claim number 2."))
+        assert len(lm.ReplayStore(store_path)) == 2
+        assert store_path.read_bytes() == torn  # replay never writes the store
+        self._record_claims(store_path, (1, 2, 3))
+        assert store_path.read_bytes() == uninterrupted.read_bytes()
+
+    def test_final_record_without_newline_gets_one_before_the_next(self, tmp_path):
+        uninterrupted = tmp_path / "uninterrupted.jsonl"
+        self._record_claims(uninterrupted, (1, 2, 3))
+        store_path = tmp_path / "store.jsonl"
+        self._record_claims(store_path, (1, 2))
+        store_path.write_bytes(store_path.read_bytes().rstrip(b"\n"))
+        assert len(lm.ReplayStore(store_path)) == 2
+        self._record_claims(store_path, (1, 2, 3))
+        assert store_path.read_bytes() == uninterrupted.read_bytes()
+        assert len(lm.ReplayStore(store_path)) == 3
 
     def test_missing_file_is_empty(self, tmp_path):
         store = lm.ReplayStore(tmp_path / "absent.jsonl")

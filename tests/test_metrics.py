@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from contextmeter import metrics
 from contextmeter.errors import InvariantViolation
+from contextmeter.ingest import Corpus
 from contextmeter.metrics import AcuConfig, acu_from_triples
 from contextmeter.model import (
     CANONICAL_LABELS,
@@ -19,7 +20,7 @@ from contextmeter.model import (
     VerdictProbabilities,
 )
 
-from conftest import make_evidence
+from conftest import make_claim, make_evidence
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -301,8 +302,9 @@ class TestMemoryConflict:
             ), (label, stance)
 
 
-def claims_with_ids(*ids):
-    return [type("C", (), {"id": claim_id})() for claim_id in ids]
+def conflicts(claim_ids, evidences):
+    claims = {claim_id: make_claim(id=claim_id) for claim_id in claim_ids}
+    return Corpus(claims=claims, evidence=evidences).inter_context_conflicts()
 
 
 class TestInterContextConflict:
@@ -311,27 +313,26 @@ class TestInterContextConflict:
             make_evidence(id="e1", stance=StanceLabel.SUPPORTS),
             make_evidence(id="e2", stance=StanceLabel.REFUTES),
         ]
-        assert metrics.count_inter_context_conflicts(claims_with_ids("c1"), evidences) == 1
+        assert conflicts(["c1"], evidences) == 1
 
     def test_insufficient_stances_do_not_conflict(self):
         evidences = [
             make_evidence(id="e1", stance=StanceLabel.SUPPORTS),
             make_evidence(id="e2", stance=StanceLabel.INSUFFICIENT_REFUTES),
         ]
-        assert metrics.count_inter_context_conflicts(claims_with_ids("c1"), evidences) == 0
+        assert conflicts(["c1"], evidences) == 0
 
     def test_unlabelled_evidence_ignored(self):
         evidences = [
             make_evidence(id="e1", stance=None, relevance=None),
             make_evidence(id="e2", stance=StanceLabel.REFUTES),
         ]
-        assert metrics.count_inter_context_conflicts(claims_with_ids("c1"), evidences) == 0
+        assert conflicts(["c1"], evidences) == 0
 
     def test_count_over_corpus(self):
-        claims = claims_with_ids("c0", "c1", "c2")
         evidences = [
             make_evidence(id="e1", claim_id="c0", stance=StanceLabel.SUPPORTS),
             make_evidence(id="e2", claim_id="c0", stance=StanceLabel.REFUTES),
             make_evidence(id="e3", claim_id="c1", stance=StanceLabel.SUPPORTS),
         ]
-        assert metrics.count_inter_context_conflicts(claims, evidences) == 1
+        assert conflicts(["c0", "c1", "c2"], evidences) == 1

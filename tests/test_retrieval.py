@@ -46,7 +46,6 @@ class FakeEngine:
         return [
             SearchResult(
                 url=url,
-                title=url,
                 rank_per_engine=((self.name, i + 1),),
                 fetched_text="some words here",
             )
@@ -268,7 +267,6 @@ def rereading_search(corpus_dir, query):
     return [
         SearchResult(
             url=url,
-            title=entry.get("title", ""),
             rank_per_engine=(("fixture", rank),),
             fetched_text=text,
             pub_date=date.fromisoformat(entry["pub_date"]) if entry.get("pub_date") else None,
@@ -414,6 +412,76 @@ class TestSelectPages:
         scored = [self._chunk("only", 0.5)]
         selection = rt.select_pages(claim, scored, {"only": date(2019, 1, 1)})
         assert selection.urls == ["only"]
+
+
+def swap_loop_select_pages(claim, scored_chunks, pub_dates, k, min_preclaim):
+    """The top-k-then-swap page selector that quota-first selection
+    replaced, kept as the reference it must agree with."""
+    best_score = {}
+    for chunk in scored_chunks:
+        score = chunk.rerank_score if chunk.rerank_score is not None else 0.0
+        if chunk.page_url not in best_score or score > best_score[chunk.page_url]:
+            best_score[chunk.page_url] = score
+    ordered = sorted(best_score, key=lambda url: (-best_score[url], url))
+
+    def is_preclaim(url):
+        page_date = pub_dates.get(url)
+        return (
+            claim.claim_date is not None
+            and page_date is not None
+            and page_date < claim.claim_date
+        )
+
+    selection = ordered[:k]
+    if claim.claim_date is None:
+        return selection, 0
+
+    preclaim_available = [url for url in ordered if is_preclaim(url)]
+    needed = min(min_preclaim, len(preclaim_available))
+    shortfall = min_preclaim - len(preclaim_available) if len(preclaim_available) < min_preclaim else 0
+
+    selected_preclaim = [url for url in selection if is_preclaim(url)]
+    if len(selected_preclaim) < needed:
+        replacements = [url for url in preclaim_available if url not in selection]
+        for url in reversed(selection):
+            if len(selected_preclaim) >= needed or not replacements:
+                break
+            if not is_preclaim(url):
+                selection.remove(url)
+                incoming = replacements.pop(0)
+                selection.append(incoming)
+                selected_preclaim.append(incoming)
+        selection.sort(key=lambda url: (-best_score[url], url))
+    return selection, shortfall
+
+
+POOL_URLS = [f"u{i}" for i in range(8)]
+CLAIM_DAY = date(2020, 1, 1)
+
+
+class TestSelectPagesMatchesSwapLoop:
+    @given(
+        pool=st.lists(
+            st.tuples(st.sampled_from(POOL_URLS), st.sampled_from([None, 0.0, 0.25, 0.5, 1.0])),
+            max_size=12,
+        ),
+        dates=st.dictionaries(
+            st.sampled_from(POOL_URLS),
+            st.sampled_from([None, date(2019, 1, 1), date(2019, 12, 31), CLAIM_DAY, date(2021, 1, 1)]),
+        ),
+        claim_date=st.sampled_from([None, CLAIM_DAY]),
+        k=st.integers(min_value=1, max_value=5),
+        min_preclaim=st.integers(min_value=0, max_value=5),
+    )
+    def test_same_pages_and_shortfall(self, pool, dates, claim_date, k, min_preclaim):
+        claim = make_claim(claim_date=claim_date)
+        chunks = [
+            Chunk(page_url=url, ordinal=i, text="x y", word_count=2, rerank_score=score)
+            for i, (url, score) in enumerate(pool)
+        ]
+        selection = rt.select_pages(claim, chunks, dates, k=k, min_preclaim=min_preclaim)
+        expected = swap_loop_select_pages(claim, chunks, dates, k, min_preclaim)
+        assert (selection.urls, selection.shortfall) == expected
 
 
 class TestAssembleEvidence:
