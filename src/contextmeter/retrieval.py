@@ -298,22 +298,10 @@ def chunk_page(page_text: str, page_url: str = "") -> list[Chunk]:
     ordinal = 0
     for paragraph in split_paragraphs(page_text):
         tokens = paragraph.split()
-        if len(tokens) <= MAX_CHUNK_WORDS:
-            pieces = [paragraph]
-        else:
-            pieces = [
-                " ".join(tokens[start : start + MAX_CHUNK_WORDS])
-                for start in range(0, len(tokens), MAX_CHUNK_WORDS)
-            ]
+        pieces = [tokens[start : start + MAX_CHUNK_WORDS] for start in range(0, len(tokens), MAX_CHUNK_WORDS)]
         for piece in pieces:
-            chunks.append(
-                Chunk(
-                    page_url=page_url,
-                    ordinal=ordinal,
-                    text=piece,
-                    word_count=word_count(piece),
-                )
-            )
+            text = paragraph if len(pieces) == 1 else " ".join(piece)
+            chunks.append(Chunk(page_url=page_url, ordinal=ordinal, text=text, word_count=len(piece)))
             ordinal += 1
     return chunks
 
@@ -363,18 +351,39 @@ def rouge_l(candidate: str, reference: Reference) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def filter_claim_repeats(
-    chunk: Chunk, claim: Reference, threshold: float = CLAIM_REPEAT_THRESHOLD
-) -> Optional[Chunk]:
-    """Remove sentences that near-repeat the claim; drop emptied chunks."""
-    kept = [
-        sentence
-        for sentence in split_sentences(chunk.text)
-        if rouge_l(sentence, claim) <= threshold
-    ]
-    if not kept:
+def _shared_bound(tokens: Sequence[str], claim: Reference) -> int:
+    """An upper bound on LCS(tokens, claim): how many claim tokens are among ``tokens``."""
+    return sum(claim.masks[token].bit_count() for token in claim.masks.keys() & tokens)
+
+
+def filter_claim_repeats(chunk: Chunk, claim: Reference) -> Optional[Chunk]:
+    """Remove sentences that near-repeat the claim; drop emptied chunks.
+
+    F = 2·LCS/(m+n) for an m-token sentence and the n-token claim, so with
+    LCS ≤ min(B, m, n) for B = ``_shared_bound`` a sentence with
+    10·min(B, m, n) < 4·(m+n) has F < 4/5 (``CLAIM_REPEAT_THRESHOLD``) and
+    is kept without ``rouge_l``. As m ≥ LCS, F ≤ 2B/(B+n): when 3·B < 2·n
+    for the whole chunk, no sentence in it reaches the threshold. The
+    sentences are still rejoined, which normalises the whitespace after them;
+    an unchanged chunk is returned as is.
+    """
+    n = len(claim.tokens)
+    sentences = split_sentences(chunk.text)
+    if 3 * _shared_bound(chunk.text.split(), claim) >= 2 * n:
+        kept = []
+        for sentence in sentences:
+            tokens = sentence.split()
+            m = len(tokens)
+            if 10 * min(_shared_bound(tokens, claim), m, n) < 4 * (m + n) or (
+                rouge_l(sentence, claim) <= CLAIM_REPEAT_THRESHOLD
+            ):
+                kept.append(sentence)
+        sentences = kept
+    if not sentences:
         return None
-    text = " ".join(kept)
+    text = " ".join(sentences)
+    if text == chunk.text:
+        return chunk
     return replace(chunk, text=text, word_count=word_count(text))
 
 
@@ -383,7 +392,10 @@ def rerank(claim: ClaimRecord, chunks: Sequence[Chunk], client: RerankClient) ->
     if not chunks:
         return []
     scores = client.score(claim.text, [chunk.text for chunk in chunks])
-    scored = [replace(chunk, rerank_score=score) for chunk, score in zip(chunks, scores)]
+    scored = [
+        Chunk(chunk.page_url, chunk.ordinal, chunk.text, chunk.word_count, score)
+        for chunk, score in zip(chunks, scores)
+    ]
     scored.sort(key=lambda c: (-c.rerank_score, c.ordinal, c.page_url))
     return scored
 

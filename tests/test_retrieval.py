@@ -6,7 +6,7 @@ from datetime import date
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from contextmeter import retrieval as rt
@@ -216,6 +216,41 @@ class TestClaimRepeatDecisions:
             assert filtered.text == " ".join(kept)
         else:
             assert filtered is None
+
+    @given(
+        claim=st.lists(st.sampled_from(["Gull", "Island", "gull", "lighthouse", "the", "the."]), min_size=1, max_size=8),
+        sentences=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(["Gull", "Island", "gull", "the", "lighthouse", "cove", "old", "1932"]),
+                         min_size=1, max_size=12),
+                st.sampled_from([".", "!", "?", ""]),
+                st.sampled_from([" ", "  ", "\n", ".\n", " \n\t"]),
+            ),
+            min_size=1, max_size=6,
+        ),
+    )
+    @example(claim=["the", "the", "gull"], sentences=[(["the", "the", "gull"], "", " ")])
+    def test_pruned_filter_matches_dp_rouge(self, claim, sentences):
+        # Claims with repeated tokens, sentence words outside the claim, and
+        # runs of whitespace after sentence ends, against the plain DP RougeL.
+        claim_text = " ".join(claim)
+        text = "".join(" ".join(words) + end + gap for words, end, gap in sentences).strip()
+        chunk = Chunk(page_url="u", ordinal=0, text=text, word_count=len(text.split()))
+        kept = [s for s in rt.split_sentences(text) if dp_rouge_l(s, claim_text) <= 0.8]
+        filtered = rt.filter_claim_repeats(chunk, rt.Reference.of(claim_text))
+        if not kept:
+            assert filtered is None
+            return
+        assert (filtered.text, filtered.word_count) == (" ".join(kept), len(" ".join(kept).split()))
+        if filtered.text == text:
+            assert filtered is chunk
+
+    def test_unchanged_chunk_is_returned_as_is(self):
+        claim = rt.Reference.of(self.CLAIM)
+        chunk = Chunk(page_url="u", ordinal=0, text="Gull Island birds. Cove walks!", word_count=5)
+        assert rt.filter_claim_repeats(chunk, claim) is chunk
+        spaced = Chunk(page_url="u", ordinal=0, text="Gull Island birds.\n  Cove walks!", word_count=5)
+        assert rt.filter_claim_repeats(spaced, claim).text == chunk.text
 
 
 class TestClaimRepeatFilter:
