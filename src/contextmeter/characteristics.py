@@ -34,6 +34,8 @@ from .model import (
 logger = logging.getLogger(__name__)
 
 _TOKEN_SPLIT_RE = re.compile(r"[\W_]+", re.UNICODE)
+#: Every ASCII character that ``_TOKEN_SPLIT_RE`` splits at, mapped to a space.
+_ASCII_SEPARATORS = {code: " " for code in range(128) if not chr(code).isalnum()}
 _SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
 _TRUE_WORD_RE = re.compile(r"\bTrue\b")
 _FALSE_WORD_RE = re.compile(r"\bFalse\b")
@@ -42,6 +44,8 @@ _FALSE_WORD_RE = re.compile(r"\bFalse\b")
 def words(text: str) -> list[str]:
     """Lowercased word tokens with punctuation and special characters
     (including '-' and '_') stripped; hyphenated compounds split apart."""
+    if text.isascii():
+        return text.lower().translate(_ASCII_SEPARATORS).split()
     return [token for token in _TOKEN_SPLIT_RE.split(text.lower()) if token]
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -98,6 +99,35 @@ class TestWordSets:
 
     def test_case_folded(self):
         assert ch.word_set("The THE the") == frozenset({"the"})
+
+
+#: The tokenizer that ``words`` uses for every text, kept as its oracle.
+TOKEN_SPLIT_RE = re.compile(r"[\W_]+", re.UNICODE)
+
+
+def regex_words(text):
+    return [token for token in TOKEN_SPLIT_RE.split(text.lower()) if token]
+
+
+class TestWordsTokenizer:
+    def test_every_ascii_character_as_the_regex(self):
+        for c in map(chr, range(128)):
+            for text in (c, f"{c}Ab1", f"Ab{c}c9", f"x_Y{c}", f"{c}{c}word {c}"):
+                assert ch.words(text) == regex_words(text), repr(text)
+
+    @given(
+        text=st.text(
+            alphabet=st.one_of(
+                st.characters(max_codepoint=127),
+                st.sampled_from("éÉßİıΣσςǅ\u00a0\u2013\u2019\u3000\u0301\u00b2\u0660Ⅻ"),
+                st.characters(),
+            ),
+        )
+    )
+    def test_matches_the_regex_on_mixed_alphabets(self, text):
+        ascii_only = text.encode("ascii", "ignore").decode()
+        assert ch.words(text) == regex_words(text)
+        assert ch.words(ascii_only) == regex_words(ascii_only)
 
 
 class TestSimilarity:
