@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 from dataclasses import dataclass, replace
 from datetime import date
@@ -145,39 +146,35 @@ class FixtureSearchClient:
     The manifest is a list of objects with ``file``, ``url`` and optional
     ``pub_date`` fields; any ``title`` is ignored. Pages are ranked by how many distinct
     query words they contain; pages sharing no word with the query do not
-    match. The manifest and every page are read, and each page's word set
-    built, once, when the client is built.
+    match. The manifest and every page are read, each entry's ``url`` and
+    ``pub_date`` checked, and each page's word set built, once, when the
+    client is built.
     """
 
     def __init__(self, corpus_dir: Path, name: str = "fixture"):
         self.name = name
         corpus_dir = Path(corpus_dir)
         manifest = json.loads((corpus_dir / "manifest.json").read_text(encoding="utf-8"))
-        self._pages: list[tuple[dict, str, frozenset[str]]] = []
+        self._pages: list[tuple[str, Optional[date], str, frozenset[str]]] = []
         for entry in manifest:
+            url, pub_date = entry["url"], entry.get("pub_date")
+            if not isinstance(url, str):
+                raise TypeError(f"url must be a string, got {url!r}")
             text = (corpus_dir / entry["file"]).read_text(encoding="utf-8")
-            self._pages.append((entry, text, word_set(text)))
+            self._pages.append((url, date.fromisoformat(pub_date) if pub_date else None, text, word_set(text)))
 
     def search(self, query: str) -> list[SearchResult]:
         query_words = word_set(query)
-        scored: list[tuple[int, str, dict, str]] = []
-        for entry, text, page_words in self._pages:
-            overlap = len(query_words & page_words)
-            if overlap > 0:
-                scored.append((overlap, entry["url"], entry, text))
+        scored = [
+            (overlap, url, pub_date, text)
+            for url, pub_date, text, page_words in self._pages
+            if (overlap := len(query_words & page_words)) > 0
+        ]
         scored.sort(key=lambda item: (-item[0], item[1]))
-        results = []
-        for rank, (_, url, entry, text) in enumerate(scored[:TOP_RESULTS_PER_ENGINE], start=1):
-            pub_date = entry.get("pub_date")
-            results.append(
-                SearchResult(
-                    url=url,
-                    rank_per_engine=((self.name, rank),),
-                    fetched_text=text,
-                    pub_date=date.fromisoformat(pub_date) if pub_date else None,
-                )
-            )
-        return results
+        return [
+            SearchResult(url=url, rank_per_engine=((self.name, rank),), fetched_text=text, pub_date=pub_date)
+            for rank, (_, url, pub_date, text) in enumerate(scored[:TOP_RESULTS_PER_ENGINE], start=1)
+        ]
 
 
 class HttpSearchClient:
@@ -260,6 +257,10 @@ class HttpRerankClient:
         if not isinstance(scores, list) or len(scores) != len(texts):
             raise RerankBackendError("malformed scores payload")
         with reply_shape(self._endpoint, RerankBackendError):
+            for score in scores:
+                # A NaN would leave the rerank and page-selection order undefined.
+                if type(score) not in (int, float) or not math.isfinite(score):
+                    raise ValueError(f"score is not a finite number: {score!r}")
             return [float(s) for s in scores]
 
 
@@ -367,6 +368,7 @@ def filter_claim_repeats(chunk: Chunk, claim: Reference) -> Optional[Chunk]:
     sentences are still rejoined, which normalises the whitespace after them;
     an unchanged chunk is returned as is.
     """
+    # The integer tests encode CLAIM_REPEAT_THRESHOLD = 4/5; they change with it.
     n = len(claim.tokens)
     sentences = split_sentences(chunk.text)
     if 3 * _shared_bound(chunk.text.split(), claim) >= 2 * n:

@@ -6,9 +6,11 @@ the tracer here makes such a rename fail the test suite instead.
 """
 
 import importlib.util
+from collections import Counter
+from datetime import date
 from pathlib import Path
 
-from conftest import HashLogprobProvider, make_claim
+from conftest import DATA_DIR, HashLogprobProvider, make_claim
 from contextmeter import analysis, characteristics, cli, ingest, lm, metrics, model, retrieval
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -64,3 +66,44 @@ def test_install_wraps_and_uninstall_restores(tmp_path):
     finally:
         tracer.uninstall()
     assert namespaces() == before
+
+
+def sentences_reaching_the_lcs(chunks, claim_text):
+    """How many sentences the claim-repeat filter must score: those in chunks
+    and sentences whose shared-token bound leaves RougeL F > 0.8 possible."""
+    claim_counts = Counter(claim_text.split())
+    n = sum(claim_counts.values())
+
+    def shared(tokens):
+        return sum(claim_counts[token] for token in set(tokens))
+
+    reached = 0
+    for chunk in chunks:
+        if 3 * shared(chunk.text.split()) >= 2 * n:
+            for sentence in retrieval.split_sentences(chunk.text):
+                m = len(sentence.split())
+                reached += 10 * min(shared(sentence.split()), m, n) >= 4 * (m + n)
+    return reached
+
+
+def test_traced_pipeline_counts_the_pruned_claim_repeat_filter():
+    claim = make_claim(text="The red lighthouse on Gull Island was built in 1932.", claim_date=date(2020, 1, 1))
+    engine = retrieval.FixtureSearchClient(DATA_DIR / "fixture_corpus")
+    chunks = [
+        chunk
+        for result in retrieval.search(claim, [engine])
+        for chunk in retrieval.chunk_page(result.fetched_text, result.url)
+    ]
+    reached = sentences_reaching_the_lcs(chunks, claim.text)
+    assert 0 < reached < sum(len(retrieval.split_sentences(chunk.text)) for chunk in chunks)
+
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install(HashLogprobProvider)
+        _, trace = retrieval.run_pipeline(claim, [engine], retrieval.LexicalOverlapReranker())
+    finally:
+        tracer.uninstall()
+    assert trace["chunks_dropped_as_claim_repeats"] > 0
+    assert tracer.counts["retrieval.chunks"] == len(chunks)
+    assert tracer.counts["retrieval.rouge_l.calls"] == tracer.counts["retrieval.lcs_length.calls"] == reached
+    assert tracer.counts["retrieval.chunks_dropped"] == trace["chunks_dropped_as_claim_repeats"]

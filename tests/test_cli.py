@@ -443,6 +443,7 @@ class TestConfigErrors:
             "duplicate-evidence-ingest", "duplicate-evidence-profile", "duplicate-evidence-replay-score",
             "pub-after-claim-ingest", "pub-after-claim-profile", "pub-after-claim-replay-score",
             "duplicate-claim-profile", "duplicate-claim-retrieve", "write-fails",
+            "fixture-bad-pub-date", "fixture-pub-date-number", "fixture-without-url", "fixture-url-number",
         ],
     )
     def test_config_error_leaves_no_run_dir(
@@ -553,6 +554,16 @@ class TestConfigErrors:
                 argv,
                 f"{bad}:{len(lines) + 1}: duplicate evidence id {json.loads(lines[-1])[key]!r}",
             )
+        # A fixture corpus whose manifest's first entry has a bad field.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(fixture_corpus_dir, corpus)
+        manifest = json.loads((corpus / "manifest.json").read_text(encoding="utf-8"))
+        manifest_faults = {
+            "fixture-bad-pub-date": {**manifest[0], "pub_date": "2020-13-45"},
+            "fixture-pub-date-number": {**manifest[0], "pub_date": 20200101},
+            "fixture-without-url": {key: value for key, value in manifest[0].items() if key != "url"},
+            "fixture-url-number": {**manifest[0], "url": 7},
+        }
         # case: (exit code, {input file: content}, argv)
         cases = {
             "no-templates": (2, {}, ["score", "--claims", claims_path, "--evidence", evidence_path]),
@@ -648,6 +659,14 @@ class TestConfigErrors:
                 for stage, argv in claim_stages.items()
             },
             "write-fails": (1, {}, profile),
+            **{
+                case: (
+                    2,
+                    {corpus / "manifest.json": json.dumps([entry, *manifest[1:]])},
+                    ["retrieve", "--claims", claims_path, "--fixture-corpus", corpus],
+                )
+                for case, entry in manifest_faults.items()
+            },
         }
         expected_code, files, argv = cases[case]
         for path, text in files.items():
@@ -713,6 +732,9 @@ class TestConfigErrors:
             assert payload == {"error": "ParseError", "message": f"{bad}:1: {type_faults[case][2]}"}
         elif case in duplicate_faults:
             assert payload == {"error": "ParseError", "message": duplicate_faults[case][2]}
+        elif case in manifest_faults:
+            assert payload["error"] == "ConfigError"
+            assert payload["message"].startswith(f"cannot read fixture corpus {corpus}: ")
         elif expected_code == 1:
             assert payload["error"] == "ParseError"
             assert re.search(r"\.jsonl?:\d+: ", payload["message"])

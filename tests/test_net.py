@@ -194,6 +194,12 @@ MALFORMED_REPLIES = {
     ),
     "search-results-string": (search, {"results": "not a list"}, SearchBackendError),
     "rerank-score-not-number": (rerank, {"scores": ["a"]}, RerankBackendError),
+    "rerank-score-numeric-string": (rerank, {"scores": ["0.5"]}, RerankBackendError),
+    "rerank-score-bool": (rerank, {"scores": [True]}, RerankBackendError),
+    "rerank-score-nan": (rerank, b'{"scores": [NaN]}', RerankBackendError),
+    "rerank-score-infinity": (rerank, b'{"scores": [Infinity]}', RerankBackendError),
+    "rerank-score-minus-infinity": (rerank, b'{"scores": [-Infinity]}', RerankBackendError),
+    "rerank-score-overflows-float": (rerank, b'{"scores": [1e999]}', RerankBackendError),
     "logprob-not-number": (next_token, {"top_logprobs": {"True": "high"}}, ProviderError),
     "token-logprob-null": (token_logprobs, {"token_logprobs": [-0.5, None]}, ProviderError),
 }
