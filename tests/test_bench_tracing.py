@@ -69,8 +69,8 @@ def test_install_wraps_and_uninstall_restores(tmp_path):
 
 
 def sentences_reaching_the_lcs(chunks, claim_text):
-    """How many sentences the claim-repeat filter must score: those in chunks
-    and sentences whose shared-token bound leaves RougeL F > 0.8 possible."""
+    """How many sentences reach the LCS: those for which both their chunk's
+    and their own shared-token bound leave RougeL F > 0.8 possible."""
     claim_counts = Counter(claim_text.split())
     n = sum(claim_counts.values())
 

@@ -101,7 +101,7 @@ class TestWordSets:
         assert ch.word_set("The THE the") == frozenset({"the"})
 
 
-#: The tokenizer that ``words`` uses for every text, kept as its oracle.
+#: The regex that ``words`` used for every text, kept as the oracle of its ASCII path.
 TOKEN_SPLIT_RE = re.compile(r"[\W_]+", re.UNICODE)
 
 
