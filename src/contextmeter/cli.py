@@ -33,6 +33,7 @@ from . import analysis, characteristics, ingest, lm, metrics, retrieval
 from ._version import __version__
 from .errors import ConfigError, ContextMeterError, InvariantViolation, NoPairableValues, ParseError
 from .model import (
+    CANONICAL_LABELS,
     CharacteristicVector,
     ClaimRecord,
     EvidencePiece,
@@ -213,12 +214,14 @@ def _load_records(path: str, cls: type, key: str) -> dict:
 
 
 def _parallel_map(fn: Callable, items: list, label: Callable[[Any], str], workers: int) -> list:
-    """``fn`` over ``items`` on a thread pool, results in input order.
+    """``fn`` over ``items``, results in input order.
 
-    The first item to fail stops the map: no item starts after it, and its
-    error is raised once the items already running have finished. A package
-    error raised for an item gets ``label(item)`` prefixed to its message,
-    on the same exception object.
+    With one worker every item runs in the calling thread; with more, on a
+    thread pool, which overlaps only items that wait on I/O. The first item
+    to fail stops the map: no item starts after it, and its error is raised
+    once the items already running have finished. A package error raised
+    for an item gets ``label(item)`` prefixed to its message, on the same
+    exception object.
     """
     failed = threading.Event()
 
@@ -235,6 +238,8 @@ def _parallel_map(fn: Callable, items: list, label: Callable[[Any], str], worker
                 exc.args = (f"{label(item)}: {exc}",)
             raise
 
+    if workers == 1:
+        return [run(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(run, item) for item in items]
         try:
@@ -441,6 +446,7 @@ def cmd_score(config: RunConfig) -> Artifacts:
 def cmd_analyze(config: RunConfig) -> Artifacts:
     scored = _load_records(config.scored_path, ScoredSample, "evidence_id")
     evidence = _load_records(config.evidence_path, EvidencePiece, "id")
+    acu_config = metrics.AcuConfig(form=config.acu_form)
 
     kept: list[ScoredSample] = []
     acus, stances = [], []
@@ -453,7 +459,10 @@ def cmd_analyze(config: RunConfig) -> Artifacts:
             skipped += 1
             continue
         kept.append(sample)
-        acus.append(sample.acu)
+        # Recomputed in this run's form for the stance given here.
+        probs = (sample.probs_without, sample.probs_with)
+        triples = [[p.get(label) for label in CANONICAL_LABELS] for p in probs]
+        acus.append(metrics.acu_from_triples(*triples, piece.stance, acu_config))
         stances.append(piece.stance)
         before = metrics.argmax_label(sample.probs_without)
         after = metrics.argmax_label(sample.probs_with)
@@ -495,9 +504,9 @@ def cmd_analyze(config: RunConfig) -> Artifacts:
         vectors = _load_records(config.characteristics_path, CharacteristicVector, "evidence_id")
         grid_samples = [
             analysis.GridSample(
-                dataset=config.dataset, stance=stance, acu=sample.acu, vector=vectors[sample.evidence_id]
+                dataset=config.dataset, stance=stance, acu=acu, vector=vectors[sample.evidence_id]
             )
-            for sample, stance in zip(kept, stances)
+            for sample, stance, acu in zip(kept, stances, acus)
             if sample.evidence_id in vectors
         ]
         grid = analysis.correlation_grid(grid_samples)
@@ -589,17 +598,15 @@ _FLAGS = (
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="contextmeter",
+        usage="%(prog)s [-h] [--version] command [options]",
         description="Claim-verification context-utilisation toolkit",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    # Every subcommand takes the same flags: build them once and share them.
-    flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument("--config", help="JSON run-config file")
+    # Every command takes the same flags, so one parser serves them all.
+    parser.add_argument("command", choices=COMMANDS, help="the stage to run")
+    parser.add_argument("--config", help="JSON run-config file")
     for flag, dest, keywords in _FLAGS:
-        flags.add_argument(flag, dest=dest, **keywords)
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        subparsers.add_parser(name, parents=[flags])
+        parser.add_argument(flag, dest=dest, **keywords)
     return parser
 
 

@@ -22,6 +22,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Protocol
 
@@ -87,6 +88,22 @@ class PromptTemplate:
                 f"must cover exactly the three canonical labels, covers {sorted(v.value for v in covered)}",
             )
 
+    @cached_property
+    def body_without_claimant(self) -> str:
+        """``body`` without its claimant lines, each with the blank line after it."""
+        kept: list[str] = []
+        skip_blank = False
+        for line in self.body.split("\n"):
+            if line.startswith("Claimant:"):
+                skip_blank = True
+                continue
+            if skip_blank and line.strip() == "":
+                skip_blank = False
+                continue
+            skip_blank = False
+            kept.append(line)
+        return "\n".join(kept)
+
 
 def _template_dir():
     return resources.files("contextmeter") / "data" / "prompts"
@@ -128,22 +145,6 @@ def load_template(template_id: str, base_dir: Optional[Path] = None) -> PromptTe
         ) from exc
 
 
-def _drop_claimant_lines(body: str) -> str:
-    lines = body.split("\n")
-    kept: list[str] = []
-    skip_blank = False
-    for line in lines:
-        if line.startswith("Claimant:"):
-            skip_blank = True
-            continue
-        if skip_blank and line.strip() == "":
-            skip_blank = False
-            continue
-        skip_blank = False
-        kept.append(line)
-    return "\n".join(kept)
-
-
 def render_prompt(
     template: PromptTemplate,
     claim: ClaimRecord,
@@ -162,13 +163,12 @@ def render_prompt(
     if template.mode is PromptMode.CLAIM_ONLY and evidence is not None:
         raise InvariantViolation("evidence", "claim-only template does not accept evidence")
 
-    body = template.body
     if template.include_claimant and claim.claimant is not None:
         if not claim.claimant:
             raise MissingSlotValue("template includes claimant lines but the claimant is empty")
-        body = body.replace(CLAIMANT_SLOT, claim.claimant)
+        body = template.body.replace(CLAIMANT_SLOT, claim.claimant)
     else:
-        body = _drop_claimant_lines(body)
+        body = template.body_without_claimant
     body = body.replace(CLAIM_SLOT, claim.text)
     if template.mode is PromptMode.CLAIM_EVIDENCE:
         body = body.replace(EVIDENCE_SLOT, evidence_text)

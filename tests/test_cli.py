@@ -15,6 +15,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,42 @@ class TestParallelMap:
         # Only items that had started before the failure was recorded ran.
         assert len(calls) < 400
 
+    def test_one_worker_runs_items_in_the_calling_thread_in_order(self):
+        threads, items = [], list(range(50))
+        random.Random(3).shuffle(items)
+
+        def record(item):
+            threads.append(threading.get_ident())
+            return str(item)
+
+        assert cli._parallel_map(record, items, str, 1) == [str(item) for item in items]
+        assert threads == [threading.get_ident()] * len(items)
+
+    def test_one_worker_stops_at_the_first_failure(self):
+        calls = []
+
+        def fail_at_five(item):
+            calls.append(item)
+            if item == 5:
+                raise ContextMeterError("boom")
+            return item
+
+        with pytest.raises(ContextMeterError) as info:
+            cli._parallel_map(fail_at_five, list(range(20)), lambda i: f"item {i}", 1)
+        assert str(info.value) == "item 5: boom"
+        assert calls == list(range(6))
+
+    def test_one_worker_score_starts_no_thread_pool(self, druid_fixture_paths, replay_store, tmp_path, monkeypatch):
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        code, stdout, stderr = run_cli(
+            *score_args(druid_fixture_paths, replay_store, tmp_path), "--max-concurrency", "1"
+        )
+        assert code == 0, stderr
+        assert len(read_rows(run_dir_of(stdout) / "scored.jsonl")) == 10
+
 
 class TestRunContract:
     def test_stdout_names_command_outputs_and_run_dir(self, druid_fixture_paths, tmp_path):
@@ -228,6 +265,31 @@ class TestRunContract:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=source_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_help_under_every_command_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: contextmeter")
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+            ([], "the following arguments are required: command"),
+            (["--out", "runs"], "the following arguments are required: command"),
+        ],
+        ids=["unknown", "missing", "flags-only"],
+    )
+    def test_unknown_or_missing_command_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: contextmeter")
+        assert message in captured.err
 
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_every_flag_parses_under_every_command(self, command):
@@ -1314,6 +1376,68 @@ class TestAnalyze:
             for name, path in documents.items()
         }
         assert digests == GOLDEN_SUMMARY_SHA256
+
+    def analyze(self, scored: Path, evidence: Path, profile_run: Path, out: Path) -> dict:
+        """The analysis and grid objects of one analyze run, and the ACU of
+        each sample it passed to the grid. Spearman cells only see ranks, so
+        the grid alone would not show a rescaled ACU."""
+        grid_acus, original = {}, cli.analysis.correlation_grid
+
+        def correlation_grid(samples):
+            samples = list(samples)
+            grid_acus.update((sample.vector.evidence_id, sample.acu) for sample in samples)
+            return original(samples)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli.analysis, "correlation_grid", correlation_grid)
+            code, stdout, stderr = run_cli(
+                "analyze", "--scored", str(scored), "--evidence", str(evidence),
+                "--characteristics", str(profile_run / "characteristics.jsonl"),
+                "--dataset", "druid", "--out", str(out),
+            )
+        assert code == 0, stderr
+        run_dir = run_dir_of(stdout)
+        documents = {name: json.loads((run_dir / f"{name}.json").read_text()) for name in ("analysis", "grid")}
+        assert documents["analysis"]["meta"]["acu_form"] == "sum"
+        assert len(grid_acus) == 10
+        return {"grid_acus": grid_acus, **{name: document[name] for name, document in documents.items()}}
+
+    def test_analyze_recomputes_acu_in_its_own_form(
+        self, druid_fixture_paths, replay_store, scored_run, profile_run, analysis_run, tmp_path
+    ):
+        code, stdout, stderr = run_cli(
+            *score_args(druid_fixture_paths, replay_store, tmp_path), "--acu-form", "mean"
+        )
+        assert code == 0, stderr
+        mean_scored = run_dir_of(stdout) / "scored.jsonl"
+        got = self.analyze(mean_scored, druid_fixture_paths[1], profile_run, tmp_path)
+        expected = self.analyze(scored_run / "scored.jsonl", druid_fixture_paths[1], profile_run, tmp_path)
+        assert got == expected
+        for name in ("analysis", "grid"):
+            assert got[name] == json.loads((analysis_run / f"{name}.json").read_text())[name]
+
+    def test_analyze_takes_the_stance_it_is_given(
+        self, druid_fixture_paths, replay_store, scored_run, profile_run, analysis_run, tmp_path
+    ):
+        claims_path, evidence_path = druid_fixture_paths
+        rows = [json.loads(line) for line in evidence_path.read_text(encoding="utf-8").splitlines()]
+        changed = next(row for row in rows if row["id"] == "e-pf-001b")
+        assert changed["stance"] == "refutes"
+        changed["stance"] = "supports"
+        restanced = tmp_path / "evidence.jsonl"
+        restanced.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+        got = self.analyze(scored_run / "scored.jsonl", restanced, profile_run, tmp_path)
+        # Scoring against the new stance gives the same probabilities, and so
+        # the ACU that analyze must compute for that stance.
+        code, stdout, stderr = run_cli(*score_args((claims_path, restanced), replay_store, tmp_path))
+        assert code == 0, stderr
+        expected = self.analyze(run_dir_of(stdout) / "scored.jsonl", restanced, profile_run, tmp_path)
+        assert got == expected
+        strata = got["analysis"]["stratified_acu"]["strata"]
+        assert (strata["supports"]["n"], strata["refutes"]["n"]) == (4, 2)
+        old = json.loads((analysis_run / "analysis.json").read_text())["analysis"]["stratified_acu"]
+        assert strata["supports"] != old["strata"]["supports"]
 
 
 class TestReport:
