@@ -36,7 +36,11 @@ logger = logging.getLogger(__name__)
 _TOKEN_SPLIT_RE = re.compile(r"[\W_]+", re.UNICODE)
 #: Every ASCII character that ``_TOKEN_SPLIT_RE`` splits at, mapped to a space.
 _ASCII_SEPARATORS = {code: " " for code in range(128) if not chr(code).isalnum()}
-_SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
+#: Every ASCII character that is neither a letter, a digit nor whitespace.
+_ASCII_NON_WORD = {code: None for code in range(128) if not (chr(code).isalnum() or chr(code).isspace())}
+#: A sentence part holding a letter or digit: ``[^\W_]`` is ``str.isalnum``.
+_SENTENCE_RE = re.compile(r"[^\W_][^.!?]*")
+_VOWEL_RUN_RE = re.compile(r"[aeiouy]+")
 _TRUE_WORD_RE = re.compile(r"\bTrue\b")
 _FALSE_WORD_RE = re.compile(r"\bFalse\b")
 
@@ -107,49 +111,43 @@ def repeats_claim(claim: TextView, evidence: TextView) -> bool:
 
 # -- readability ----------------------------------------------------------------
 
-_VOWELS = frozenset("aeiouy")
-
-
 def count_syllables(word: str) -> int:
     """Deterministic syllable heuristic: count vowel groups (aeiouy), subtract
-    one for a silent trailing 'e' (unless the word ends in 'le'), minimum 1."""
-    letters = "".join(ch for ch in word.lower() if ch.isalpha())
-    if not letters:
-        return 0
-    groups = 0
-    previous_vowel = False
-    for ch in letters:
-        is_vowel = ch in _VOWELS
-        if is_vowel and not previous_vowel:
-            groups += 1
-        previous_vowel = is_vowel
+    one for a silent trailing 'e' (unless the word ends in 'le'), minimum 1
+    for a word with letters. A word without letters, such as "1932", has 0."""
+    letters = word.lower()
+    if not letters.isalpha():
+        letters = "".join(filter(str.isalpha, letters))
+        if not letters:
+            return 0
+    groups = len(_VOWEL_RUN_RE.findall(letters))
     if groups > 1 and letters.endswith("e") and not letters.endswith("le"):
         groups -= 1
     return max(groups, 1)
 
 
-def flesch_reading_ease(text: str, syllables: dict[str, Optional[int]]) -> float:
+def flesch_reading_ease(text: str, syllables: dict[str, int]) -> float:
     """206.835 - 1.015 * (words/sentences) - 84.6 * (syllables/words).
 
     Words are whitespace tokens containing at least one letter or digit;
     sentences are runs terminated by '.', '!' or '?' (minimum one).
-    ``syllables`` memoizes each distinct token's syllable count (None for a
-    token that is not a word); a batch passes one dict to every call.
+    ``syllables`` memoizes the syllable count of each word, keyed by its
+    letters and digits (lowercased in ASCII text); a batch passes one dict
+    to every call.
     """
-    counts = []
-    for token in text.split():
-        if token not in syllables:
-            syllables[token] = count_syllables(token) if any(ch.isalnum() for ch in token) else None
-        if syllables[token] is not None:
-            counts.append(syllables[token])
-    if not counts:
+    if text.isascii():
+        tokens = text.lower().translate(_ASCII_NON_WORD).split()
+    else:
+        tokens = [word for token in text.split() if (word := _TOKEN_SPLIT_RE.sub("", token))]
+    if not tokens:
         raise DegenerateText("no countable words")
-    sentence_parts = [
-        part for part in _SENTENCE_SPLIT_RE.split(text) if any(ch.isalnum() for ch in part)
-    ]
-    n_sentences = max(len(sentence_parts), 1)
-    n_words = len(counts)
-    return 206.835 - 1.015 * (n_words / n_sentences) - 84.6 * (sum(counts) / n_words)
+    for token in set(tokens).difference(syllables):
+        syllables[token] = count_syllables(token)
+    # A word holds a letter or digit, so at least one sentence part does.
+    n_sentences = len(_SENTENCE_RE.findall(text))
+    n_words = len(tokens)
+    n_syllables = sum(map(syllables.__getitem__, tokens))
+    return 206.835 - 1.015 * (n_words / n_sentences) - 84.6 * (n_syllables / n_words)
 
 
 # -- entities --------------------------------------------------------------------
@@ -254,14 +252,15 @@ class HedgeLexicon:
         )
 
     @cached_property
-    def _needles(self) -> tuple[tuple[frozenset[str], tuple[str, ...]], ...]:
+    def _needles(self) -> tuple[tuple[frozenset[str], tuple[tuple[str, str, str], ...]], ...]:
         """For hedge words, then discourse markers: the one-token entries as a
-        set and the longer ones as padded token runs, built once."""
+        set and the longer ones as (first token, last token, padded token
+        run), built once."""
         needles = []
         for entries in (self.hedge_words, self.hedging_discourse_markers):
             runs = [entry.split() for entry in entries]
             singles = frozenset(run[0] for run in runs if len(run) == 1)
-            needles.append((singles, tuple(_padded(run) for run in runs if len(run) > 1)))
+            needles.append((singles, tuple((run[0], run[-1], _padded(run)) for run in runs if len(run) > 1)))
         return tuple(needles)
 
 
@@ -271,9 +270,12 @@ def hedging_flags(evidence: TextView, lexicon: HedgeLexicon) -> tuple[bool, bool
     Matching is case-insensitive and whole-word: every entry, hedge word or
     discourse marker, matches as a contiguous run of word tokens.
     """
-    # A token holds no spaces, so a one-token entry occurs exactly when it is in W.
+    # A token holds no spaces, so a one-token entry occurs exactly when it is in
+    # W, and a longer one only when its first and last tokens are.
+    present = evidence.word_set
     return tuple(
-        not singles.isdisjoint(evidence.word_set) or any(run in evidence.padded for run in runs)
+        not singles.isdisjoint(present)
+        or any(run in evidence.padded for first, last, run in runs if first in present and last in present)
         for singles, runs in lexicon._needles
     )
 
@@ -314,7 +316,10 @@ def normalize_domain(url: str) -> str:
     candidate = url.strip()
     if "//" not in candidate:
         candidate = "//" + candidate
-    host = urlsplit(candidate).hostname
+    try:
+        host = urlsplit(candidate).hostname
+    except ValueError as error:  # e.g. an unclosed "[" of an IPv6 host
+        raise MalformedUrl(f"{error}: {url!r}") from None
     if not host:
         raise MalformedUrl(f"no host in {url!r}")
     host = host.lower()
@@ -339,7 +344,10 @@ def unreliable_source(url: str, lists: ReliabilityList) -> Reliability:
 
 def verdict_word_flags(text: str) -> tuple[bool, bool]:
     """Whole-word, case-sensitive detection of "True" and "False"."""
-    return bool(_TRUE_WORD_RE.search(text)), bool(_FALSE_WORD_RE.search(text))
+    return (
+        "True" in text and bool(_TRUE_WORD_RE.search(text)),
+        "False" in text and bool(_FALSE_WORD_RE.search(text)),
+    )
 
 
 # -- per-sample vector and corpus profile ----------------------------------------------
@@ -412,13 +420,13 @@ def profile(
     (``aggregate_profile``).
 
     Each call builds, once, the view of each evidence text, the views of each
-    distinct claim text and its entities, and each distinct token's syllables.
+    distinct claim text and its entities, and each distinct word's syllables.
     """
     providers = providers or DetectorProviders()
     lexicon = lexicon or HedgeLexicon.default()
     reliability = reliability or ReliabilityList.default()
     claim_views: dict[str, tuple[TextView, list[TextView]]] = {}
-    syllables: dict[str, Optional[int]] = {}
+    syllables: dict[str, int] = {}
     vectors = []
     for claim, evidence in pairs:
         if claim.text not in claim_views:

@@ -5,7 +5,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from contextmeter import characteristics as ch
@@ -225,6 +225,89 @@ class TestTokenRunMatcher:
         assert value == pytest.approx(0.5)
 
 
+#: ``count_syllables``, the sentence count and ``flesch_reading_ease`` as they
+#: were before the counts were made in bulk, kept as the oracles of the current
+#: ones: a per-character scan and a memo keyed by the raw whitespace token.
+SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
+
+
+def oracle_count_syllables(word):
+    letters = "".join(c for c in word.lower() if c.isalpha())
+    if not letters:
+        return 0
+    groups = 0
+    previous_vowel = False
+    for c in letters:
+        is_vowel = c in "aeiouy"
+        if is_vowel and not previous_vowel:
+            groups += 1
+        previous_vowel = is_vowel
+    if groups > 1 and letters.endswith("e") and not letters.endswith("le"):
+        groups -= 1
+    return max(groups, 1)
+
+
+def oracle_sentence_parts(text):
+    return [part for part in SENTENCE_SPLIT_RE.split(text) if any(c.isalnum() for c in part)]
+
+
+def oracle_flesch_reading_ease(text, syllables):
+    counts = []
+    for token in text.split():
+        if token not in syllables:
+            syllables[token] = oracle_count_syllables(token) if any(c.isalnum() for c in token) else None
+        if syllables[token] is not None:
+            counts.append(syllables[token])
+    if not counts:
+        raise DegenerateText("no countable words")
+    n_sentences = max(len(oracle_sentence_parts(text)), 1)
+    n_words = len(counts)
+    return 206.835 - 1.015 * (n_words / n_sentences) - 84.6 * (sum(counts) / n_words)
+
+
+# Silent-e and -le words, digits, punctuation, '_', whitespace that
+# ``str.split`` splits at, and non-ASCII letters, digits and numerals whose
+# lowercase differs in length or is context-dependent (İ, Σ).
+ASCII_PIECES = [
+    "cake", "little", "le", "e", "The", "queue", "rhythm", "Agreed", "1932", "x1e", "_", "-", "'",
+    ".", "!", "?", "...", " ", "\n", "\x0b", "\x1c",
+]
+OTHER_PIECES = ["état", "ÉTÉ", "ß", "İle", "ΑΣ", "٣", "²", "½", "Ⅻ", "\u3000"]
+FLESCH_TEXT = st.one_of(
+    st.text(),
+    st.text(st.characters(max_codepoint=127)),
+    *(
+        st.lists(st.sampled_from(pieces), max_size=24).map("".join)
+        for pieces in (ASCII_PIECES, ASCII_PIECES + OTHER_PIECES)
+    ),
+)
+
+
+class TestReadabilityMatchesOracles:
+    @given(word=FLESCH_TEXT)
+    def test_count_syllables(self, word):
+        assert ch.count_syllables(word) == oracle_count_syllables(word)
+
+    @given(text=FLESCH_TEXT)
+    def test_sentence_count(self, text):
+        assert len(ch._SENTENCE_RE.findall(text)) == len(oracle_sentence_parts(text))
+
+    @given(texts=st.lists(FLESCH_TEXT, max_size=5))
+    @example(["Cake. _ !", "Cake\x1ccake, cake-le."])
+    @example(["ΑΣ İle. ½ _! ²", "ΑΣ-ß ile", "Ⅻ."])
+    def test_flesch_with_shared_memos(self, texts):
+        syllables, oracle_syllables = {}, {}
+        for text in texts:
+            try:
+                expected = oracle_flesch_reading_ease(text, oracle_syllables)
+            except DegenerateText:
+                with pytest.raises(DegenerateText):
+                    ch.flesch_reading_ease(text, syllables)
+                continue
+            assert ch.flesch_reading_ease(text, syllables) == expected
+        assert all(count == oracle_count_syllables(key) for key, count in syllables.items())
+
+
 class TestReadability:
     def test_flesch_example(self):
         assert ch.flesch_reading_ease("The cat sat.", {}) == pytest.approx(
@@ -251,6 +334,11 @@ class TestReadability:
     )
     def test_syllable_counts(self, word, expected):
         assert ch.count_syllables(word) == expected
+
+    def test_a_word_without_letters_has_no_syllables_but_counts(self):
+        assert ch.count_syllables("1932") == 0
+        # Four words (It, fell, in, 1932) of 1, 1, 1 and 0 syllables, one sentence.
+        assert ch.flesch_reading_ease("It fell in 1932.", {}) == 206.835 - 1.015 * 4 - 84.6 * (3 / 4)
 
     def test_multi_sentence_lowers_score(self):
         simple = ch.flesch_reading_ease("The cat sat. The dog ran.", {})
@@ -341,6 +429,27 @@ class TestHedging:
             True,
         )
 
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            # The first and last tokens of both runs occur, but never as the run.
+            ("My view: in short, less is more.", (False, False)),
+            ("I said I do think so, in a view of my own.", (False, False)),
+            # Only the first, or only the last, token occurs.
+            ("In time, more will come.", (False, False)),
+            ("Less is a view.", (False, False)),
+            # The run occurs, and its end tokens occur elsewhere too.
+            ("In short, in my view, more is more or less less.", (True, True)),
+        ],
+    )
+    def test_run_with_end_tokens_elsewhere(self, text, expected):
+        lexicon = ch.HedgeLexicon(
+            hedge_words=frozenset({"more or less"}),
+            hedging_discourse_markers=frozenset({"in my view", "i think"}),
+        )
+        assert hedging_flags(text, lexicon) == expected
+        assert expected == text_hedging_flags(text, lexicon)
+
 
 class TestReliability:
     def test_flagged_domain(self):
@@ -376,6 +485,13 @@ class TestReliability:
         with pytest.raises(MalformedUrl):
             ch.normalize_domain("")
 
+    @pytest.mark.parametrize("url", ["http://[abc", "http://]x", "http://[abc]"])
+    def test_malformed_ipv6_url_rejected(self, url):
+        with pytest.raises(MalformedUrl):
+            ch.normalize_domain(url)
+        with pytest.raises(MalformedUrl):
+            ch.unreliable_source(url, ch.ReliabilityList.default())
+
 
 class TestVerdictWords:
     def test_false_with_period(self):
@@ -390,6 +506,28 @@ class TestVerdictWords:
 
     def test_both(self):
         assert ch.verdict_word_flags("True or False") == (True, True)
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("Untrue", (False, False)),
+            ("True_", (False, False)),
+            ("True1", (False, False)),
+            ("éTrue", (False, False)),
+            ("TrueFalse", (False, False)),
+            ("(True) x_False", (True, False)),
+            ("False1 False.", (False, True)),
+        ],
+    )
+    def test_word_characters_next_to_the_word(self, text, expected):
+        assert ch.verdict_word_flags(text) == expected
+
+    @given(text=st.lists(st.sampled_from(["True", "False", "Un", "_", "1", "é", " ", ".", "\n"]), max_size=8).map("".join))
+    def test_matches_the_word_regex(self, text):
+        assert ch.verdict_word_flags(text) == (
+            re.search(r"\bTrue\b", text) is not None,
+            re.search(r"\bFalse\b", text) is not None,
+        )
 
 
 class TestCharacteristicVector:
@@ -650,19 +788,6 @@ def text_repeats_claim(claim_text, evidence_text):
     return text_has_run(ch._padded(ch.words(evidence_text)), claim_tokens)
 
 
-def text_flesch_reading_ease(text):
-    tokens = [token for token in text.split() if any(c.isalnum() for c in token)]
-    if not tokens:
-        raise DegenerateText("no countable words")
-    sentence_parts = [
-        part for part in ch._SENTENCE_SPLIT_RE.split(text) if any(c.isalnum() for c in part)
-    ]
-    n_sentences = max(len(sentence_parts), 1)
-    n_words = len(tokens)
-    n_syllables = sum(ch.count_syllables(token) for token in tokens)
-    return 206.835 - 1.015 * (n_words / n_sentences) - 84.6 * (n_syllables / n_words)
-
-
 def text_entity_overlap(claim_text, evidence_text, ner=ch.detect_entities):
     entities = ner(claim_text)
     if not entities:
@@ -686,7 +811,7 @@ def text_characteristic_vector(claim, evidence, lexicon, reliability, providers)
     except DegenerateClaim:
         overlap = None
     try:
-        flesch = text_flesch_reading_ease(evidence.text)
+        flesch = oracle_flesch_reading_ease(evidence.text, {})
     except DegenerateText:
         flesch = None
     overlap_value, no_entity = text_entity_overlap(claim.text, evidence.text, providers.ner)
@@ -774,7 +899,7 @@ class TestViewsMatchTextLevelDetectors:
         syllables = {}
         for text in texts:
             try:
-                expected = text_flesch_reading_ease(text)
+                expected = oracle_flesch_reading_ease(text, {})
             except DegenerateText:
                 with pytest.raises(DegenerateText):
                     ch.flesch_reading_ease(text, syllables)
@@ -809,7 +934,7 @@ class TestViewsMatchTextLevelDetectors:
 
 def test_profile_keeps_no_syllable_counts_between_calls(monkeypatch):
     """Each call builds its own memo, so a second call in the same process
-    counts as many syllables as the first."""
+    counts as many syllables as the first: one count per distinct word."""
     calls = []
     original = ch.count_syllables
 
@@ -823,4 +948,5 @@ def test_profile_keeps_no_syllable_counts_between_calls(monkeypatch):
     ch.profile(pairs)
     first = len(calls)
     ch.profile(pairs)
-    assert first == len(calls) - first == len(set(text.split()))
+    # the, cat, sat, on, mat, again, and: "the"/"The" and "mat"/"mat." share a key.
+    assert first == len(calls) - first == 7

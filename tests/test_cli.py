@@ -1044,6 +1044,22 @@ class TestIngestRecast:
         assert [row["evidence_id"] for row in rows[0]] == ["e-c1"]
         assert rows[0] == rows[1]
 
+    def test_profile_gives_a_malformed_ipv6_url_no_reliability(self, tmp_path):
+        claims = tmp_path / "claims.jsonl"
+        evidence = tmp_path / "evidence.jsonl"
+        claims.write_text(json.dumps(
+            {"id": "c1", "text": "The bridge opened in 1932.", "source": "politifact", "verdict": "True"}
+        ) + "\n")
+        evidence.write_text(json.dumps(
+            {"id": "e1", "claim_id": "c1", "text": "It opened in 1932.", "url": "http://[abc"}
+        ) + "\n")
+        code, stdout, stderr = run_cli(
+            "profile", "--claims", str(claims), "--evidence", str(evidence), "--out", str(tmp_path),
+        )
+        assert code == 0, stderr
+        [row] = read_rows(run_dir_of(stdout) / "characteristics.jsonl")
+        assert row["unreliable"] is None
+
     @pytest.mark.parametrize("dataset", sorted(GOLDEN_TRIPLETS))
     def test_golden_recast_rows(self, tmp_path, dataset):
         triplets = tmp_path / "triplets.jsonl"
@@ -1285,6 +1301,11 @@ GOLDEN_SUMMARY_SHA256 = {
     "grid": "4a637bad6db146d3e005e2ed67a86d42f2baef7063f188abf60ae53e7a0bb493",
     "profile": "7b2860193721aaf913c4ba006a91e3d0ed9f2973db47354d63438413ea80be5b",
 }
+#: The same run's per-vector rows: SHA-256 of ``characteristics.jsonl``
+#: after its header line, computed before the bulk readability counts.
+GOLDEN_PROFILE_ROWS_SHA256 = {
+    "characteristics.jsonl": "8915b7662bce1a9f90a8dc9acc3adf98f8e3d95207a035f349598e4f15989837",
+}
 
 
 @pytest.fixture(scope="module")
@@ -1376,6 +1397,11 @@ class TestAnalyze:
             for name, path in documents.items()
         }
         assert digests == GOLDEN_SUMMARY_SHA256
+
+    def test_golden_profile_rows(self, profile_run):
+        # The aggregate averages the vectors; a one-bit change in a single
+        # vector's value shows only here.
+        assert rows_sha256(profile_run) == GOLDEN_PROFILE_ROWS_SHA256
 
     def analyze(self, scored: Path, evidence: Path, profile_run: Path, out: Path) -> dict:
         """The analysis and grid objects of one analyze run, and the ACU of

@@ -556,6 +556,12 @@ class TestAssembleEvidence:
         assert evidence.pub_after_claim is True
         assert evidence.claim_id == claim.id
 
+    def test_malformed_ipv6_url_is_no_fact_check_source(self):
+        evidence = rt.assemble_evidence(
+            lighthouse_claim(), "http://[abc", self._chunks(1), fact_check_domains=frozenset({"abc"})
+        )
+        assert evidence.is_fact_check_source is False
+
     def test_deterministic_id(self):
         claim = lighthouse_claim()
         first = rt.assemble_evidence(claim, "https://s.example/p", self._chunks(1))
