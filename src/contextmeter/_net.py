@@ -7,6 +7,9 @@ import time
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
+#: Retries after a first failed attempt, for every backend.
+RETRIES = 2
+
 
 def post_json(
     url: str,

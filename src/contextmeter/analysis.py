@@ -274,17 +274,14 @@ def prediction_shift(
         for before, after in pairs:
             counts_without[before.value] += 1
             counts_with[after.value] += 1
-            if before != after:
-                d_before = DESIRABILITY[(before, stance)]
-                d_after = DESIRABILITY[(after, stance)]
-                if d_after > d_before:
-                    desirable += 1
-                elif d_after < d_before:
-                    undesirable += 1
+            d_before = DESIRABILITY[(before, stance)]
+            d_after = DESIRABILITY[(after, stance)]
+            if d_after > d_before:
+                desirable += 1
+            elif d_after < d_before:
+                undesirable += 1
         delta = {label: counts_with[label] - counts_without[label] for label in counts_with}
-        sum_dnd = sum(
-            DESIRABILITY[(label, stance)] * delta[label.value] for label in CANONICAL_LABELS
-        )
+        sum_dnd = 2 * (desirable - undesirable)
         strata[stance.value] = {
             "n": len(pairs),
             "counts_without": counts_without,
@@ -366,28 +363,21 @@ def correlation_grid(samples: Iterable[GridSample]) -> dict:
     Cells with fewer than 3 usable pairs or a constant input are absent
     (None), mirroring undefined correlations rather than forcing zeros.
     """
-    materialized = list(samples)
-    datasets = sorted({sample.dataset for sample in materialized})
-    stance_order = list(StanceLabel)
-    columns = []
-    for dataset in datasets:
-        present = {s.stance for s in materialized if s.dataset == dataset}
-        columns.extend(
-            f"{dataset}|{stance.value}" for stance in stance_order if stance in present
+    strata: dict[tuple[str, StanceLabel], list[tuple[dict[str, Optional[float]], float]]] = {}
+    for sample in samples:
+        strata.setdefault((sample.dataset, sample.stance), []).append(
+            (characteristic_values(sample.vector), sample.acu)
         )
+    stance_order = list(StanceLabel)
+    keys = sorted(strata, key=lambda key: (key[0], stance_order.index(key[1])))
+    columns = [f"{dataset}|{stance.value}" for dataset, stance in keys]
 
     cells: dict[str, dict[str, Optional[dict]]] = {
-        row: {column: None for column in columns} for row in GRID_CHARACTERISTICS
+        row: dict.fromkeys(columns) for row in GRID_CHARACTERISTICS
     }
-    for column in columns:
-        dataset, stance_value = column.split("|", 1)
-        of_column = [
-            (characteristic_values(s.vector), s.acu)
-            for s in materialized
-            if s.dataset == dataset and s.stance.value == stance_value
-        ]
+    for column, key in zip(columns, keys):
         for row in GRID_CHARACTERISTICS:
-            pairs = [(values[row], acu) for values, acu in of_column if values[row] is not None]
+            pairs = [(values[row], acu) for values, acu in strata[key] if values[row] is not None]
             if len(pairs) < 3:
                 continue
             xs = [p[0] for p in pairs]
@@ -400,14 +390,19 @@ def correlation_grid(samples: Iterable[GridSample]) -> dict:
     return {"rows": list(GRID_CHARACTERISTICS), "columns": columns, "cells": cells}
 
 
-def grid_to_csv(grid: dict) -> str:
-    """CSV rendering: one row per characteristic, ``rho*`` marks p < 0.05."""
+def csv_text(rows: Iterable[Sequence[str]]) -> str:
+    """``rows`` as CSV text with LF line ends."""
     import csv
     import io
 
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["characteristic"] + grid["columns"])
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def grid_to_csv(grid: dict) -> str:
+    """CSV rendering: one row per characteristic, ``rho*`` marks p < 0.05."""
+    rows = [["characteristic"] + grid["columns"]]
     for row in grid["rows"]:
         rendered = []
         for column in grid["columns"]:
@@ -417,5 +412,5 @@ def grid_to_csv(grid: dict) -> str:
             else:
                 flag = "*" if cell["significant"] else ""
                 rendered.append(f"{cell['rho']:.3f}{flag}")
-        writer.writerow([row] + rendered)
-    return buffer.getvalue()
+        rows.append([row] + rendered)
+    return csv_text(rows)

@@ -328,16 +328,21 @@ def normalize_domain(url: str) -> str:
     return host
 
 
-def _domain_matches(host: str, domains: Iterable[str]) -> bool:
+def in_domains(url: str, domains: Iterable[str]) -> bool:
+    """Whether the URL's host is one of ``domains`` or a subdomain of one; a malformed URL is in none."""
+    try:
+        host = normalize_domain(url)
+    except MalformedUrl:
+        return False
     return any(host == domain or host.endswith("." + domain) for domain in domains)
 
 
 def unreliable_source(url: str, lists: ReliabilityList) -> Reliability:
     """Tri-state reliability of the URL's registered domain."""
-    host = normalize_domain(url)
-    if _domain_matches(host, lists.flagged):
+    normalize_domain(url)  # a malformed URL is a MalformedUrl, not an unknown one
+    if in_domains(url, lists.flagged):
         return Reliability.UNRELIABLE
-    if _domain_matches(host, lists.coverage):
+    if in_domains(url, lists.coverage):
         return Reliability.RELIABLE
     return Reliability.UNKNOWN
 

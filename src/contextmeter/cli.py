@@ -329,16 +329,12 @@ def _build_search_clients(config: RunConfig) -> list:
                 f"cannot read fixture corpus {config.fixture_corpus}: {type(exc).__name__}: {exc}"
             ) from exc
     for entry in config.search_endpoints:
-        try:
-            clients.append(
-                retrieval.HttpSearchClient(
-                    endpoint=entry["endpoint"],
-                    name=entry["name"],
-                    timeout=config.request_timeout,
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"search_endpoints entries need name+endpoint: {exc}") from exc
+        valid = isinstance(entry, dict) and all(isinstance(entry.get(key), str) for key in ("name", "endpoint"))
+        if not valid:
+            raise ConfigError(f"search_endpoints entries need a string name and endpoint, got {entry!r}")
+        clients.append(
+            retrieval.HttpSearchClient(endpoint=entry["endpoint"], name=entry["name"], timeout=config.request_timeout)
+        )
     if not clients:
         raise ConfigError("retrieve needs fixture_corpus or search_endpoints")
     return clients
@@ -396,7 +392,13 @@ def _build_scorer(config: RunConfig) -> lm.VerdictScorer:
         timeout=config.request_timeout,
     )
     store_path = config.replay_store or config.record_store
-    store = lm.ReplayStore(Path(store_path)) if store_path else None
+    # Checked before any provider call: a record store is first written after one.
+    if store_path and not Path(store_path).parent.is_dir():
+        raise ConfigError(f"cannot open store {store_path}: no such directory")
+    try:
+        store = lm.ReplayStore(Path(store_path)) if store_path else None
+    except OSError as exc:
+        raise ConfigError(f"cannot open store {store_path}: {exc.strerror or exc}") from exc
     return lm.VerdictScorer(provider=provider, store=store, provider_id=config.provider_id)
 
 
@@ -474,12 +476,9 @@ def cmd_analyze(config: RunConfig) -> Artifacts:
         raise ContextMeterError("no scored samples with stance-annotated evidence")
 
     agreement: dict[str, Optional[float]] = {}
-    for name, picker in (
-        ("relevance", lambda labels: [rel for rel, _ in labels]),
-        ("stance", lambda labels: [st for _, st in labels]),
-    ):
+    for index, name in enumerate(("relevance", "stance")):
         units = [
-            picker(piece.annotator_labels)
+            [labels[index] for labels in piece.annotator_labels]
             for piece in evidence.values()
             if piece.annotator_labels
         ]
@@ -546,16 +545,9 @@ def cmd_report(config: RunConfig) -> Artifacts:
         else:
             rows.append((prefix, "" if value is None else str(value)))
 
-    rows: list[tuple[str, str]] = []
+    rows: list[tuple[str, str]] = [("key", "value")]
     flatten("", sections, rows)
-    import csv
-    import io
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    writer.writerows(rows)
-    return {"report.json": {"sections": sections}, "report.csv": buffer.getvalue()}
+    return {"report.json": {"sections": sections}, "report.csv": analysis.csv_text(rows)}
 
 
 #: Each command's stage and the settings it cannot run without.

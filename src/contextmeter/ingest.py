@@ -16,6 +16,7 @@ Fact-checked corpora are read as released: claims are not resampled.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
@@ -33,25 +34,16 @@ from .model import (
     read_jsonl,
 )
 
-class VerdictMappingTable:
+
+def verdict_table() -> dict[str, ClaimVerdict]:
     """Raw fact-checker verdict labels mapped to {True, Half-true, False}.
 
     Labels absent from the table mean "drop the claim", per the mapping
     table's caption.
     """
-
-    def __init__(self, mapping: dict[str, ClaimVerdict]):
-        self.mapping = dict(mapping)
-
-    @classmethod
-    def default(cls) -> "VerdictMappingTable":
-        path = resources.files("contextmeter") / "data" / "verdict_mapping.json"
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        return cls({label: ClaimVerdict(target) for label, target in raw.items()})
-
-    def map_verdict(self, raw_label: Any) -> Optional[ClaimVerdict]:
-        """Mapped verdict, or None as the drop marker."""
-        return self.mapping.get(raw_label) if isinstance(raw_label, str) else None
+    path = resources.files("contextmeter") / "data" / "verdict_mapping.json"
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    return {label: ClaimVerdict(target) for label, target in raw.items()}
 
 
 @dataclass
@@ -80,21 +72,15 @@ class Corpus:
     def totals(self) -> tuple[int, int]:
         return (len(self.claims), len(self.evidence))
 
+    def _histogram(self, field: str) -> dict[str, int]:
+        labels = (getattr(piece, field) for piece in self.evidence)
+        return dict(Counter(label.value for label in labels if label is not None))
+
     def stance_histogram(self) -> dict[str, int]:
-        histogram: dict[str, int] = {}
-        for piece in self.evidence:
-            if piece.stance is not None:
-                histogram[piece.stance.value] = histogram.get(piece.stance.value, 0) + 1
-        return histogram
+        return self._histogram("stance")
 
     def relevance_histogram(self) -> dict[str, int]:
-        histogram: dict[str, int] = {}
-        for piece in self.evidence:
-            if piece.relevance is not None:
-                histogram[piece.relevance.value] = (
-                    histogram.get(piece.relevance.value, 0) + 1
-                )
-        return histogram
+        return self._histogram("relevance")
 
     def inter_context_conflicts(self) -> int:
         """Number of claims with at least one supports and one refutes piece."""
@@ -132,7 +118,7 @@ def load_druid(
     ``path:line``. Without ``evidence_path`` the corpus holds no evidence.
     """
     field_map = field_map or {}
-    table = VerdictMappingTable.default()
+    table = verdict_table()
 
     claims: dict[str, ClaimRecord] = {}
     dropped = 0
@@ -140,7 +126,8 @@ def load_druid(
     for line_no, row in read_jsonl(Path(claims_path)):
         row = _translate(row, field_map.get("claims"))
         if isinstance(row, dict) and row.get("verdict") is None:
-            verdict = table.map_verdict(row.get("raw_verdict"))
+            raw_verdict = row.get("raw_verdict")
+            verdict = table.get(raw_verdict) if isinstance(raw_verdict, str) else None
             if verdict is None:
                 dropped += 1
                 if isinstance(row.get("id"), str):

@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,8 +29,9 @@ from typing import Optional, Protocol
 
 from importlib import resources
 
-from ._net import post_json, reply_shape
+from ._net import RETRIES, post_json, reply_shape
 from .errors import (
+    ContextMeterError,
     DegenerateText,
     InvariantViolation,
     MissingSlotValue,
@@ -53,6 +55,7 @@ from .model import (
 CLAIMANT_SLOT = "<claimant>"
 CLAIM_SLOT = "<claim>"
 EVIDENCE_SLOT = "<evidence>"
+_SLOT_RE = re.compile("|".join(map(re.escape, (CLAIMANT_SLOT, CLAIM_SLOT, EVIDENCE_SLOT))))
 
 
 @dataclass(frozen=True)
@@ -163,16 +166,16 @@ def render_prompt(
     if template.mode is PromptMode.CLAIM_ONLY and evidence is not None:
         raise InvariantViolation("evidence", "claim-only template does not accept evidence")
 
+    values = {CLAIM_SLOT: claim.text, EVIDENCE_SLOT: evidence_text}
     if template.include_claimant and claim.claimant is not None:
         if not claim.claimant:
             raise MissingSlotValue("template includes claimant lines but the claimant is empty")
-        body = template.body.replace(CLAIMANT_SLOT, claim.claimant)
+        values[CLAIMANT_SLOT] = claim.claimant
+        body = template.body
     else:
         body = template.body_without_claimant
-    body = body.replace(CLAIM_SLOT, claim.text)
-    if template.mode is PromptMode.CLAIM_EVIDENCE:
-        body = body.replace(EVIDENCE_SLOT, evidence_text)
-    return body
+    # One pass, so a slot marker inside a value is inserted verbatim.
+    return _SLOT_RE.sub(lambda match: values.get(match[0]) or match[0], body)
 
 
 def prompt_hash(prompt: str) -> str:
@@ -199,7 +202,7 @@ class HttpLogprobProvider:
     """Provider over an HTTP+JSON completion endpoint.
 
     ``next_token_distribution`` POSTs ``{"prompt", "max_tokens": 1,
-    "logprobs": top_k}`` and expects ``{"top_logprobs": {token: logprob}}``.
+    "logprobs": 50}`` and expects ``{"top_logprobs": {token: logprob}}``.
     ``token_logprobs`` POSTs ``{"text", "echo": true}`` and expects
     ``{"token_logprobs": [float, ...]}``. The auth token is read from the
     environment variable named by ``auth_env_var``; it is never read from
@@ -212,14 +215,10 @@ class HttpLogprobProvider:
         provider_id: str,
         auth_env_var: Optional[str] = None,
         timeout: float = 60.0,
-        retries: int = 2,
-        top_k: int = 50,
     ):
         self.provider_id = provider_id
         self._endpoint = endpoint
         self._timeout = timeout
-        self._retries = retries
-        self._top_k = top_k
         self._headers: Optional[dict] = None
         if auth_env_var:
             token = os.environ.get(auth_env_var)
@@ -230,7 +229,7 @@ class HttpLogprobProvider:
     def _post(self, payload: dict, key: str, kind: type):
         """POST ``payload`` and return the reply's ``key``, which must be a ``kind``."""
         data = post_json(
-            self._endpoint, payload, self._timeout, self._retries, ProviderError, headers=self._headers
+            self._endpoint, payload, self._timeout, RETRIES, ProviderError, headers=self._headers
         )
         value = data.get(key)
         if not isinstance(value, kind):
@@ -238,7 +237,7 @@ class HttpLogprobProvider:
         return value
 
     def next_token_distribution(self, prompt: str) -> dict[str, float]:
-        payload = {"prompt": prompt, "max_tokens": 1, "logprobs": self._top_k}
+        payload = {"prompt": prompt, "max_tokens": 1, "logprobs": 50}
         top = self._post(payload, "top_logprobs", dict)
         with reply_shape(self._endpoint, ProviderError):
             return {token: math.exp(logprob) for token, logprob in top.items()}
@@ -389,12 +388,15 @@ class ReplayStore:
         line = canonical_json(record.to_dict()) + "\n"
         with self._lock:
             self._records[record.key] = record
-            if self._tail is not None:
-                length, prefix = self._tail
-                os.truncate(self.path, length)
-                line, self._tail = prefix + line, None
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(line)
+            try:
+                if self._tail is not None:
+                    length, prefix = self._tail
+                    os.truncate(self.path, length)
+                    line, self._tail = prefix + line, None
+                with self.path.open("a", encoding="utf-8") as handle:
+                    handle.write(line)
+            except OSError as exc:
+                raise ContextMeterError(f"cannot append to {self.path}: {exc.strerror or exc}") from exc
 
 
 class VerdictScorer:

@@ -29,7 +29,7 @@ from typing import (
     get_type_hints,
 )
 
-from .errors import InvariantViolation, ParseError
+from .errors import InvariantViolation, ParseError, ZeroMass
 
 
 class StanceLabel(str, Enum):
@@ -298,8 +298,6 @@ class VerdictProbabilities(Record):
         cls, weights: dict[VerdictLabel, float], mode: PromptMode
     ) -> "VerdictProbabilities":
         """Renormalize non-negative label weights to sum to 1."""
-        from .errors import ZeroMass
-
         total = sum(weights.get(label, 0.0) for label in CANONICAL_LABELS)
         if total <= 0.0:
             raise ZeroMass("all canonical labels carry zero probability mass")

@@ -19,7 +19,6 @@ separator, concatenation order) are recorded in every pipeline trace.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import re
 from dataclasses import dataclass, replace
@@ -27,17 +26,15 @@ from datetime import date
 from pathlib import Path
 from typing import NamedTuple, Optional, Protocol, Sequence
 
-from ._net import post_json, reply_shape
-from .characteristics import _domain_matches, normalize_domain, word_set, words
-from .errors import InvariantViolation, MalformedUrl, RerankBackendError, SearchBackendError
+from ._net import RETRIES, post_json, reply_shape
+from .characteristics import in_domains, word_set, words
+from .errors import InvariantViolation, RerankBackendError, SearchBackendError
 from .model import (
     ClaimRecord,
     EvidencePiece,
     fallback_id,
     word_count,
 )
-
-logger = logging.getLogger(__name__)
 
 MAX_CHUNK_WORDS = 200
 MAX_EVIDENCE_WORDS = 300
@@ -151,8 +148,9 @@ class FixtureSearchClient:
     client is built.
     """
 
-    def __init__(self, corpus_dir: Path, name: str = "fixture"):
-        self.name = name
+    name = "fixture"
+
+    def __init__(self, corpus_dir: Path):
         corpus_dir = Path(corpus_dir)
         manifest = json.loads((corpus_dir / "manifest.json").read_text(encoding="utf-8"))
         self._pages: list[tuple[str, Optional[date], str, frozenset[str]]] = []
@@ -185,18 +183,17 @@ class HttpSearchClient:
     HTML bodies are flattened to text locally.
     """
 
-    def __init__(self, endpoint: str, name: str, timeout: float = 30.0, retries: int = 2):
+    def __init__(self, endpoint: str, name: str, timeout: float = 30.0):
         self.name = name
         self._endpoint = endpoint
         self._timeout = timeout
-        self._retries = retries
 
     def search(self, query: str) -> list[SearchResult]:
         data = post_json(
             self._endpoint,
             {"query": query, "top_k": TOP_RESULTS_PER_ENGINE},
             self._timeout,
-            self._retries,
+            RETRIES,
             SearchBackendError,
         )
         items = data.get("results", [])
@@ -240,17 +237,16 @@ class HttpRerankClient:
     ``{"scores": [float]}`` aligned with the request order.
     """
 
-    def __init__(self, endpoint: str, timeout: float = 30.0, retries: int = 2):
+    def __init__(self, endpoint: str, timeout: float = 30.0):
         self._endpoint = endpoint
         self._timeout = timeout
-        self._retries = retries
 
     def score(self, query: str, texts: Sequence[str]) -> list[float]:
         data = post_json(
             self._endpoint,
             {"query": query, "documents": list(texts)},
             self._timeout,
-            self._retries,
+            RETRIES,
             RerankBackendError,
         )
         scores = data.get("scores")
@@ -289,15 +285,13 @@ def search(
     return list(merged.values())
 
 
-def split_paragraphs(page_text: str) -> list[str]:
-    return [part.strip() for part in _PARAGRAPH_RE.split(page_text) if part.strip()]
-
-
 def chunk_page(page_text: str, page_url: str = "") -> list[Chunk]:
     """Paragraphs become chunks; oversized paragraphs split greedily."""
     chunks: list[Chunk] = []
     ordinal = 0
-    for paragraph in split_paragraphs(page_text):
+    for paragraph in map(str.strip, _PARAGRAPH_RE.split(page_text)):
+        if not paragraph:
+            continue
         tokens = paragraph.split()
         pieces = [tokens[start : start + MAX_CHUNK_WORDS] for start in range(0, len(tokens), MAX_CHUNK_WORDS)]
         for piece in pieces:
@@ -464,19 +458,13 @@ def assemble_evidence(
     pub_after = None
     if pub_date is not None and claim.claim_date is not None:
         pub_after = pub_date > claim.claim_date
-    is_fact_check = False
-    if fact_check_domains:
-        try:
-            is_fact_check = _domain_matches(normalize_domain(page_url), fact_check_domains)
-        except MalformedUrl:
-            is_fact_check = False
     return EvidencePiece(
         id=fallback_id(claim.id, page_url, text),
         claim_id=claim.id,
         text=text,
         url=page_url,
         pub_date=pub_date,
-        is_fact_check_source=is_fact_check,
+        is_fact_check_source=in_domains(page_url, fact_check_domains),
         pub_after_claim=pub_after,
         relevance=None,
         stance=None,
@@ -509,8 +497,6 @@ def run_pipeline(
     evidences = []
     for url in selection.urls:
         page_chunks = [chunk for chunk in scored if chunk.page_url == url]
-        if not page_chunks:
-            continue
         evidences.append(
             assemble_evidence(
                 claim,

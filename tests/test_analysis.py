@@ -2,10 +2,12 @@
 
 import math
 import random
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextmeter import analysis as an
 from contextmeter.errors import (
@@ -14,7 +16,8 @@ from contextmeter.errors import (
     LengthMismatch,
     NoPairableValues,
 )
-from contextmeter.model import CharacteristicVector, Reliability, StanceLabel, VerdictLabel
+from contextmeter.metrics import DESIRABILITY
+from contextmeter.model import CANONICAL_LABELS, CharacteristicVector, Reliability, StanceLabel, VerdictLabel
 
 from conftest import characteristic_vectors
 
@@ -318,6 +321,26 @@ class TestPredictionShift:
         with pytest.raises(LengthMismatch):
             an.prediction_shift([T], [T, F], [StanceLabel.REFUTES])
 
+    @given(
+        samples=st.lists(
+            st.tuples(st.sampled_from(CANONICAL_LABELS), st.sampled_from(CANONICAL_LABELS), st.sampled_from(StanceLabel)),
+            min_size=1,
+        )
+    )
+    def test_sum_matches_the_delta_count_oracle(self, samples):
+        before, after, stances = map(list, zip(*samples))
+        table = an.prediction_shift(before, after, stances)
+        for stance in set(stances):
+            row = table["strata"][stance.value]
+            assert row["sum_delta_n_d"] == reference_sum_delta_n_d(row["delta"], stance)
+        assert table["total_delta_n_d"] == sum(row["sum_delta_n_d"] for row in table["strata"].values())
+
+
+def reference_sum_delta_n_d(delta, stance):
+    """Σ_t D(t, S_E) · ΔN(t) from the per-label count changes, as
+    ``prediction_shift`` summed it before it used the switch counts."""
+    return sum(DESIRABILITY[(label, stance)] * delta[label.value] for label in CANONICAL_LABELS)
+
 
 class TestBalancedMae:
     def test_perfect_prediction(self):
@@ -423,7 +446,58 @@ class TestCharacteristicValues:
         assert all(value is None or type(value) is float for value in values.values())
 
 
+def reference_correlation_grid(samples):
+    """``correlation_grid`` as it was before it grouped the samples in one
+    pass: each column filters every sample again."""
+    materialized = list(samples)
+    datasets = sorted({sample.dataset for sample in materialized})
+    columns = []
+    for dataset in datasets:
+        present = {s.stance for s in materialized if s.dataset == dataset}
+        columns.extend(f"{dataset}|{stance.value}" for stance in StanceLabel if stance in present)
+    cells = {row: {column: None for column in columns} for row in an.GRID_CHARACTERISTICS}
+    for column in columns:
+        dataset, stance_value = column.split("|", 1)
+        of_column = [
+            (an.characteristic_values(s.vector), s.acu)
+            for s in materialized
+            if s.dataset == dataset and s.stance.value == stance_value
+        ]
+        for row in an.GRID_CHARACTERISTICS:
+            pairs = [(values[row], acu) for values, acu in of_column if values[row] is not None]
+            if len(pairs) < 3:
+                continue
+            try:
+                cell = an.spearman([p[0] for p in pairs], [p[1] for p in pairs]).to_dict()
+            except DegenerateInput:
+                continue
+            cells[row][column] = {"characteristic": row, "stratum": column, **cell}
+    return {"rows": list(an.GRID_CHARACTERISTICS), "columns": columns, "cells": cells}
+
+
+grid_samples = st.builds(
+    an.GridSample,
+    dataset=st.sampled_from(("druid", "counterfact", "Conflict-QA")),
+    stance=st.sampled_from(StanceLabel),
+    acu=st.sampled_from((-1.5, -0.25, 0.0, 0.25, 0.5, 3.0)),
+    vector=characteristic_vectors(),
+)
+
+
 class TestCorrelationGrid:
+    # Lists this long fill most strata with three or more samples; each
+    # example is slow to draw, hence the smaller example budget.
+    @settings(max_examples=30, deadline=None)
+    @given(samples=st.lists(grid_samples, min_size=15, max_size=40))
+    def test_matches_the_per_column_filter_oracle(self, samples):
+        assert an.correlation_grid(samples) == reference_correlation_grid(samples)
+
+    def test_dataset_name_with_the_column_separator_keeps_its_cells(self):
+        samples = [replace(sample, dataset="druid|v2") for sample in build_grid_samples()]
+        grid = an.correlation_grid(samples)
+        assert grid["columns"] == ["druid|v2|supports", "druid|v2|refutes"]
+        assert grid["cells"]["Jaccard similarity"]["druid|v2|supports"]["n"] == 10
+
     def test_schema(self):
         grid = an.correlation_grid(build_grid_samples())
         assert grid["rows"] == list(an.GRID_CHARACTERISTICS)

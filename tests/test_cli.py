@@ -257,6 +257,11 @@ class TestRunContract:
         assert proc.returncode == 0
         assert proc.stdout.strip() == __version__
 
+    def test_pyproject_states_the_package_version(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as handle:
+            assert tomllib.load(handle)["project"]["version"] == __version__
+
     def test_import_loads_only_the_standard_library(self):
         # Every stage is its own process, so start-up is paid per command. The
         # HTTP stack and the HTML parser load on the first live request only.
@@ -506,6 +511,7 @@ class TestConfigErrors:
             "pub-after-claim-ingest", "pub-after-claim-profile", "pub-after-claim-replay-score",
             "duplicate-claim-profile", "duplicate-claim-retrieve", "write-fails",
             "fixture-bad-pub-date", "fixture-pub-date-number", "fixture-without-url", "fixture-url-number",
+            "search-endpoint-name-list", "search-endpoint-endpoint-number",
         ],
     )
     def test_config_error_leaves_no_run_dir(
@@ -626,6 +632,12 @@ class TestConfigErrors:
             "fixture-without-url": {key: value for key, value in manifest[0].items() if key != "url"},
             "fixture-url-number": {**manifest[0], "url": 7},
         }
+        # A search_endpoints entry with a value of the wrong type; no search
+        # is made, so the endpoint URL is never contacted.
+        endpoint_faults = {
+            "search-endpoint-name-list": {"name": ["web"], "endpoint": "http://127.0.0.1:9/search"},
+            "search-endpoint-endpoint-number": {"name": "x", "endpoint": 5},
+        }
         # case: (exit code, {input file: content}, argv)
         cases = {
             "no-templates": (2, {}, ["score", "--claims", claims_path, "--evidence", evidence_path]),
@@ -729,6 +741,14 @@ class TestConfigErrors:
                 )
                 for case, entry in manifest_faults.items()
             },
+            **{
+                case: (
+                    2,
+                    {config: json.dumps({"search_endpoints": [entry]})},
+                    ["retrieve", "--claims", claims_path, "--config", config],
+                )
+                for case, entry in endpoint_faults.items()
+            },
         }
         expected_code, files, argv = cases[case]
         for path, text in files.items():
@@ -797,10 +817,48 @@ class TestConfigErrors:
         elif case in manifest_faults:
             assert payload["error"] == "ConfigError"
             assert payload["message"].startswith(f"cannot read fixture corpus {corpus}: ")
+        elif case in endpoint_faults:
+            assert payload == {
+                "error": "ConfigError",
+                "message": f"search_endpoints entries need a string name and endpoint, got {endpoint_faults[case]!r}",
+            }
         elif expected_code == 1:
             assert payload["error"] == "ParseError"
             assert re.search(r"\.jsonl?:\d+: ", payload["message"])
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, store",
+        [("--replay", "store-dir"), ("--record", "store-dir"), ("--record", "missing/store.jsonl")],
+    )
+    def test_store_path_that_cannot_be_opened(self, druid_fixture_paths, tmp_path, monkeypatch, flag, store):
+        calls = []
+
+        class CountingProvider(HashLogprobProvider):
+            def __init__(self, endpoint, provider_id, **_kwargs):
+                super().__init__(provider_id=provider_id)
+
+            def next_token_distribution(self, prompt):
+                calls.append(prompt)
+                return super().next_token_distribution(prompt)
+
+        monkeypatch.setattr(lm, "HttpLogprobProvider", CountingProvider)
+        (tmp_path / "store-dir").mkdir()
+        claims_path, evidence_path = druid_fixture_paths
+        live = [] if flag == "--replay" else ["--provider-endpoint", "http://127.0.0.1:9/v1"]
+        out = tmp_path / "runs"
+        code, _, stderr = run_cli(
+            "score", "--claims", str(claims_path), "--evidence", str(evidence_path),
+            "--claim-template", "claim-0shot", "--evidence-template", "evidence-0shot",
+            *live, "--provider-id", "hash-mock", flag, str(tmp_path / store), "--out", str(out),
+        )
+        assert code == 2
+        assert len(stderr.strip().splitlines()) == 1
+        payload = json.loads(stderr)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith(f"cannot open store {tmp_path / store}: ")
+        assert not out.exists()
+        assert calls == []
 
     def test_replay_requires_provider_id(self, druid_fixture_paths, replay_store):
         claims_path, evidence_path = druid_fixture_paths

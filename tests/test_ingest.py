@@ -31,17 +31,17 @@ def claim_row(**kwargs):
 
 class TestVerdictMapping:
     def test_known_labels(self):
-        table = ing.VerdictMappingTable.default()
-        assert table.map_verdict("MISLEADING") is ClaimVerdict.FALSE
-        assert table.map_verdict("Half True") is ClaimVerdict.HALF_TRUE
-        assert table.map_verdict("TRUE") is ClaimVerdict.TRUE
-        assert table.map_verdict("Correct") is ClaimVerdict.TRUE
-        assert table.map_verdict("Incorrect, Flawed_Reasoning") is ClaimVerdict.FALSE
+        table = ing.verdict_table()
+        assert table.get("MISLEADING") is ClaimVerdict.FALSE
+        assert table.get("Half True") is ClaimVerdict.HALF_TRUE
+        assert table.get("TRUE") is ClaimVerdict.TRUE
+        assert table.get("Correct") is ClaimVerdict.TRUE
+        assert table.get("Incorrect, Flawed_Reasoning") is ClaimVerdict.FALSE
 
     def test_unmapped_labels_drop(self):
-        table = ing.VerdictMappingTable.default()
-        assert table.map_verdict("Pants on Fire!") is None
-        assert table.map_verdict("") is None
+        table = ing.verdict_table()
+        assert table.get("Pants on Fire!") is None
+        assert table.get("") is None
 
 
 class TestLoadDruid:

@@ -11,6 +11,7 @@ import pytest
 
 from contextmeter import lm
 from contextmeter.errors import (
+    ContextMeterError,
     InvariantViolation,
     MissingSlotValue,
     ProviderError,
@@ -195,6 +196,15 @@ class TestRenderPrompt:
             replace(template, include_claimant=False), claim
         )
 
+    def test_slot_markers_inside_values_are_inserted_verbatim(self):
+        template = lm.load_template("evidence-0shot")
+        claim = make_claim(claimant="Someone <claim>", text="The page said <evidence> here.")
+        evidence = make_evidence(text="Quoting <claimant> and <claim> on <evidence>.")
+        prompt = lm.render_prompt(template, claim, evidence)
+        assert "Claimant: Someone <claim>\n" in prompt
+        assert 'Claim: "The page said <evidence> here."' in prompt
+        assert 'Evidence: "Quoting <claimant> and <claim> on <evidence>."' in prompt
+
     def test_prompt_hash_stable(self):
         assert lm.prompt_hash("abc") == lm.prompt_hash("abc")
         assert lm.prompt_hash("abc") != lm.prompt_hash("abd")
@@ -375,6 +385,17 @@ class TestScoreRecord:
 
 
 class TestReplayStore:
+    def test_failed_append_is_a_package_error(self, tmp_path):
+        directory = tmp_path / "gone"
+        directory.mkdir()
+        store = lm.ReplayStore(directory / "store.jsonl")
+        directory.rmdir()
+        record = lm.VerdictScorer(provider=HashLogprobProvider()).score(
+            lm.load_template("claim-0shot"), make_claim()
+        )
+        with pytest.raises(ContextMeterError, match=r"cannot append to .*store\.jsonl: "):
+            store.append(record)
+
     def test_record_then_replay_identical(self, tmp_path):
         store_path = tmp_path / "store.jsonl"
         provider = HashLogprobProvider()
