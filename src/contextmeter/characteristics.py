@@ -34,10 +34,12 @@ from .model import (
 logger = logging.getLogger(__name__)
 
 _TOKEN_SPLIT_RE = re.compile(r"[\W_]+", re.UNICODE)
-#: Every ASCII character that ``_TOKEN_SPLIT_RE`` splits at, mapped to a space.
-_ASCII_SEPARATORS = {code: " " for code in range(128) if not chr(code).isalnum()}
-#: Every ASCII character that is neither a letter, a digit nor whitespace.
-_ASCII_NON_WORD = {code: None for code in range(128) if not (chr(code).isalnum() or chr(code).isspace())}
+#: A ``bytes.translate`` table that lowercases A–Z and keeps every other byte.
+_LOWER_BYTES = bytes(ord(chr(code).lower()) if code < 128 else code for code in range(256))
+#: As ``_LOWER_BYTES``, but each ASCII byte that ``_TOKEN_SPLIT_RE`` splits at becomes a space.
+_WORD_BYTES = bytes(_LOWER_BYTES[code] if chr(code).isalnum() else 32 for code in range(256))
+#: Every ASCII byte that is neither a letter, a digit nor whitespace.
+_NON_WORD_BYTES = bytes(code for code in range(128) if not (chr(code).isalnum() or chr(code).isspace()))
 #: A sentence part holding a letter or digit: ``[^\W_]`` is ``str.isalnum``.
 _SENTENCE_RE = re.compile(r"[^\W_][^.!?]*")
 _VOWEL_RUN_RE = re.compile(r"[aeiouy]+")
@@ -49,7 +51,7 @@ def words(text: str) -> list[str]:
     """Lowercased word tokens with punctuation and special characters
     (including '-' and '_') stripped; hyphenated compounds split apart."""
     if text.isascii():
-        return text.lower().translate(_ASCII_SEPARATORS).split()
+        return text.encode("ascii").translate(_WORD_BYTES).decode("ascii").split()
     return [token for token in _TOKEN_SPLIT_RE.split(text.lower()) if token]
 
 
@@ -136,7 +138,7 @@ def flesch_reading_ease(text: str, syllables: dict[str, int]) -> float:
     to every call.
     """
     if text.isascii():
-        tokens = text.lower().translate(_ASCII_NON_WORD).split()
+        tokens = text.encode("ascii").translate(_LOWER_BYTES, _NON_WORD_BYTES).decode("ascii").split()
     else:
         tokens = [word for token in text.split() if (word := _TOKEN_SPLIT_RE.sub("", token))]
     if not tokens:

@@ -395,6 +395,9 @@ def _build_scorer(config: RunConfig) -> lm.VerdictScorer:
     # Checked before any provider call: a record store is first written after one.
     if store_path and not Path(store_path).parent.is_dir():
         raise ConfigError(f"cannot open store {store_path}: no such directory")
+    # A replay store that does not exist could only miss.
+    if config.replay_store and not Path(store_path).exists():
+        raise ConfigError(f"cannot open store {store_path}: no such file")
     try:
         store = lm.ReplayStore(Path(store_path)) if store_path else None
     except OSError as exc:

@@ -351,30 +351,41 @@ def _shared_bound(tokens: Sequence[str], claim: Reference) -> int:
     return sum(claim.masks[token].bit_count() for token in claim.masks.keys() & tokens)
 
 
-def filter_claim_repeats(chunk: Chunk, claim: Reference) -> Optional[Chunk]:
-    """Remove sentences that near-repeat the claim; drop emptied chunks.
+def is_claim_repeat(lcs: int, m: int, n: int) -> bool:
+    """Whether an m-token sentence with an LCS of ``lcs`` against the n-token
+    claim has RougeL F = 2·lcs/(m+n) > 4/5 (``CLAIM_REPEAT_THRESHOLD``),
+    decided in integers: a float F can land one ulp above 4/5."""
+    return 5 * lcs > 2 * (m + n)
 
-    F = 2·LCS/(m+n) for an m-token sentence and the n-token claim, so with
-    LCS ≤ min(B, m, n) for B = ``_shared_bound`` a sentence with
-    10·min(B, m, n) < 4·(m+n) has F < 4/5 (``CLAIM_REPEAT_THRESHOLD``) and
-    is kept without ``rouge_l``. As m ≥ LCS, F ≤ 2B/(B+n): when 3·B < 2·n
-    for the whole chunk, no sentence in it reaches the threshold. The
-    sentences are still rejoined, which normalises the whitespace after them;
-    an unchanged chunk is returned as is.
+
+def filter_claim_repeats(chunk: Chunk, claim: Reference) -> Optional[Chunk]:
+    """Remove sentences that near-repeat the claim (``is_claim_repeat``);
+    drop emptied chunks.
+
+    With LCS ≤ min(B, m, n) for B = ``_shared_bound``, a sentence with
+    10·min(B, m, n) < 4·(m+n) has F < 4/5 and is kept without
+    ``lcs_length``. As m ≥ LCS, F ≤ 2B/(B+n): when 3·B < 2·n for the whole
+    chunk, no sentence in it is a repeat, and a chunk whose text is its
+    tokens joined by single spaces is returned as is, unsplit. Otherwise the
+    kept sentences are rejoined with single spaces, which normalises the
+    whitespace after them; an unchanged chunk is returned as is.
     """
     # The integer tests encode CLAIM_REPEAT_THRESHOLD = 4/5; they change with it.
     n = len(claim.tokens)
-    sentences = split_sentences(chunk.text)
-    if 3 * _shared_bound(chunk.text.split(), claim) >= 2 * n:
-        kept = []
-        for sentence in sentences:
+    tokens = chunk.text.split()
+    if 3 * _shared_bound(tokens, claim) < 2 * n:
+        if tokens and " ".join(tokens) == chunk.text:
+            return chunk
+        sentences = split_sentences(chunk.text)
+    else:
+        sentences = []
+        for sentence in split_sentences(chunk.text):
             tokens = sentence.split()
             m = len(tokens)
             if 10 * min(_shared_bound(tokens, claim), m, n) < 4 * (m + n) or (
-                rouge_l(sentence, claim) <= CLAIM_REPEAT_THRESHOLD
+                not is_claim_repeat(lcs_length(tokens, claim), m, n)
             ):
-                kept.append(sentence)
-        sentences = kept
+                sentences.append(sentence)
     if not sentences:
         return None
     text = " ".join(sentences)

@@ -829,7 +829,12 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize(
         "flag, store",
-        [("--replay", "store-dir"), ("--record", "store-dir"), ("--record", "missing/store.jsonl")],
+        [
+            ("--replay", "store-dir"),
+            ("--replay", "missing.jsonl"),
+            ("--record", "store-dir"),
+            ("--record", "missing/store.jsonl"),
+        ],
     )
     def test_store_path_that_cannot_be_opened(self, druid_fixture_paths, tmp_path, monkeypatch, flag, store):
         calls = []
@@ -859,6 +864,24 @@ class TestConfigErrors:
         assert payload["message"].startswith(f"cannot open store {tmp_path / store}: ")
         assert not out.exists()
         assert calls == []
+        assert not (tmp_path / "missing.jsonl").exists()
+
+    def test_record_creates_a_store_that_does_not_exist(self, druid_fixture_paths, tmp_path, monkeypatch):
+        class Provider(HashLogprobProvider):
+            def __init__(self, endpoint, provider_id, **_kwargs):
+                super().__init__(provider_id=provider_id)
+
+        monkeypatch.setattr(lm, "HttpLogprobProvider", Provider)
+        claims_path, evidence_path = druid_fixture_paths
+        store = tmp_path / "new.jsonl"
+        code, _, stderr = run_cli(
+            "score", "--claims", str(claims_path), "--evidence", str(evidence_path),
+            "--claim-template", "claim-0shot", "--evidence-template", "evidence-0shot",
+            "--provider-endpoint", "http://127.0.0.1:9/v1", "--provider-id", "hash-mock",
+            "--record", str(store), "--out", str(tmp_path / "runs"),
+        )
+        assert code == 0, stderr
+        assert len(lm.ReplayStore(store)) == 15  # 5 claims and 10 claim-evidence pairs
 
     def test_replay_requires_provider_id(self, druid_fixture_paths, replay_store):
         claims_path, evidence_path = druid_fixture_paths

@@ -3,6 +3,7 @@
 import json
 import random
 from datetime import date
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -146,6 +147,18 @@ def dp_rouge_l(candidate, reference):
     return 2 * precision * recall / (precision + recall)
 
 
+def exact_f(candidate, reference):
+    """RougeL F = 2·LCS/(m+n) as an exact fraction, from the DP LCS."""
+    candidate_words, reference_words = candidate.split(), reference.split()
+    lcs = dp_lcs_length(candidate_words, reference_words)
+    return Fraction(2 * lcs, len(candidate_words) + len(reference_words))
+
+
+def kept_by_the_rule(sentence, claim_text):
+    """The paper's rule, exactly: a sentence stays unless RougeL F > 0.8."""
+    return exact_f(sentence, claim_text) <= Fraction(4, 5)
+
+
 SMALL_VOCAB = st.sampled_from(["a", "b", "c", "d"])
 
 
@@ -188,13 +201,51 @@ class TestClaimRepeatDecisions:
         chunk = Chunk(page_url="u", ordinal=0, text=sentence, word_count=6)
         assert filter_claim_repeats(chunk, claim) == chunk
 
-    def test_f_one_ulp_above_threshold_is_dropped(self):
-        # p = r = 4/5 gives 0.8000000000000002 in floats.
+    def test_f_one_ulp_above_threshold_in_floats_is_kept(self):
+        # p = r = 4/5 gives 0.8000000000000002 in floats, but F is exactly 4/5.
         claim = lighthouse_claim(text=self.CLAIM)
         sentence = "Gull Island lighthouse stands proud."
         assert rouge_l(sentence, claim.text) == dp_rouge_l(sentence, claim.text) > 0.8
+        assert exact_f(sentence, claim.text) == Fraction(4, 5)
         chunk = Chunk(page_url="u", ordinal=0, text=sentence, word_count=5)
-        assert filter_claim_repeats(chunk, claim) is None
+        assert filter_claim_repeats(chunk, claim) is chunk
+
+    def test_decision_is_exact_for_every_length_up_to_300(self):
+        # Every LCS within 1 of the boundary 2(m+n)/5, plus none and the most.
+        for n in range(1, 301):
+            for m in range(1, 301):
+                top, boundary = min(m, n), 2 * (m + n)
+                near = [lcs for lcs in range(boundary // 5 - 1, boundary // 5 + 3) if abs(5 * lcs - boundary) <= 5]
+                for lcs in {0, top, *(lcs for lcs in near if lcs <= top)}:
+                    assert rt.is_claim_repeat(lcs, m, n) == (Fraction(2 * lcs, m + n) > Fraction(4, 5)), (lcs, m, n)
+
+    def test_filter_applies_the_exact_decision(self):
+        # A sentence of the claim's first ``lcs`` tokens padded with non-claim
+        # tokens to m, for every m, n up to 40 and every LCS.
+        for n in range(1, 41):
+            claim_tokens = [f"c{j}" for j in range(n)]
+            claim = rt.Reference.of(" ".join(claim_tokens))
+            for m in range(1, 41):
+                for lcs in range(min(m, n) + 1):
+                    text = " ".join(claim_tokens[:lcs] + ["x"] * (m - lcs))
+                    chunk = Chunk(page_url="u", ordinal=0, text=text, word_count=m)
+                    expected = chunk if Fraction(2 * lcs, m + n) <= Fraction(4, 5) else None
+                    assert rt.filter_claim_repeats(chunk, claim) is expected, (lcs, m, n)
+
+    def test_whitespace_tokens_keep_case_and_punctuation(self):
+        # The claim's whitespace tokens against the sentence's: "Vaccines" and
+        # "vaccines", "children" and "children." are different tokens.
+        claim = rt.Reference.of("Vaccines cause autism in children")
+        cases = {
+            'Some say: "Vaccines cause autism in children."': Fraction(1, 2),
+            "vaccines cause autism in children": Fraction(4, 5),
+            "Vaccines cause autism in children.": Fraction(4, 5),
+            "Vaccines cause autism in children": Fraction(1),
+        }
+        for sentence, f in cases.items():
+            assert exact_f(sentence, " ".join(claim.tokens)) == f
+            chunk = Chunk(page_url="u", ordinal=0, text=sentence, word_count=len(sentence.split()))
+            assert rt.filter_claim_repeats(chunk, claim) is (chunk if f <= Fraction(4, 5) else None)
 
     @given(
         sentences=st.lists(
@@ -203,6 +254,7 @@ class TestClaimRepeatDecisions:
             min_size=1, max_size=6,
         )
     )
+    @example(sentences=[["Gull", "Gull", "Island", "lighthouse", "tall."]])
     def test_decisions_match_dp_rouge(self, sentences):
         claim = lighthouse_claim(text=self.CLAIM)
         texts = [" ".join(words).rstrip(".") + "." for words in sentences]
@@ -210,33 +262,48 @@ class TestClaimRepeatDecisions:
             assert rouge_l(text, claim.text) == dp_rouge_l(text, claim.text)
         text = " ".join(texts)
         chunk = Chunk(page_url="u", ordinal=0, text=text, word_count=len(text.split()))
-        kept = [s for s in rt.split_sentences(text) if dp_rouge_l(s, claim.text) <= 0.8]
+        kept = [s for s in rt.split_sentences(text) if kept_by_the_rule(s, claim.text)]
         filtered = filter_claim_repeats(chunk, claim)
         if kept:
             assert filtered.text == " ".join(kept)
+            if filtered.text == text:
+                assert filtered is chunk
         else:
             assert filtered is None
 
+    GAPS = [" ", "  ", "\n", ".\n", " \n\t", "\t", "\xa0", "\u3000", "\x1c", "\x85"]
+
     @given(
         claim=st.lists(st.sampled_from(["Gull", "Island", "gull", "lighthouse", "the", "the."]), min_size=1, max_size=8),
+        lead=st.one_of(st.just(""), st.sampled_from([" ", "\n ", "\xa0"])),
         sentences=st.lists(
             st.tuples(
                 st.lists(st.sampled_from(["Gull", "Island", "gull", "the", "lighthouse", "cove", "old", "1932"]),
                          min_size=1, max_size=12),
                 st.sampled_from([".", "!", "?", ""]),
-                st.sampled_from([" ", "  ", "\n", ".\n", " \n\t"]),
+                st.one_of(st.just(" "), st.sampled_from(GAPS)),
             ),
             min_size=1, max_size=6,
         ),
+        last_gap=st.booleans(),
+        tail=st.one_of(st.just(""), st.sampled_from([" ", "\n", "\u3000"])),
     )
-    @example(claim=["the", "the", "gull"], sentences=[(["the", "the", "gull"], "", " ")])
-    def test_pruned_filter_matches_dp_rouge(self, claim, sentences):
-        # Claims with repeated tokens, sentence words outside the claim, and
-        # runs of whitespace after sentence ends, against the plain DP RougeL.
+    @example(claim=["the", "the", "gull"], lead="", sentences=[(["the", "the", "gull"], "", " ")], last_gap=False, tail="")
+    @example(claim=["Gull", "Island", "lighthouse", "the", "gull"], lead="",
+             sentences=[(["Gull", "Island", "lighthouse", "the", "cove"], ".", " ")], last_gap=False, tail="")
+    @example(claim=["stands"], lead="", sentences=[(["Gull", "cove"], ".", " "), (["old"], "!", " ")], last_gap=False, tail="")
+    @example(claim=["stands"], lead=" ", sentences=[(["Gull"], ".", "\x85"), (["old", "cove"], ".", "\t")], last_gap=True, tail="")
+    @example(claim=["stands"], lead="\n ", sentences=[], last_gap=False, tail="\u3000")
+    def test_pruned_filter_matches_dp_rouge(self, claim, lead, sentences, last_gap, tail):
+        # Claims with repeated tokens, sentence words outside the claim, runs
+        # and kinds of whitespace around sentence ends and at either end of
+        # the text, and whitespace-only texts, against the exact rule on the
+        # DP LCS. Single-space texts of settled chunks take the unsplit path.
         claim_text = " ".join(claim)
-        text = "".join(" ".join(words) + end + gap for words, end, gap in sentences).strip()
-        chunk = Chunk(page_url="u", ordinal=0, text=text, word_count=len(text.split()))
-        kept = [s for s in rt.split_sentences(text) if dp_rouge_l(s, claim_text) <= 0.8]
+        body = "".join(" ".join(words) + end + gap for words, end, gap in sentences)
+        text = lead + (body if last_gap else body.rstrip()) + tail
+        chunk = Chunk(page_url="u", ordinal=0, text=text, word_count=max(1, len(text.split())))
+        kept = [s for s in rt.split_sentences(text) if kept_by_the_rule(s, claim_text)]
         filtered = rt.filter_claim_repeats(chunk, rt.Reference.of(claim_text))
         if not kept:
             assert filtered is None
@@ -244,6 +311,12 @@ class TestClaimRepeatDecisions:
         assert (filtered.text, filtered.word_count) == (" ".join(kept), len(" ".join(kept).split()))
         if filtered.text == text:
             assert filtered is chunk
+
+    @pytest.mark.parametrize("text", ["", " ", "\n\t", "\xa0\u3000", "\x1c\x85"])
+    @pytest.mark.parametrize("claim_text", [CLAIM, ""])
+    def test_empty_and_whitespace_only_texts_are_dropped(self, text, claim_text):
+        chunk = Chunk(page_url="u", ordinal=0, text=text, word_count=1)
+        assert rt.filter_claim_repeats(chunk, rt.Reference.of(claim_text)) is None
 
     def test_unchanged_chunk_is_returned_as_is(self):
         claim = rt.Reference.of(self.CLAIM)
