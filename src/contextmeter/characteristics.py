@@ -330,21 +330,24 @@ def normalize_domain(url: str) -> str:
     return host
 
 
-def in_domains(url: str, domains: Iterable[str]) -> bool:
-    """Whether the URL's host is one of ``domains`` or a subdomain of one; a malformed URL is in none."""
-    try:
-        host = normalize_domain(url)
-    except MalformedUrl:
-        return False
+def _host_in(host: str, domains: Iterable[str]) -> bool:
     return any(host == domain or host.endswith("." + domain) for domain in domains)
 
 
+def in_domains(url: str, domains: Iterable[str]) -> bool:
+    """Whether the URL's host is one of ``domains`` or a subdomain of one; a malformed URL is in none."""
+    try:
+        return _host_in(normalize_domain(url), domains)
+    except MalformedUrl:
+        return False
+
+
 def unreliable_source(url: str, lists: ReliabilityList) -> Reliability:
-    """Tri-state reliability of the URL's registered domain."""
-    normalize_domain(url)  # a malformed URL is a MalformedUrl, not an unknown one
-    if in_domains(url, lists.flagged):
+    """Tri-state reliability of the URL's registered domain; a malformed URL is a MalformedUrl."""
+    host = normalize_domain(url)
+    if _host_in(host, lists.flagged):
         return Reliability.UNRELIABLE
-    if in_domains(url, lists.coverage):
+    if _host_in(host, lists.coverage):
         return Reliability.RELIABLE
     return Reliability.UNKNOWN
 

@@ -24,7 +24,7 @@ import shutil
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -37,27 +37,19 @@ from .model import (
     CharacteristicVector,
     ClaimRecord,
     EvidencePiece,
+    Record,
     ScoredSample,
     canonical_json,
     read_jsonl,
     write_jsonl,
 )
 
-ACU_FORMS = ("mean", "sum")
-
-#: JSON value type each RunConfig annotation accepts, by annotation text.
-_CONFIG_TYPES: dict[str, tuple[tuple[type, ...], str]] = {
-    "str": ((str,), "a string"),
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-    "list": ((list,), "a list"),
-}
 #: Settings that never change an artifact's bytes, left out of the config hash.
 _UNHASHED = ("out_dir", "max_concurrency")
 
 
 @dataclass
-class RunConfig:
+class RunConfig(Record):
     """Single source of truth for a run; secrets stay in the environment.
 
     ``auth_env_var`` names the environment variable holding the provider
@@ -73,7 +65,7 @@ class RunConfig:
     fixture_corpus: Optional[str] = None
     search_endpoints: list = field(default_factory=list)
     rerank_endpoint: Optional[str] = None
-    fact_check_domains: list = field(default_factory=list)
+    fact_check_domains: list[str] = field(default_factory=list)
 
     provider_endpoint: Optional[str] = None
     provider_id: Optional[str] = None
@@ -97,26 +89,14 @@ class RunConfig:
     max_concurrency: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None and f.type.startswith("Optional["):
-                continue
-            kinds, expected = _CONFIG_TYPES[f.type.removeprefix("Optional[").rstrip("]")]
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ConfigError(f"{f.name} must be {expected}, got {type(value).__name__}")
-        if not all(isinstance(domain, str) for domain in self.fact_check_domains):
-            raise ConfigError("fact_check_domains must be a list of strings")
-        if self.acu_form not in ACU_FORMS:
-            raise ConfigError(f"acu_form must be one of {ACU_FORMS}, got {self.acu_form!r}")
+        if self.acu_form not in metrics.ACU_FORMS:
+            raise ConfigError(f"acu_form must be one of {metrics.ACU_FORMS}, got {self.acu_form!r}")
         if self.max_concurrency <= 0:
             self.max_concurrency = os.cpu_count() or 1
 
-    def resolved(self) -> dict[str, Any]:
-        return asdict(self)
-
     @property
     def config_hash(self) -> str:
-        hashed = {k: v for k, v in self.resolved().items() if k not in _UNHASHED}
+        hashed = {k: v for k, v in self.to_dict().items() if k not in _UNHASHED}
         return hashlib.sha256(canonical_json(hashed).encode("utf-8")).hexdigest()[:16]
 
 
@@ -140,8 +120,8 @@ def load_config(path: Optional[str], overrides: dict[str, Any]) -> RunConfig:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     data.update({k: v for k, v in overrides.items() if v is not None})
     try:
-        return RunConfig(**data)
-    except TypeError as exc:
+        return RunConfig.from_dict(data)
+    except InvariantViolation as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -180,7 +160,7 @@ def write_run(config: RunConfig, command: str, artifacts: Artifacts) -> Path:
     except OSError as exc:
         raise ConfigError(f"cannot create a run directory under {base}: {exc}") from exc
     try:
-        files = {"resolved_config.json": {"config": config.resolved()}, **artifacts}
+        files = {"resolved_config.json": {"config": config.to_dict()}, **artifacts}
         for file_name, content in files.items():
             path = run_dir / file_name
             if file_name.endswith(".jsonl"):
@@ -227,7 +207,7 @@ def _parallel_map(fn: Callable, items: list, label: Callable[[Any], str], worker
 
     def run(item):
         # Items start in input order, so one skipped here comes after the
-        # failure that the results loop below raises first.
+        # failure that is raised first.
         if failed.is_set():
             return None
         try:
@@ -240,14 +220,9 @@ def _parallel_map(fn: Callable, items: list, label: Callable[[Any], str], worker
 
     if workers == 1:
         return [run(item) for item in items]
+    # ``map`` cancels the items not yet started once a result raises.
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run, item) for item in items]
-        try:
-            return [future.result() for future in futures]
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
+        return list(pool.map(run, items))
 
 
 def _load_field_map(config: RunConfig, per_file: bool) -> Optional[dict]:
@@ -570,7 +545,7 @@ _FLAGS = (
     ("--out", "out_dir", {"help": "output root (default: runs)"}),
     ("--replay", "replay_store", {"help": "replay store path (read-only)"}),
     ("--record", "record_store", {"help": "record store path (append)"}),
-    ("--acu-form", "acu_form", {"choices": ACU_FORMS}),
+    ("--acu-form", "acu_form", {"choices": metrics.ACU_FORMS}),
     ("--max-concurrency", "max_concurrency", {"type": int}),
     ("--claims", "claims_path", {"help": "claims JSON Lines path"}),
     ("--evidence", "evidence_path", {"help": "evidence JSON Lines path"}),

@@ -59,7 +59,7 @@ _SLOT_RE = re.compile("|".join(map(re.escape, (CLAIMANT_SLOT, CLAIM_SLOT, EVIDEN
 
 
 @dataclass(frozen=True)
-class PromptTemplate:
+class PromptTemplate(Record):
     """A prompt body with slot markers plus its label vocabulary.
 
     ``verbalizer_map`` maps each surface label the model is asked to emit
@@ -113,7 +113,8 @@ def _template_dir():
 
 
 def load_template(template_id: str, base_dir: Optional[Path] = None) -> PromptTemplate:
-    """Load ``<id>.txt`` (body) + ``<id>.json`` (sidecar) template files."""
+    """Load ``<id>.txt`` (body) + ``<id>.json`` (sidecar: an object of the
+    other fields, whose ``id`` defaults to ``template_id``) template files."""
     root = Path(base_dir) if base_dir is not None else _template_dir()
     sidecar_path = root / f"{template_id}.json"
     try:
@@ -125,24 +126,10 @@ def load_template(template_id: str, base_dir: Optional[Path] = None) -> PromptTe
         ) from exc
     try:
         sidecar = json.loads(sidecar_text)
-        fields = dict(
-            id=sidecar.get("id", template_id),
-            mode=PromptMode(sidecar["mode"]),
-            shots=int(sidecar["shots"]),
-            body=body,
-            verbalizer_map={
-                surface: VerdictLabel(canonical)
-                for surface, canonical in sidecar["verbalizer_map"].items()
-            },
-            include_claimant=bool(sidecar.get("include_claimant", True)),
-        )
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise InvariantViolation(
-            "template_id", f"bad template sidecar {sidecar_path}: {type(exc).__name__}: {exc}"
-        ) from exc
-    try:
-        return PromptTemplate(**fields)
-    except InvariantViolation as exc:
+        if isinstance(sidecar, dict):
+            sidecar = {"id": template_id, **sidecar, "body": body}
+        return PromptTemplate.from_dict(sidecar)
+    except (ValueError, InvariantViolation) as exc:
         raise InvariantViolation(
             "template_id", f"invalid template {template_id!r} ({sidecar_path}): {exc}"
         ) from exc

@@ -98,6 +98,9 @@ def delta_p_vector(
     )
 
 
+ACU_FORMS = ("mean", "sum")
+
+
 @dataclass(frozen=True)
 class AcuConfig:
     """Selects the ACU aggregation form: "sum" (default) or "mean"."""
@@ -105,8 +108,8 @@ class AcuConfig:
     form: str = "sum"
 
     def __post_init__(self) -> None:
-        if self.form not in ("sum", "mean"):
-            raise InvariantViolation("form", f"must be 'sum' or 'mean': {self.form!r}")
+        if self.form not in ACU_FORMS:
+            raise InvariantViolation("form", f"must be one of {ACU_FORMS}: {self.form!r}")
 
 
 def _signed_sum(deltas: Iterable[float], stance: StanceLabel, config: AcuConfig) -> float:

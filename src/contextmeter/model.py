@@ -14,8 +14,7 @@ import json
 from dataclasses import MISSING, dataclass, fields
 from datetime import date
 from enum import Enum
-from functools import lru_cache
-from operator import attrgetter
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import (
     Any,
@@ -105,74 +104,89 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
-def _optional(convert: Optional[Callable]) -> Optional[Callable]:
-    if convert is None:
-        return None
-    return lambda value: None if value is None else convert(value)
+def _reject(what: str, value: Any):
+    raise TypeError(f"expected {what}, got {type(value).__name__}")
 
 
-def _sequence(converters: tuple[Optional[Callable], ...], build: Callable, each: bool) -> Callable:
-    """Convert a homogeneous (``each``) or a fixed-length tuple to ``build``."""
-    if all(convert is None for convert in converters):
-        return build
-    if each:
-        (convert,) = converters
-        return lambda value: build([convert(x) for x in value])
-
-    def convert_fixed(value):
-        if len(value) != len(converters):
-            raise ValueError(f"expected {len(converters)} entries, got {len(value)}")
-        return build([x if c is None else c(x) for c, x in zip(converters, value)])
-
-    return convert_fixed
+def _bool(value: Any) -> bool:
+    return bool(value) if type(value) is int and value in (0, 1) else _reject("a boolean", value)
 
 
-def _string(value: Any) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {type(value).__name__}")
-    return value
+#: Leaf type: (JSON types it takes as they are, decoder of the rest); a JSON bool is no int.
+_LEAVES: dict[type, tuple[tuple[type, ...], Callable]] = {
+    str: ((str,), partial(_reject, "a string")),
+    int: ((int,), partial(_reject, "an integer")),
+    float: ((int, float), partial(_reject, "a number")),
+    bool: ((bool,), _bool),
+    list: ((list,), partial(_reject, "a list")),
+    dict: ((dict,), partial(_reject, "an object")),
+}
+_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
-def _type_codec(tp: Any) -> tuple[Optional[Callable], Optional[Callable]]:
-    """(encode, decode) for one annotated type; None means "pass as is"."""
-    args = get_args(tp)
-    if get_origin(tp) is Union:
+def _type_codec(tp: Any) -> tuple[tuple[type, ...], Callable]:
+    """(kinds, decode) of one annotated type: a JSON value whose exact type
+    is in ``kinds`` decodes as itself, and ``decode`` converts any other
+    value or raises TypeError or ValueError."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:
         (inner,) = [arg for arg in args if arg is not type(None)]
-        encode, decode = _type_codec(inner)
-        return _optional(encode), _optional(decode)
-    if get_origin(tp) is tuple:
-        each = args[-1] is Ellipsis
-        encodes, decodes = zip(*(_type_codec(arg) for arg in args if arg is not Ellipsis))
-        return _sequence(encodes, list, each), _sequence(decodes, tuple, each)
-    if get_origin(tp) is dict or tp is dict:
-        return None, dict
-    if isinstance(tp, type):
-        if issubclass(tp, Enum):
-            return attrgetter("value"), tp
-        if issubclass(tp, Record):
-            return tp.to_dict, tp.from_dict
+        kinds, decode = _type_codec(inner)
+        return (*kinds, type(None)), decode
+    if origin not in (dict, list, tuple):
+        if tp in _LEAVES:
+            return _LEAVES[tp]
         if tp is date:
-            return date.isoformat, date.fromisoformat
-        if tp is bool:
-            return None, bool
-        if tp is str:
-            return None, _string
-    return None, None
+            return (), date.fromisoformat
+        return (), tp.from_dict if issubclass(tp, Record) else tp  # an Enum decodes by value
+    # dict[str, V] from an object; list[X], tuple[X, ...] or tuple[X, Y, ...] from a list.
+    each = origin is not tuple or args[-1] is Ellipsis
+    kinds, decodes = zip(*map(_type_codec, args[-1:] if origin is dict else args[:1] if each else args))
+    (kind, *_), (decode, *_) = kinds, decodes
+    json_type = dict if origin is dict else list
+
+    def decode_container(value):
+        if type(value) is not json_type:
+            return _LEAVES[json_type][1](value)
+        if origin is dict:
+            return {key: x if type(x) in kind else decode(x) for key, x in value.items()}
+        if each:
+            return origin([x if type(x) in kind else decode(x) for x in value])
+        if len(value) != len(args):
+            raise ValueError(f"expected {len(args)} entries, got {len(value)}")
+        return tuple([x if type(x) in k else d(x) for k, d, x in zip(kinds, decodes, value)])
+
+    return (), decode_container
+
+
+def _encode(value: Any) -> Any:
+    """A field value in JSON: records as objects, enums by value, tuples as
+    lists, dates in ISO-8601; dicts stay as they are."""
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [x if type(x) in _SCALARS else _encode(x) for x in value]
+    return value.isoformat() if isinstance(value, date) else value
 
 
 @lru_cache(maxsize=None)
 def _plan(cls: type) -> tuple[tuple, tuple]:
-    """Per dataclass field of ``cls``: (name, encode) and (name, decode, default)."""
+    """Per field of ``cls``: (name, encode), None where JSON holds the value as
+    it is, and (name, kinds, decode, default), ``default`` MISSING if required."""
     hints = get_type_hints(cls)
     encoders, decoders = [], []
     for spec in fields(cls):
         tp = hints[spec.name]
-        encode, decode = _type_codec(tp)
-        default = spec.default
-        if default is MISSING and type(None) in get_args(tp):
-            default = None
-        encoders.append((spec.name, encode))
-        decoders.append((spec.name, decode, default))
+        kinds, decode = _type_codec(tp)
+        default = spec.default_factory
+        if spec.default is not MISSING:
+            default = lambda value=spec.default: value
+        elif default is MISSING and type(None) in get_args(tp):
+            default = lambda: None
+        encoders.append((spec.name, None if set(kinds) - {type(None)} else _encode))
+        decoders.append((spec.name, kinds, decode, default))
     return tuple(encoders), tuple(decoders)
 
 
@@ -180,12 +194,12 @@ class Record:
     """Base of the JSON Lines record types: one codec for every dataclass.
 
     Encoding maps enums to their values, dates to ISO-8601 strings, tuples
-    to lists and nested records to dicts; decoding inverts each step,
-    coerces ``bool`` fields with ``bool()`` and rejects a ``str`` field
-    holding anything but a string. A missing key takes the
-    field's default, or None for an ``Optional`` field. A missing required
-    key or a value that does not convert raises InvariantViolation naming
-    the field.
+    to lists and nested records to dicts; decoding inverts each step and
+    checks each JSON type: no boolean passes for a number, a bool field also
+    takes 0 or 1, a tuple field takes a list. A missing key takes the field's
+    default (a fresh one from a ``default_factory``), or None for an
+    ``Optional`` field. A missing required key or a value of the wrong type
+    raises InvariantViolation naming the field.
     """
 
     def to_dict(self) -> dict[str, Any]:
@@ -201,14 +215,16 @@ class Record:
             raise InvariantViolation(cls.__name__, f"not a JSON object: {data!r}")
         kwargs = {}
         try:
-            for name, decode, default in _plan(cls)[1]:
+            for name, kinds, decode, default in _plan(cls)[1]:
                 value = data.get(name, MISSING)
-                if value is MISSING:
-                    if default is MISSING:
-                        raise InvariantViolation(name, "missing")
-                    kwargs[name] = default
+                if type(value) in kinds:
+                    kwargs[name] = value
+                elif value is not MISSING:
+                    kwargs[name] = decode(value)
+                elif default is MISSING:
+                    raise InvariantViolation(name, "missing")
                 else:
-                    kwargs[name] = value if decode is None else decode(value)
+                    kwargs[name] = default()
         except (TypeError, ValueError) as exc:
             raise InvariantViolation(name, str(exc)) from exc
         return cls(**kwargs)

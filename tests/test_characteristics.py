@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import example, given
@@ -484,6 +485,27 @@ class TestReliability:
         assert ch.normalize_domain("no-scheme.example/path") == "no-scheme.example"
         with pytest.raises(MalformedUrl):
             ch.normalize_domain("")
+
+    @pytest.mark.parametrize(
+        "url, expected",
+        [
+            ("https://www.theonion.com/article", Reliability.UNRELIABLE),
+            ("https://news.bbc.co.uk/a", Reliability.RELIABLE),
+            ("https://tiny-blog.example/post", Reliability.UNKNOWN),
+        ],
+    )
+    def test_url_is_parsed_once(self, monkeypatch, url, expected):
+        calls = []
+
+        def counting_urlsplit(*args, **kwargs):
+            calls.append(args)
+            return urlsplit(*args, **kwargs)
+
+        monkeypatch.setattr(ch, "urlsplit", counting_urlsplit)
+        assert ch.unreliable_source(url, ch.ReliabilityList.default()) is expected
+        assert len(calls) == 1
+        assert ch.in_domains(url, {"bbc.co.uk"}) is (expected is Reliability.RELIABLE)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("url", ["http://[abc", "http://]x", "http://[abc]"])
     def test_malformed_ipv6_url_rejected(self, url):

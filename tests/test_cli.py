@@ -200,6 +200,28 @@ class TestRunContract:
         header = header_line(profile_run / "characteristics.jsonl")
         assert resolved["meta"]["config_hash"] == header["config_hash"]
 
+    def test_config_hash_of_a_fixed_score_config(self, tmp_path):
+        # Every artifact header embeds this hash; a codec change that moved
+        # it would orphan every run and replay store written before.
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "claims_path": "claims.jsonl", "evidence_path": "evidence.jsonl",
+            "claim_template": "claim-0shot", "evidence_template": "evidence-0shot",
+            "replay_store": "store.jsonl", "acu_form": "mean", "request_timeout": 30,
+            "fact_check_domains": ["politifact.com", "snopes.com"], "max_concurrency": 4,
+            "out_dir": "elsewhere",
+        }))
+        resolved = cli.load_config(str(config), {})
+        assert resolved.config_hash == "b3af95ee50911409"
+        assert resolved.max_concurrency == 4
+        assert resolved.to_dict()["request_timeout"] == 30
+
+    def test_list_defaults_are_fresh_on_each_decode(self):
+        first, second = cli.RunConfig.from_dict({}), cli.RunConfig.from_dict({})
+        assert first.fact_check_domains == [] == first.search_endpoints
+        assert first.fact_check_domains is not second.fact_check_domains
+        assert first.search_endpoints is not second.search_endpoints
+
     def test_jsonl_artifacts_start_with_header_line(self, profile_run):
         header = header_line(profile_run / "characteristics.jsonl")
         assert set(header) == {"kind", "config_hash", "acu_form", "version"}
@@ -400,13 +422,14 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "settings, message",
         [
-            ({"fact_check_domains": 5}, "fact_check_domains must be a list, got int"),
-            ({"fact_check_domains": ["ok.example", 5]}, "fact_check_domains must be a list of strings"),
-            ({"search_endpoints": {"name": "x"}}, "search_endpoints must be a list, got dict"),
-            ({"provider_id": 5}, "provider_id must be a string, got int"),
-            ({"request_timeout": "slow"}, "request_timeout must be a number, got str"),
-            ({"max_concurrency": True}, "max_concurrency must be an integer, got bool"),
-            ({"dataset": 7}, "dataset must be a string, got int"),
+            ({"fact_check_domains": 5}, "fact_check_domains: expected a list, got int"),
+            ({"fact_check_domains": ["ok.example", 5]}, "fact_check_domains: expected a string, got int"),
+            ({"search_endpoints": {"name": "x"}}, "search_endpoints: expected a list, got dict"),
+            ({"provider_id": 5}, "provider_id: expected a string, got int"),
+            ({"request_timeout": "slow"}, "request_timeout: expected a number, got str"),
+            ({"max_concurrency": True}, "max_concurrency: expected an integer, got bool"),
+            ({"dataset": 7}, "dataset: expected a string, got int"),
+            ({"max_concurrency": 2.0}, "max_concurrency: expected an integer, got float"),
         ],
     )
     def test_config_value_types(
@@ -781,10 +804,7 @@ class TestConfigErrors:
         if case.startswith("field-map-"):
             assert payload["error"] == "ConfigError"
             assert f"field map {field_map} must be an object of" in payload["message"]
-        elif case.startswith("sidecar-"):
-            assert payload["error"] == "InvariantViolation"
-            assert f"bad template sidecar {sidecar}: " in payload["message"]
-        elif case.startswith("template-"):
+        elif case.startswith(("sidecar-", "template-")):
             assert payload["error"] == "InvariantViolation"
             assert f"invalid template 'claim-0shot' ({sidecar}): " in payload["message"]
         elif case.startswith("not-utf8-"):

@@ -90,6 +90,55 @@ class TestBuiltinTemplates:
             lm.load_template("nonexistent-prompt")
 
 
+class TestTemplateSidecar:
+    SIDECAR = {
+        "mode": "claim-only",
+        "shots": 0,
+        "verbalizer_map": {"True": "True", "None": "None", "False": "False"},
+    }
+
+    def _load(self, tmp_path, sidecar):
+        (tmp_path / "t.txt").write_text('Claimant: <claimant>\n\nClaim: "<claim>"\n\nAnswer:')
+        (tmp_path / "t.json").write_text(sidecar if isinstance(sidecar, str) else json.dumps(sidecar))
+        return lm.load_template("t", tmp_path)
+
+    def test_fields_come_from_the_sidecar(self, tmp_path):
+        template = self._load(tmp_path, {**self.SIDECAR, "include_claimant": False})
+        assert template.id == "t"
+        assert template.mode is PromptMode.CLAIM_ONLY
+        assert template.verbalizer_map == FULL_MAP
+        assert template.include_claimant is False
+        assert self._load(tmp_path, {**self.SIDECAR, "id": "other"}).id == "other"
+        assert self._load(tmp_path, self.SIDECAR).include_claimant is True
+
+    @pytest.mark.parametrize(
+        "sidecar, fault",
+        [
+            ({"shots": 3.9}, "shots: expected an integer, got float"),
+            ({"shots": "0"}, "shots: expected an integer, got str"),
+            ({"include_claimant": "false"}, "include_claimant: expected a boolean, got str"),
+            ({"verbalizer_map": {"True": "True", "None": "None", "False": "Wrong"}}, "verbalizer_map: "),
+            ({"verbalizer_map": [["True", "True"]]}, "verbalizer_map: expected an object, got list"),
+            ({"mode": "chat"}, "mode: 'chat' is not a valid PromptMode"),
+            ({"shots": 2}, "shots: expected 0 or 3, got 2"),
+            ("[1, 2]", "PromptTemplate: not a JSON object: [1, 2]"),
+            ("{mode: claim-only", "Expecting property name enclosed in double quotes"),
+        ],
+    )
+    def test_every_sidecar_fault_is_one_invalid_template_error(self, tmp_path, sidecar, fault):
+        if isinstance(sidecar, dict):
+            sidecar = {**self.SIDECAR, **sidecar}
+        with pytest.raises(InvariantViolation) as exc_info:
+            self._load(tmp_path, sidecar)
+        assert exc_info.value.field == "template_id"
+        assert str(exc_info.value).startswith(f"template_id: invalid template 't' ({tmp_path / 't.json'}): ")
+        assert fault in str(exc_info.value)
+
+    def test_sidecar_without_a_key_names_it(self, tmp_path):
+        with pytest.raises(InvariantViolation, match="invalid template 't' .*: verbalizer_map: missing"):
+            self._load(tmp_path, {"mode": "claim-only", "shots": 0})
+
+
 class TestTemplateValidation:
     def _make(self, **kwargs):
         defaults = dict(

@@ -467,6 +467,52 @@ class TestRecordCodec:
         piece = EvidencePiece.from_dict({**self.MINIMAL[EvidencePiece], "is_gold_source": 1})
         assert piece.is_gold_source is True
 
+    @pytest.mark.parametrize(
+        "cls,field,value,message",
+        [
+            (EvidencePiece, "is_gold_source", "false", "expected a boolean, got str"),
+            (EvidencePiece, "is_fact_check_source", 2, "expected a boolean, got int"),
+            (EvidencePiece, "pub_after_claim", 1.0, "expected a boolean, got float"),
+            (CharacteristicVector, "repeats_claim", "false", "expected a boolean, got str"),
+            (CharacteristicVector, "hedging", "false", "expected a boolean, got str"),
+            (CharacteristicVector, "claim_len_chars", "40", "expected an integer, got str"),
+            (CharacteristicVector, "claim_len_chars", True, "expected an integer, got bool"),
+            (CharacteristicVector, "claim_len_chars", 40.0, "expected an integer, got float"),
+            (CharacteristicVector, "jaccard", True, "expected a number, got bool"),
+            (CharacteristicVector, "flesch", "50", "expected a number, got str"),
+            (EvidencePiece, "url", None, "expected a string, got NoneType"),
+            (EvidencePiece, "annotator_labels", "ab", "expected a list, got str"),
+            (EvidencePiece, "annotator_labels", [["relevant"]], "expected 2 entries, got 1"),
+        ],
+    )
+    def test_value_of_the_wrong_json_type_rejected(self, cls, field, value, message):
+        with pytest.raises(InvariantViolation) as exc_info:
+            cls.from_dict({**self.MINIMAL[cls], field: value})
+        assert exc_info.value.field == field
+        assert str(exc_info.value) == f"{field}: {message}"
+
+    def test_bool_fields_take_json_booleans_and_zero(self):
+        row = {**self.MINIMAL[CharacteristicVector], "hedging": True, "gold_source": 0}
+        vector = CharacteristicVector.from_dict(row)
+        assert vector.hedging is True and vector.gold_source is False
+
+    def test_float_field_keeps_an_integer(self):
+        row = {**self.MINIMAL[CharacteristicVector], "jaccard": 1, "flesch": -3}
+        vector = CharacteristicVector.from_dict(row)
+        assert vector.jaccard == 1 and vector.flesch == -3
+
+    @pytest.mark.parametrize("delta_p", ["abc", [0.1, 0.2], [0.1, "0.2", 0.3], {"a": 1}])
+    def test_tuple_field_takes_a_list_of_its_entries(self, delta_p):
+        probs = {"p_true": 0.5, "p_none": 0.25, "p_false": 0.25, "mode": "claim-only"}
+        row = {
+            "claim_id": "c", "evidence_id": "e", "probs_without": probs,
+            "probs_with": {**probs, "mode": "claim+evidence"}, "delta_p": delta_p,
+            "acu": 0.0, "model_id": "m", "prompt_id": "p",
+        }
+        with pytest.raises(InvariantViolation) as exc_info:
+            ScoredSample.from_dict(row)
+        assert exc_info.value.field == "delta_p"
+
     @pytest.mark.parametrize("cls", [ClaimRecord, EvidencePiece, CharacteristicVector])
     def test_missing_required_key_names_field(self, cls):
         row = dict(self.MINIMAL[cls])
