@@ -29,7 +29,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from . import analysis, characteristics, ingest, lm, metrics, retrieval
+from . import metrics
 from ._version import __version__
 from .errors import ConfigError, ContextMeterError, InvariantViolation, NoPairableValues, ParseError
 from .model import (
@@ -120,8 +120,9 @@ def load_config(path: Optional[str], overrides: dict[str, Any]) -> RunConfig:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     data.update({k: v for k, v in overrides.items() if v is not None})
     try:
+        canonical_json(data)  # a number the run directory could not hold, such as NaN or 1e999
         return RunConfig.from_dict(data)
-    except InvariantViolation as exc:
+    except (InvariantViolation, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -170,7 +171,7 @@ def write_run(config: RunConfig, command: str, artifacts: Artifacts) -> Path:
             else:
                 comment = "# " + " ".join(f"{key}={value}" for key, value in meta.items())
                 path.write_text(comment + "\n" + content, encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         shutil.rmtree(run_dir, ignore_errors=True)
         raise ContextMeterError(f"cannot write run directory {run_dir}: {exc}") from exc
     return run_dir
@@ -272,29 +273,33 @@ def _corpus_artifacts(corpus: ingest.Corpus) -> Artifacts:
 # -- subcommands -------------------------------------------------------------------
 
 def cmd_ingest(config: RunConfig) -> Artifacts:
-    corpus = ingest.load_druid(
+    from . import ingest
+
+    return _corpus_artifacts(ingest.load_druid(
         Path(config.claims_path),
         Path(config.evidence_path),
         field_map=_load_field_map(config, per_file=True),
-    )
-    return _corpus_artifacts(corpus)
+    ))
 
 
 def cmd_recast(config: RunConfig) -> Artifacts:
+    from . import ingest
+
     if config.dataset not in ("counterfact", "conflictqa"):
         raise ConfigError(
             "recast needs dataset set to counterfact or conflictqa, "
             f"got {config.dataset!r}"
         )
-    corpus = ingest.load_triplets(
+    return _corpus_artifacts(ingest.load_triplets(
         Path(config.triplets_path),
         dataset=config.dataset,
         field_map=_load_field_map(config, per_file=False),
-    )
-    return _corpus_artifacts(corpus)
+    ))
 
 
 def _build_search_clients(config: RunConfig) -> list:
+    from . import retrieval
+
     clients = []
     if config.fixture_corpus:
         try:
@@ -316,6 +321,8 @@ def _build_search_clients(config: RunConfig) -> list:
 
 
 def cmd_retrieve(config: RunConfig) -> Artifacts:
+    from . import ingest, retrieval
+
     claims = list(ingest.load_druid(Path(config.claims_path)).claims.values())
     engines = _build_search_clients(config)
     if config.rerank_endpoint:
@@ -339,6 +346,8 @@ def cmd_retrieve(config: RunConfig) -> Artifacts:
 
 
 def cmd_profile(config: RunConfig) -> Artifacts:
+    from . import characteristics, ingest
+
     corpus = ingest.load_druid(Path(config.claims_path), Path(config.evidence_path))
     providers = characteristics.DetectorProviders(
         perplexity_model=config.provider_id or "model"
@@ -348,6 +357,8 @@ def cmd_profile(config: RunConfig) -> Artifacts:
 
 
 def _build_scorer(config: RunConfig) -> lm.VerdictScorer:
+    from . import lm
+
     if config.replay_store:
         # Replay never contacts a provider and never writes a store.
         for name in ("provider_endpoint", "record_store"):
@@ -381,6 +392,8 @@ def _build_scorer(config: RunConfig) -> lm.VerdictScorer:
 
 
 def cmd_score(config: RunConfig) -> Artifacts:
+    from . import ingest, lm
+
     template_dir = Path(config.template_dir) if config.template_dir else None
     claim_template = lm.load_template(config.claim_template, template_dir)
     evidence_template = lm.load_template(config.evidence_template, template_dir)
@@ -424,6 +437,8 @@ def cmd_score(config: RunConfig) -> Artifacts:
 
 
 def cmd_analyze(config: RunConfig) -> Artifacts:
+    from . import analysis
+
     scored = _load_records(config.scored_path, ScoredSample, "evidence_id")
     evidence = _load_records(config.evidence_path, EvidencePiece, "id")
     acu_config = metrics.AcuConfig(form=config.acu_form)
@@ -493,6 +508,8 @@ def cmd_analyze(config: RunConfig) -> Artifacts:
 
 
 def cmd_report(config: RunConfig) -> Artifacts:
+    from . import analysis
+
     source = Path(config.run_dir)
     if not source.is_dir():
         raise ConfigError(f"run_dir is not a directory: {source}")

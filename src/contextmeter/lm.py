@@ -372,7 +372,10 @@ class ReplayStore:
         return self._records.get((prompt_hash_value, provider_id))
 
     def append(self, record: ScoreRecord) -> None:
-        line = canonical_json(record.to_dict()) + "\n"
+        try:
+            line = canonical_json(record.to_dict()) + "\n"
+        except ValueError as exc:
+            raise ContextMeterError(f"cannot append to {self.path}: {exc}") from exc
         with self._lock:
             self._records[record.key] = record
             try:

@@ -85,8 +85,8 @@ class PromptMode(str, Enum):
 
 
 def canonical_json(obj: Any) -> str:
-    """Serialize with sorted keys and fixed separators (byte-stable)."""
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    """Serialize with sorted keys and fixed separators (byte-stable); NaN or Infinity is a ValueError."""
+    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def fallback_id(*parts: str) -> str:
@@ -418,12 +418,20 @@ def write_jsonl(path: Path, records: Iterable[Any], header: Optional[dict] = Non
             fh.write(encode_line(record) + "\n")
 
 
+def _refuse_constant(name: str) -> None:
+    raise ValueError(f"{name} is not a JSON number")
+
+
+#: One decoder for every row; ``json.loads`` with a keyword builds one per call.
+_ROW_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
     """Yield (line_no, object) pairs, skipping a leading header line.
 
     Lines split as text mode splits them: at LF, CRLF or a lone CR. A line
-    that is not UTF-8 or not JSON is a ParseError at that line; a file that
-    cannot be opened is one at line 0.
+    that is not UTF-8 or not JSON (NaN and Infinity are not) is a ParseError
+    at that line; a file that cannot be opened is one at line 0.
     """
     try:
         fh = open(path, "rb")
@@ -439,8 +447,8 @@ def read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+                obj = _ROW_DECODER.decode(line)
+            except ValueError as exc:
                 raise ParseError(str(path), line_no, str(exc)) from exc
             if line_no == 1 and isinstance(obj, dict) and obj.get("kind") == "header":
                 continue

@@ -16,12 +16,13 @@ import shutil
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from conftest import HashLogprobProvider
-from contextmeter import cli, lm, retrieval
+from contextmeter import analysis, characteristics, cli, lm, retrieval
 from contextmeter._version import __version__
 from contextmeter.analysis import GRID_CHARACTERISTICS
 from contextmeter.errors import ContextMeterError, InvariantViolation, ParseError, ProviderError
@@ -113,6 +114,76 @@ def profile_run(druid_fixture_paths, out_root) -> Path:
     )
     assert code == 0, stderr
     return run_dir_of(stdout)
+
+
+#: The package modules ``import contextmeter.cli`` loads: what argument
+#: parsing, the run config and the error contract need.
+STARTUP_MODULES = {f"contextmeter{name}" for name in ("", "._version", ".errors", ".model", ".metrics", ".cli")}
+
+#: The modules each command adds to those: its stage and what the stage imports.
+STAGE_MODULES = {
+    "ingest": {"ingest"},
+    "recast": {"ingest"},
+    "retrieve": {"ingest", "retrieval", "characteristics", "_net"},
+    "profile": {"ingest", "characteristics"},
+    "score": {"ingest", "lm", "_net"},
+    "analyze": {"analysis", "characteristics"},
+    "report": {"analysis", "characteristics"},
+}
+
+#: Runs ``cli.main`` on its arguments in a fresh interpreter, then prints the
+#: package modules loaded, also after argparse exits.
+PROBE = """
+import json, sys
+from contextmeter import cli
+try:
+    code = cli.main(sys.argv[1:])
+finally:
+    print(json.dumps(sorted(name for name in sys.modules if name.startswith("contextmeter"))))
+sys.exit(code)
+"""
+
+
+def probe_cli(*args) -> tuple[int, list[str], set[str], str]:
+    """(exit code, the CLI's stdout lines, package modules loaded, stderr)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *map(str, args)], capture_output=True, text=True, env=source_env()
+    )
+    *output, modules = proc.stdout.splitlines() or [""]
+    return proc.returncode, output, set(json.loads(modules or "[]")), proc.stderr
+
+
+@pytest.fixture(scope="module")
+def fresh_chain(druid_fixture_paths, fixture_corpus_dir, replay_store, tmp_path_factory) -> dict:
+    """Every command run once in its own interpreter on the fixtures, chained
+    as the benchmark chains them: profile, score and retrieve read ingest's
+    artifacts, analyze reads profile's and score's, and report merges
+    analyze's run directory. Maps each command to ``probe_cli``'s result."""
+    out = tmp_path_factory.mktemp("fresh")
+    triplets = out / "triplets.jsonl"
+    triplets.write_text("".join(json.dumps(row) + "\n" for row in GOLDEN_TRIPLETS["counterfact"]))
+    claims_path, evidence_path = druid_fixture_paths
+    results = {}
+
+    def run(command: str, *args) -> Path:
+        results[command] = code, output, _, _ = probe_cli(command, *args, "--out", out)
+        return run_dir_of(output[-1]) if code == 0 else out / "missing"
+
+    ingested = run("ingest", "--claims", claims_path, "--evidence", evidence_path)
+    claims, evidence = ingested / "claims.jsonl", ingested / "evidence.jsonl"
+    run("recast", "--triplets", triplets, "--dataset", "counterfact")
+    run("retrieve", "--claims", claims, "--fixture-corpus", fixture_corpus_dir)
+    profiled = run("profile", "--claims", claims, "--evidence", evidence)
+    scored = run(
+        "score", "--claims", claims, "--evidence", evidence, "--claim-template", "claim-0shot",
+        "--evidence-template", "evidence-0shot", "--replay", replay_store, "--provider-id", "hash-mock",
+    )
+    analyzed = run(
+        "analyze", "--scored", scored / "scored.jsonl", "--evidence", evidence,
+        "--characteristics", profiled / "characteristics.jsonl", "--dataset", "druid",
+    )
+    run("report", "--run-dir", analyzed)
+    return results
 
 
 class TestParallelMap:
@@ -293,6 +364,32 @@ class TestRunContract:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_import_loads_no_stage_module(self):
+        # Each command imports its own stage, so start-up compiles no other.
+        probe = "import json, sys, contextmeter.cli; print(json.dumps(sorted(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=source_env())
+        assert proc.returncode == 0, proc.stderr
+        assert {name for name in json.loads(proc.stdout) if name.startswith("contextmeter")} == STARTUP_MODULES
+
+    @pytest.mark.parametrize(
+        ("argv", "expected_code"),
+        [(["--version"], 0), (["ingest", "--help"], 0), (["score"], 2)],
+        ids=["version", "help", "config-error"],
+    )
+    def test_exit_before_the_stage_loads_no_stage_module(self, argv, expected_code):
+        code, _, modules, stderr = probe_cli(*argv)
+        assert code == expected_code, stderr
+        assert modules == STARTUP_MODULES
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_command_in_a_fresh_interpreter_loads_only_its_stage(self, command, fresh_chain):
+        # In-process runs share the modules earlier tests imported, so only
+        # a fresh interpreter shows what one command loads.
+        code, output, modules, stderr = fresh_chain[command]
+        assert code == 0, stderr
+        assert json.loads(output[-1])["command"] == command
+        assert modules == STARTUP_MODULES | {f"contextmeter.{name}" for name in STAGE_MODULES[command]}
+
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_help_under_every_command_exits_zero(self, command, capsys):
         with pytest.raises(SystemExit) as info:
@@ -413,6 +510,19 @@ class TestConfigErrors:
         config = tmp_path / "run.json"
         config.write_text("{not json")
         self.assert_config_error(["score", "--config", str(config)], "not valid JSON")
+
+    @pytest.mark.parametrize("number", ["NaN", "-Infinity", "1e999"])
+    def test_config_number_json_cannot_hold(self, druid_fixture_paths, tmp_path, number):
+        # The resolved config is echoed into the run directory as JSON.
+        claims_path, evidence_path = druid_fixture_paths
+        config = tmp_path / "run.json"
+        config.write_text(f'{{"request_timeout": {number}}}\n')
+        self.assert_config_error(
+            ["ingest", "--config", str(config), "--claims", str(claims_path), "--evidence", str(evidence_path),
+             "--out", str(tmp_path / "runs")],
+            "Out of range float values are not JSON compliant",
+        )
+        assert not (tmp_path / "runs").exists()
 
     def test_config_file_must_be_object(self, tmp_path):
         config = tmp_path / "run.json"
@@ -1043,6 +1153,49 @@ class TestFailureExitCode:
         assert code == 1
         assert json.loads(stderr)["error"] == "ReplayMiss"
 
+    def test_non_finite_input_number_is_a_parse_error(self, druid_fixture_paths, scored_run, profile_run, tmp_path):
+        _, evidence_path = druid_fixture_paths
+        characteristics = tmp_path / "characteristics.jsonl"
+        header, first, *rest = (profile_run / "characteristics.jsonl").read_text(encoding="utf-8").splitlines()
+        first, replaced = re.subn(r'"flesch":[^,}]+', '"flesch":NaN', first)
+        assert replaced == 1
+        characteristics.write_text("\n".join([header, first, *rest]) + "\n", encoding="utf-8")
+        out = tmp_path / "runs"
+        code, stdout, stderr = run_cli(
+            "analyze", "--scored", str(scored_run / "scored.jsonl"), "--evidence", str(evidence_path),
+            "--characteristics", str(characteristics), "--out", str(out),
+        )
+        assert (code, stdout) == (1, "")
+        assert json.loads(stderr) == {
+            "error": "ParseError", "message": f"{characteristics}:2: NaN is not a JSON number",
+        }
+        assert not out.exists()
+
+    @pytest.mark.parametrize("artifact", ["characteristics.jsonl", "profile.json"])
+    def test_non_finite_artifact_value_leaves_no_run_dir(self, druid_fixture_paths, tmp_path, monkeypatch, artifact):
+        # JSON has no NaN, so the writer refuses it rather than write a file
+        # that a strict reader rejects.
+        original = characteristics.profile
+
+        def profile(*args, **kwargs):
+            vectors, report = original(*args, **kwargs)
+            if artifact == "profile.json":
+                return vectors, {**report, "flesch": float("nan")}
+            return [replace(vectors[0], flesch=float("inf")), *vectors[1:]], report
+
+        monkeypatch.setattr(characteristics, "profile", profile)
+        claims_path, evidence_path = druid_fixture_paths
+        out = tmp_path / "runs"
+        code, stdout, stderr = run_cli(
+            "profile", "--claims", str(claims_path), "--evidence", str(evidence_path), "--out", str(out),
+        )
+        assert (code, stdout) == (1, "")
+        payload = json.loads(stderr)
+        assert payload["error"] == "ContextMeterError"
+        assert payload["message"].startswith(f"cannot write run directory {out / 'profile-'}")
+        assert payload["message"].endswith(": Out of range float values are not JSON compliant")
+        assert list(out.iterdir()) == []
+
 
 #: SHA-256 of the rows (the bytes after the header line) of the fixture
 #: retrieve run and of both recast datasets, computed before quota-first page
@@ -1508,7 +1661,7 @@ class TestAnalyze:
         """The analysis and grid objects of one analyze run, and the ACU of
         each sample it passed to the grid. Spearman cells only see ranks, so
         the grid alone would not show a rescaled ACU."""
-        grid_acus, original = {}, cli.analysis.correlation_grid
+        grid_acus, original = {}, analysis.correlation_grid
 
         def correlation_grid(samples):
             samples = list(samples)
@@ -1516,7 +1669,7 @@ class TestAnalyze:
             return original(samples)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli.analysis, "correlation_grid", correlation_grid)
+            patch.setattr(analysis, "correlation_grid", correlation_grid)
             code, stdout, stderr = run_cli(
                 "analyze", "--scored", str(scored), "--evidence", str(evidence),
                 "--characteristics", str(profile_run / "characteristics.jsonl"),

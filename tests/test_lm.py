@@ -445,6 +445,19 @@ class TestReplayStore:
         with pytest.raises(ContextMeterError, match=r"cannot append to .*store\.jsonl: "):
             store.append(record)
 
+    def test_non_finite_record_is_a_package_error(self, tmp_path):
+        store = lm.ReplayStore(tmp_path / "store.jsonl")
+        record = lm.VerdictScorer(provider=HashLogprobProvider()).score(
+            lm.load_template("claim-0shot"), make_claim()
+        )
+        bad = replace(record, surface_probs={**record.surface_probs, "True": math.nan})
+        with pytest.raises(ContextMeterError, match=r"cannot append to .*store\.jsonl: Out of range float"):
+            store.append(bad)
+        assert len(store) == 0
+        assert not store.path.exists()
+        store.append(record)
+        assert len(lm.ReplayStore(store.path)) == 1
+
     def test_record_then_replay_identical(self, tmp_path):
         store_path = tmp_path / "store.jsonl"
         provider = HashLogprobProvider()

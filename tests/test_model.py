@@ -303,6 +303,23 @@ class TestJsonlIO:
         assert rows == [(1, {"a": 1}), (2, {"a": 2}), (4, {"a": 3})]
         assert exc_info.value.line_no == 5
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_is_parse_error_at_that_line(self, tmp_path, constant):
+        path = tmp_path / "rows.jsonl"
+        path.write_text(f'{{"a": 1.5}}\n{{"a": [{constant}]}}\n', encoding="utf-8")
+        rows = []
+        with pytest.raises(ParseError) as exc_info:
+            rows.extend(read_jsonl(path))
+        assert rows == [(1, {"a": 1.5})]
+        assert str(exc_info.value) == f"{path}:2: {constant} is not a JSON number"
+
+    def test_finite_numbers_keep_their_bytes(self, tmp_path):
+        line = canonical_json({"a": 0.1, "b": 1e308, "c": -0.0, "d": 5e-324, "e": -17, "f": 2.5e-7})
+        path = tmp_path / "rows.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        [(_, row)] = read_jsonl(path)
+        assert canonical_json(row) == line
+
     def test_non_utf8_line_is_parse_error_at_that_line(self, tmp_path):
         path = tmp_path / "latin1.jsonl"
         path.write_bytes(b'{"a": 1}\r{"a": "\xe9"}\n')
@@ -315,6 +332,11 @@ class TestJsonlIO:
 class TestHelpers:
     def test_canonical_json_sorted_and_compact(self):
         assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_canonical_json_refuses_what_json_cannot_hold(self, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            canonical_json({"a": [value]})
 
     def test_fallback_id_deterministic(self):
         assert fallback_id("a", "b") == fallback_id("a", "b")
