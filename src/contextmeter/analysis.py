@@ -25,6 +25,7 @@ from .model import (
     Reliability,
     StanceLabel,
     VerdictLabel,
+    csv_text,
 )
 
 SIGNIFICANCE_LEVEL = 0.05
@@ -388,16 +389,6 @@ def correlation_grid(samples: Iterable[GridSample]) -> dict:
                 continue
             cells[row][column] = {"characteristic": row, "stratum": column, **cell}
     return {"rows": list(GRID_CHARACTERISTICS), "columns": columns, "cells": cells}
-
-
-def csv_text(rows: Iterable[Sequence[str]]) -> str:
-    """``rows`` as CSV text with LF line ends."""
-    import csv
-    import io
-
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(rows)
-    return buffer.getvalue()
 
 
 def grid_to_csv(grid: dict) -> str:

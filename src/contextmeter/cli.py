@@ -33,13 +33,14 @@ from . import metrics
 from ._version import __version__
 from .errors import ConfigError, ContextMeterError, InvariantViolation, NoPairableValues, ParseError
 from .model import (
-    CANONICAL_LABELS,
     CharacteristicVector,
     ClaimRecord,
     EvidencePiece,
     Record,
     ScoredSample,
+    _ROW_DECODER,
     canonical_json,
+    csv_text,
     read_jsonl,
     write_jsonl,
 )
@@ -398,41 +399,44 @@ def cmd_score(config: RunConfig) -> Artifacts:
     claim_template = lm.load_template(config.claim_template, template_dir)
     evidence_template = lm.load_template(config.evidence_template, template_dir)
     scorer = _build_scorer(config)
-    acu_config = metrics.AcuConfig(form=config.acu_form)
+    try:
+        acu_config = metrics.AcuConfig(form=config.acu_form)
 
-    corpus = ingest.load_druid(Path(config.claims_path), Path(config.evidence_path))
-    claims = list(corpus.claims.values())
-    pairs = [(claim, piece) for claim, piece in corpus.pairs() if piece.stance is not None]
-    prompt_id = f"{claim_template.id}+{evidence_template.id}"
+        corpus = ingest.load_druid(Path(config.claims_path), Path(config.evidence_path))
+        claims = list(corpus.claims.values())
+        pairs = [(claim, piece) for claim, piece in corpus.pairs() if piece.stance is not None]
+        prompt_id = f"{claim_template.id}+{evidence_template.id}"
 
-    claim_records = _parallel_map(
-        lambda claim: scorer.score(claim_template, claim),
-        claims,
-        lambda claim: f"claim {claim.id}",
-        config.max_concurrency,
-    )
-    without = {claim.id: record for claim, record in zip(claims, claim_records)}
-
-    def score_pair(pair: tuple[ClaimRecord, EvidencePiece]) -> ScoredSample:
-        claim, piece = pair
-        with_record = scorer.score(evidence_template, claim, piece)
-        return metrics.score_sample(
-            claim_id=claim.id,
-            evidence_id=piece.id,
-            probs_without=without[claim.id].probs,
-            probs_with=with_record.probs,
-            stance=piece.stance,
-            model_id=scorer.provider_id,
-            prompt_id=prompt_id,
-            config=acu_config,
+        claim_records = _parallel_map(
+            lambda claim: scorer.score(claim_template, claim),
+            claims,
+            lambda claim: f"claim {claim.id}",
+            config.max_concurrency,
         )
+        without = {claim.id: record for claim, record in zip(claims, claim_records)}
 
-    samples = _parallel_map(
-        score_pair,
-        pairs,
-        lambda pair: f"claim {pair[0].id} evidence {pair[1].id}",
-        config.max_concurrency,
-    )
+        def score_pair(pair: tuple[ClaimRecord, EvidencePiece]) -> ScoredSample:
+            claim, piece = pair
+            with_record = scorer.score(evidence_template, claim, piece)
+            return metrics.score_sample(
+                claim_id=claim.id,
+                evidence_id=piece.id,
+                probs_without=without[claim.id].probs,
+                probs_with=with_record.probs,
+                stance=piece.stance,
+                model_id=scorer.provider_id,
+                prompt_id=prompt_id,
+                config=acu_config,
+            )
+
+        samples = _parallel_map(
+            score_pair,
+            pairs,
+            lambda pair: f"claim {pair[0].id} evidence {pair[1].id}",
+            config.max_concurrency,
+        )
+    finally:
+        scorer.close()
     return {"scored.jsonl": samples}
 
 
@@ -455,8 +459,7 @@ def cmd_analyze(config: RunConfig) -> Artifacts:
             continue
         kept.append(sample)
         # Recomputed in this run's form for the stance given here.
-        probs = (sample.probs_without, sample.probs_with)
-        triples = [[p.get(label) for label in CANONICAL_LABELS] for p in probs]
+        triples = [(p.p_true, p.p_none, p.p_false) for p in (sample.probs_without, sample.probs_with)]
         acus.append(metrics.acu_from_triples(*triples, piece.stance, acu_config))
         stances.append(piece.stance)
         before = metrics.argmax_label(sample.probs_without)
@@ -508,8 +511,6 @@ def cmd_analyze(config: RunConfig) -> Artifacts:
 
 
 def cmd_report(config: RunConfig) -> Artifacts:
-    from . import analysis
-
     source = Path(config.run_dir)
     if not source.is_dir():
         raise ConfigError(f"run_dir is not a directory: {source}")
@@ -518,14 +519,14 @@ def cmd_report(config: RunConfig) -> Artifacts:
         artifact = source / f"{name}.json"
         if artifact.exists():
             try:
-                document = json.loads(artifact.read_text(encoding="utf-8"))
+                document = _ROW_DECODER.decode(artifact.read_text(encoding="utf-8"))
             except OSError as exc:
                 raise ParseError(str(artifact), 0, f"cannot open: {exc.strerror or exc}") from exc
             except UnicodeDecodeError as exc:
                 line_no = exc.object.count(b"\n", 0, exc.start) + 1
                 raise ParseError(str(artifact), line_no, f"not UTF-8: {exc.reason}") from exc
-            except json.JSONDecodeError as exc:
-                raise ParseError(str(artifact), exc.lineno, exc.msg) from exc
+            except ValueError as exc:  # a refused NaN or Infinity carries no line: it gets line 1
+                raise ParseError(str(artifact), getattr(exc, "lineno", 1), getattr(exc, "msg", exc)) from exc
             if not isinstance(document, dict):
                 raise ParseError(str(artifact), 1, "not a JSON object")
             document.pop("meta", None)
@@ -542,7 +543,7 @@ def cmd_report(config: RunConfig) -> Artifacts:
 
     rows: list[tuple[str, str]] = [("key", "value")]
     flatten("", sections, rows)
-    return {"report.json": {"sections": sections}, "report.csv": analysis.csv_text(rows)}
+    return {"report.json": {"sections": sections}, "report.csv": csv_text(rows)}
 
 
 #: Each command's stage and the settings it cannot run without.

@@ -16,6 +16,7 @@ recording run resumes where it stopped.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -289,10 +290,6 @@ def perplexity(provider: LogprobProvider, text: str) -> float:
 
 # -- record / replay ---------------------------------------------------------------
 
-def _digest(obj: dict) -> str:
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
-
-
 @dataclass(frozen=True)
 class ScoreRecord(Record):
     """One scored prompt, checksummed for store-integrity verification."""
@@ -306,11 +303,19 @@ class ScoreRecord(Record):
     def key(self) -> tuple[str, str]:
         return (self.prompt_hash, self.provider_id)
 
+    @cached_property
+    def _payload(self) -> str:  # the record without its checksum, as canonical JSON
+        return canonical_json(super().to_dict())
+
     def checksum(self) -> str:
-        return _digest(super().to_dict())
+        return hashlib.sha256(self._payload.encode("utf-8")).hexdigest()
 
     def to_dict(self) -> dict:
         return {**super().to_dict(), "checksum": self.checksum()}
+
+    def line(self) -> str:
+        """``canonical_json(self.to_dict())``: "checksum" sorts before every other key."""
+        return f'{{"checksum":"{self.checksum()}",{self._payload[1:]}'
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoreRecord":
@@ -320,10 +325,9 @@ class ScoreRecord(Record):
             raise StoreCorruption(f"malformed score record: {exc}") from exc
         # The checksum covers the object as stored, so a record carrying a
         # key this class no longer has (the old ``timestamp``) still loads.
-        if data.get("checksum") != _digest({k: v for k, v in data.items() if k != "checksum"}):
-            raise StoreCorruption(
-                f"checksum mismatch for prompt_hash {str(record.prompt_hash)[:12]}"
-            )
+        payload = canonical_json({k: v for k, v in data.items() if k != "checksum"})
+        if data.get("checksum") != hashlib.sha256(payload.encode("utf-8")).hexdigest():
+            raise StoreCorruption(f"checksum mismatch for prompt_hash {record.prompt_hash[:12]}")
         return record
 
 
@@ -333,7 +337,8 @@ class ReplayStore:
     A final line without its newline, as a crash mid-append leaves it, is
     skipped on load when it is not JSON, and the first append cuts it away;
     a whole record there gets its missing newline before the first append.
-    Any other bad line is a StoreCorruption at ``path:line``.
+    Any other bad line is a StoreCorruption at ``path:line``. Appends
+    write through one handle, flushed after every record, until ``close``.
     """
 
     def __init__(self, path: Path):
@@ -342,6 +347,7 @@ class ReplayStore:
         self._lock = threading.Lock()
         # (length to cut the file to, text to write) before the first append.
         self._tail: Optional[tuple[int, str]] = None
+        self._handle = None
         if self.path.exists():
             self._load()
 
@@ -372,21 +378,30 @@ class ReplayStore:
         return self._records.get((prompt_hash_value, provider_id))
 
     def append(self, record: ScoreRecord) -> None:
-        try:
-            line = canonical_json(record.to_dict()) + "\n"
-        except ValueError as exc:
-            raise ContextMeterError(f"cannot append to {self.path}: {exc}") from exc
         with self._lock:
-            self._records[record.key] = record
             try:
-                if self._tail is not None:
-                    length, prefix = self._tail
-                    os.truncate(self.path, length)
-                    line, self._tail = prefix + line, None
-                with self.path.open("a", encoding="utf-8") as handle:
-                    handle.write(line)
-            except OSError as exc:
-                raise ContextMeterError(f"cannot append to {self.path}: {exc.strerror or exc}") from exc
+                line = record.line() + "\n"  # NaN or Infinity is a ValueError
+                if self._handle is None:
+                    if self._tail is not None:
+                        length, prefix = self._tail
+                        os.truncate(self.path, length)
+                        line, self._tail = prefix + line, None
+                    self._handle = self.path.open("a", encoding="utf-8")
+                self._handle.write(line)
+                self._handle.flush()
+            except (OSError, ValueError) as exc:
+                with contextlib.suppress(OSError):  # drops what a failed write left buffered
+                    self.close()
+                raise ContextMeterError(
+                    f"cannot append to {self.path}: {getattr(exc, 'strerror', None) or exc}"
+                ) from exc
+            self._records[record.key] = record
+
+    def close(self) -> None:
+        """Close the handle once appends have ended; a later append reopens the file."""
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            handle.close()
 
 
 class VerdictScorer:
@@ -438,3 +453,7 @@ class VerdictScorer:
         if self._store is not None:
             self._store.append(record)
         return record
+
+    def close(self) -> None:
+        if self._store is not None:
+            self._store.close()

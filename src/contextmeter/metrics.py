@@ -53,9 +53,17 @@ for _stance, (_d_false, _d_none, _d_true) in _DESIRABILITY_ROWS.items():
     DESIRABILITY[(VerdictLabel.TRUE, _stance)] = _d_true
 
 
+def _by_pair(table: dict, label: VerdictLabel, stance: StanceLabel):
+    """``table[label, stance]``, re-wrapping the two only on a miss: a label outside its Enum is a ValueError."""
+    try:
+        return table[label, stance]
+    except (KeyError, TypeError):
+        return table[VerdictLabel(label), StanceLabel(stance)]
+
+
 def desirability(label: VerdictLabel, stance: StanceLabel) -> int:
     """Look up D(t, S_E) ∈ {+1, -1}."""
-    return DESIRABILITY[(VerdictLabel(label), StanceLabel(stance))]
+    return _by_pair(DESIRABILITY, label, stance)
 
 
 def delta_p_with_flag(p_with: float, p_without: float) -> tuple[float, bool]:
@@ -134,11 +142,7 @@ def acu_from_triples(
     Unlike VerdictProbabilities inputs, the triples need not sum to 1;
     printed or otherwise rounded values feed straight into the formulas.
     """
-    deltas = [
-        delta_p(p_with, p_without)
-        for _, p_without, p_with in zip(CANONICAL_LABELS, triple_without, triple_with)
-    ]
-    return _signed_sum(deltas, stance, config)
+    return _signed_sum(map(delta_p, triple_with, triple_without), stance, config)
 
 
 def score_sample(
@@ -167,11 +171,13 @@ def score_sample(
 
 def argmax_label(probs: VerdictProbabilities) -> VerdictLabel:
     """Highest-probability verdict token; ties resolve in canonical order."""
-    return max(CANONICAL_LABELS, key=lambda label: (probs.get(label), -CANONICAL_LABELS.index(label)))
+    values = (probs.p_true, probs.p_none, probs.p_false)
+    return CANONICAL_LABELS[values.index(max(values))]
 
 
-#: The (parametric prediction, evidence stance) pairs that conflict.
-_CONFLICTS = {(VerdictLabel.TRUE, StanceLabel.REFUTES), (VerdictLabel.FALSE, StanceLabel.SUPPORTS)}
+#: Whether each (parametric prediction, evidence stance) pair conflicts.
+_CONFLICTS = dict.fromkeys(DESIRABILITY, False)
+_CONFLICTS.update({(VerdictLabel.TRUE, StanceLabel.REFUTES): True, (VerdictLabel.FALSE, StanceLabel.SUPPORTS): True})
 
 
 def memory_conflict(parametric_prediction: VerdictLabel, stance: StanceLabel) -> bool:
@@ -180,4 +186,4 @@ def memory_conflict(parametric_prediction: VerdictLabel, stance: StanceLabel) ->
     None predictions and non-polar stances (any insufficient-*) never
     conflict; only (True, refutes) and (False, supports) do.
     """
-    return (VerdictLabel(parametric_prediction), StanceLabel(stance)) in _CONFLICTS
+    return _by_pair(_CONFLICTS, parametric_prediction, stance)

@@ -56,6 +56,7 @@ CANONICAL_LABELS: tuple[VerdictLabel, ...] = (
     VerdictLabel.NONE,
     VerdictLabel.FALSE,
 )
+_LABEL_FIELDS = dict(zip(CANONICAL_LABELS, ("p_true", "p_none", "p_false")))
 
 
 class ClaimVerdict(str, Enum):
@@ -84,9 +85,13 @@ class PromptMode(str, Enum):
     CLAIM_EVIDENCE = "claim+evidence"
 
 
+#: One encoder for every call; ``json.dumps`` with keywords builds one per call.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def canonical_json(obj: Any) -> str:
     """Serialize with sorted keys and fixed separators (byte-stable); NaN or Infinity is a ValueError."""
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _ENCODER.encode(obj)
 
 
 def fallback_id(*parts: str) -> str:
@@ -138,7 +143,11 @@ def _type_codec(tp: Any) -> tuple[tuple[type, ...], Callable]:
             return _LEAVES[tp]
         if tp is date:
             return (), date.fromisoformat
-        return (), tp.from_dict if issubclass(tp, Record) else tp  # an Enum decodes by value
+        if issubclass(tp, Record):
+            return (), tp.from_dict
+        # An Enum decodes by value; ``tp`` raises the ValueError naming any other value.
+        members = {member.value: member for member in tp}
+        return (), lambda value: members[value] if type(value) is str and value in members else tp(value)
     # dict[str, V] from an object; list[X], tuple[X, ...] or tuple[X, Y, ...] from a list.
     each = origin is not tuple or args[-1] is Ellipsis
     kinds, decodes = zip(*map(_type_codec, args[-1:] if origin is dict else args[:1] if each else args))
@@ -301,7 +310,7 @@ class VerdictProbabilities(Record):
     mode: PromptMode
 
     def __post_init__(self) -> None:
-        for name in ("p_true", "p_none", "p_false"):
+        for name in _LABEL_FIELDS.values():
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise InvariantViolation(name, f"outside [0, 1]: {value}")
@@ -317,19 +326,10 @@ class VerdictProbabilities(Record):
         total = sum(weights.get(label, 0.0) for label in CANONICAL_LABELS)
         if total <= 0.0:
             raise ZeroMass("all canonical labels carry zero probability mass")
-        return cls(
-            p_true=weights.get(VerdictLabel.TRUE, 0.0) / total,
-            p_none=weights.get(VerdictLabel.NONE, 0.0) / total,
-            p_false=weights.get(VerdictLabel.FALSE, 0.0) / total,
-            mode=mode,
-        )
+        return cls(**{name: weights.get(label, 0.0) / total for label, name in _LABEL_FIELDS.items()}, mode=mode)
 
     def get(self, label: VerdictLabel) -> float:
-        return {
-            VerdictLabel.TRUE: self.p_true,
-            VerdictLabel.NONE: self.p_none,
-            VerdictLabel.FALSE: self.p_false,
-        }[label]
+        return getattr(self, _LABEL_FIELDS[label])
 
 
 
@@ -416,6 +416,16 @@ def write_jsonl(path: Path, records: Iterable[Any], header: Optional[dict] = Non
             fh.write(canonical_json({"kind": "header", **header}) + "\n")
         for record in records:
             fh.write(encode_line(record) + "\n")
+
+
+def csv_text(rows: Iterable[Iterable[str]]) -> str:
+    """``rows`` as CSV text with LF line ends."""
+    import csv
+    import io
+
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 def _refuse_constant(name: str) -> None:

@@ -6,6 +6,7 @@ bytes are compared directly where the contract promises reproducibility.
 """
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -16,6 +17,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -128,7 +130,7 @@ STAGE_MODULES = {
     "profile": {"ingest", "characteristics"},
     "score": {"ingest", "lm", "_net"},
     "analyze": {"analysis", "characteristics"},
-    "report": {"analysis", "characteristics"},
+    "report": set(),
 }
 
 #: Runs ``cli.main`` on its arguments in a fresh interpreter, then prints the
@@ -1547,6 +1549,65 @@ class TestScore:
         assert len(lm.ReplayStore(tmp_path / "store.jsonl")) == 3
         assert not (tmp_path / "runs").exists()
 
+    def record_store(self, druid_fixture_paths, store, monkeypatch, fail_after=None, workers=1):
+        """``score --record store`` against a hash provider that answers
+        ``fail_after`` calls, then fails every call, with ResourceWarning as
+        an error; returns the exit code and every error raised in a
+        finalizer, such as an unclosed file's ResourceWarning."""
+        calls = []
+
+        class Provider(HashLogprobProvider):
+            def __init__(self, endpoint, provider_id, **_kwargs):
+                super().__init__(provider_id=provider_id)
+
+            def next_token_distribution(self, prompt):
+                with lock:
+                    calls.append(prompt)
+                    if fail_after is not None and len(calls) > fail_after:
+                        raise ProviderError("connection reset")
+                return super().next_token_distribution(prompt)
+
+        lock = threading.Lock()
+        unraised = []
+        monkeypatch.setattr(lm, "HttpLogprobProvider", Provider)
+        monkeypatch.setattr(sys, "unraisablehook", lambda hook: unraised.append(hook.exc_value))
+        claims_path, evidence_path = druid_fixture_paths
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            code, _, _ = run_cli(
+                "score", "--claims", str(claims_path), "--evidence", str(evidence_path),
+                "--claim-template", "claim-0shot", "--evidence-template", "evidence-0shot",
+                "--provider-endpoint", "http://127.0.0.1:9/v1", "--provider-id", "hash-mock",
+                "--record", str(store), "--max-concurrency", str(workers), "--out", str(store.parent / "runs"),
+            )
+            gc.collect()
+        return code, unraised
+
+    def test_golden_recorded_store(self, druid_fixture_paths, tmp_path, monkeypatch):
+        code, unraised = self.record_store(druid_fixture_paths, tmp_path / "store.jsonl", monkeypatch)
+        assert (code, unraised) == (0, [])
+        assert hashlib.sha256((tmp_path / "store.jsonl").read_bytes()).hexdigest() == GOLDEN_STORE_SHA256
+
+    def test_failed_record_run_leaves_whole_lines_and_no_open_file(self, druid_fixture_paths, tmp_path, monkeypatch):
+        store = tmp_path / "store.jsonl"
+        code, unraised = self.record_store(druid_fixture_paths, store, monkeypatch, fail_after=6)
+        assert (code, unraised) == (1, [])
+        text = store.read_text(encoding="utf-8")
+        assert text.endswith("\n")
+        assert [lm.ScoreRecord.from_dict(json.loads(line)).line() for line in text.splitlines()] == text.splitlines()
+        assert len(lm.ReplayStore(store)) == 6
+
+    def test_concurrent_record_run_stores_each_prompt_once(self, druid_fixture_paths, tmp_path, monkeypatch):
+        store = tmp_path / "store.jsonl"
+        code, unraised = self.record_store(druid_fixture_paths, store, monkeypatch, workers=4)
+        assert (code, unraised) == (0, [])
+        lines = store.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == len({json.loads(line)["prompt_hash"] for line in lines}) == 15
+        serial = tmp_path / "serial" / "store.jsonl"
+        serial.parent.mkdir()
+        assert self.record_store(druid_fixture_paths, serial, monkeypatch) == (0, [])
+        assert sorted(lines) == sorted(serial.read_text(encoding="utf-8").splitlines())
+
 
 #: Computed from the druid fixture run before the analysis and profile
 #: results became plain objects.
@@ -1560,6 +1621,10 @@ GOLDEN_SUMMARY_SHA256 = {
 GOLDEN_PROFILE_ROWS_SHA256 = {
     "characteristics.jsonl": "8915b7662bce1a9f90a8dc9acc3adf98f8e3d95207a035f349598e4f15989837",
 }
+#: SHA-256 of the store ``score --record`` writes for the druid fixture
+#: with the hash provider, one worker; computed before appends went through
+#: one file handle.
+GOLDEN_STORE_SHA256 = "6e75245bc115b25a9822cf0bbcb7248571d6cb75cafdf48a39dc23e896c6edcf"
 
 
 @pytest.fixture(scope="module")
@@ -1750,6 +1815,26 @@ class TestReport:
         assert lines[0].startswith("# config_hash=")
         assert lines[1] == "key,value"
         assert any(line.startswith("analysis.analysis.stratified_acu") for line in lines[2:])
+
+    def test_non_finite_artifact_value_is_a_parse_error(self, scored_run, druid_fixture_paths, tmp_path):
+        _, evidence_path = druid_fixture_paths
+        code, stdout, _ = run_cli(
+            "analyze", "--scored", str(scored_run / "scored.jsonl"), "--evidence", str(evidence_path),
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        staged = tmp_path / "staged"
+        staged.mkdir()
+        text, replaced = re.subn(r'"rate":[^,}]+', '"rate":NaN', (run_dir_of(stdout) / "analysis.json").read_text())
+        assert replaced == 1
+        (staged / "analysis.json").write_text(text, encoding="utf-8")
+        out = tmp_path / "reports"
+        code, stdout, stderr = run_cli("report", "--run-dir", str(staged), "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert json.loads(stderr) == {
+            "error": "ParseError", "message": f"{staged / 'analysis.json'}:1: NaN is not a JSON number",
+        }
+        assert not out.exists()
 
     def test_report_requires_existing_directory(self, tmp_path):
         code, _, stderr = run_cli(

@@ -4,10 +4,14 @@ import hashlib
 import json
 import math
 import re
+import tempfile
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contextmeter import lm
 from contextmeter.errors import (
@@ -20,7 +24,14 @@ from contextmeter.errors import (
     ZeroMass,
 )
 from contextmeter.ingest import load_druid
-from contextmeter.model import PromptMode, VerdictLabel, canonical_json
+from contextmeter.model import (
+    CANONICAL_LABELS,
+    PromptMode,
+    Record,
+    VerdictLabel,
+    VerdictProbabilities,
+    canonical_json,
+)
 
 from conftest import (
     HashLogprobProvider,
@@ -433,7 +444,54 @@ class TestScoreRecord:
             lm.ScoreRecord.from_dict(["prompt_hash"])
 
 
+SURFACE_KEYS = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6)
+MASSES = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
 class TestReplayStore:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        prompt_hashes=st.lists(st.text(max_size=8), min_size=1, max_size=4),
+        surface_probs=st.dictionaries(SURFACE_KEYS, MASSES, max_size=4),
+        weights=st.tuples(MASSES, MASSES, MASSES).filter(any),
+        provider_id=st.text(max_size=8),
+    )
+    @example(
+        prompt_hashes=["h"], surface_probs={" Wahr": 0.5, "ложь": 0.25, "无": 0.0}, weights=(1.0, 0.5, 0.0), provider_id="ü"
+    )
+    def test_appended_line_is_the_canonical_record_with_its_checksum(
+        self, prompt_hashes, surface_probs, weights, provider_id
+    ):
+        probs = VerdictProbabilities.from_weights(dict(zip(CANONICAL_LABELS, weights)), PromptMode.CLAIM_EVIDENCE)
+        records = [
+            lm.ScoreRecord(prompt_hash=key, surface_probs=surface_probs, probs=probs, provider_id=provider_id)
+            for key in prompt_hashes
+        ]
+        with tempfile.TemporaryDirectory() as directory:
+            store = lm.ReplayStore(Path(directory) / "store.jsonl")
+            for record in records:
+                store.append(record)
+            store.close()
+            lines = store.path.read_bytes().decode("utf-8").split("\n")
+        assert lines.pop() == ""
+        for record, line in zip(records, lines, strict=True):
+            payload = Record.to_dict(record)
+            digest = hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+            assert line == canonical_json({**payload, "checksum": digest})
+            assert line == canonical_json(record.to_dict())
+
+    def test_each_append_reaches_the_file_and_close_keeps_the_store_appendable(self, tmp_path):
+        store = lm.ReplayStore(tmp_path / "store.jsonl")
+        scorer = lm.VerdictScorer(provider=HashLogprobProvider(), store=store)
+        template = lm.load_template("claim-0shot")
+        record = scorer.score(template, make_claim(id="c1", text="One."))
+        assert store.path.read_text(encoding="utf-8") == record.line() + "\n"  # before any close
+        store.close()
+        store.close()
+        scorer.score(template, make_claim(id="c2", text="Two."))
+        scorer.close()
+        assert len(lm.ReplayStore(store.path)) == 2
+
     def test_failed_append_is_a_package_error(self, tmp_path):
         directory = tmp_path / "gone"
         directory.mkdir()

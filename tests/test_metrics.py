@@ -149,6 +149,23 @@ class TestDesirability:
         assert metrics.desirability("False", "refutes") == 1
 
 
+#: Labels outside the Enums and the ValueError each gives.
+BAD_PAIRS = [
+    (("Maybe", "supports"), "'Maybe' is not a valid VerdictLabel"),
+    (("TRUE", "refutes"), "'TRUE' is not a valid VerdictLabel"),
+    (("True", "SUPPORTS"), "'SUPPORTS' is not a valid StanceLabel"),
+    ((["True"], "supports"), r"\['True'\] is not a valid VerdictLabel"),
+    ((3, "refutes"), "3 is not a valid VerdictLabel"),
+]
+
+
+@pytest.mark.parametrize("lookup", [metrics.desirability, metrics.memory_conflict])
+@pytest.mark.parametrize("pair,message", BAD_PAIRS)
+def test_pair_lookup_refuses_a_label_outside_its_enum(lookup, pair, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        lookup(*pair)
+
+
 class TestAcu:
     def test_hand_computed_sample(self):
         # refutes stance: measured shift towards False with both True and
@@ -288,6 +305,14 @@ class TestArgmax:
     def test_tie_resolves_in_canonical_order(self):
         assert metrics.argmax_label(probs(0.4, 0.4, 0.2)) is VerdictLabel.TRUE
         assert metrics.argmax_label(probs(0.2, 0.4, 0.4)) is VerdictLabel.NONE
+        assert metrics.argmax_label(probs(0.4, 0.2, 0.4)) is VerdictLabel.TRUE
+        assert metrics.argmax_label(probs(0.2, 0.2, 0.6)) is VerdictLabel.FALSE
+
+    @given(st.lists(st.integers(0, 4), min_size=3, max_size=3).filter(any))
+    def test_first_label_of_the_highest_probability(self, weights):
+        p = VerdictProbabilities.from_weights(dict(zip(CANONICAL_LABELS, map(float, weights))), PromptMode.CLAIM_ONLY)
+        values = [p.get(label) for label in CANONICAL_LABELS]
+        assert metrics.argmax_label(p) is CANONICAL_LABELS[values.index(max(values))]
 
 
 class TestMemoryConflict:
@@ -300,6 +325,7 @@ class TestMemoryConflict:
             assert metrics.memory_conflict(label, stance) is (
                 (label, stance) in conflicting
             ), (label, stance)
+            assert metrics.memory_conflict(label.value, stance.value) is metrics.memory_conflict(label, stance)
 
 
 def conflicts(claim_ids, evidences):

@@ -566,6 +566,37 @@ class TestRecordCodec:
         with pytest.raises(InvariantViolation):
             ClaimRecord.from_dict(["id", "verdict"])
 
+    #: Every Enum-typed field: (record type, field, the row value holding a label, its Enum).
+    ENUM_FIELDS = [
+        (ClaimRecord, "verdict", lambda label: label, ClaimVerdict),
+        (EvidencePiece, "relevance", lambda label: label, Relevance),
+        (EvidencePiece, "stance", lambda label: label, StanceLabel),
+        (EvidencePiece, "annotator_labels", lambda label: [[label, None]], Relevance),
+        (EvidencePiece, "annotator_labels", lambda label: [["relevant", label]], StanceLabel),
+        (CharacteristicVector, "unreliable", lambda label: label, Reliability),
+        (VerdictProbabilities, "mode", lambda label: label, PromptMode),
+    ]
+    ENUM_ROWS = {
+        **MINIMAL,
+        EvidencePiece: {**MINIMAL[EvidencePiece], "relevance": "relevant"},
+        VerdictProbabilities: {"p_true": 0.5, "p_none": 0.25, "p_false": 0.25},
+    }
+
+    @pytest.mark.parametrize("bad,shown", [("x", "'x'"), (["relevant"], "['relevant']"), (3, "3")])
+    @pytest.mark.parametrize("cls,field,hold,enum", ENUM_FIELDS)
+    def test_enum_field_error_names_the_value_and_the_enum(self, cls, field, hold, enum, bad, shown):
+        with pytest.raises(InvariantViolation) as exc_info:
+            cls.from_dict({**self.ENUM_ROWS[cls], field: hold(bad)})
+        assert exc_info.value.field == field
+        assert str(exc_info.value) == f"{field}: {shown} is not a valid {enum.__name__}"
+
+    @pytest.mark.parametrize("cls,field,hold,enum", ENUM_FIELDS)
+    def test_enum_field_decodes_each_value_to_its_member(self, cls, field, hold, enum):
+        for member in enum:
+            value = getattr(cls.from_dict({**self.ENUM_ROWS[cls], field: hold(member.value)}), field)
+            labels = value[0] if field == "annotator_labels" else (value,)
+            assert any(label is member for label in labels)
+
 
 class TestReadJsonlMissingFile:
     def test_unopenable_file_is_parse_error(self, tmp_path):
