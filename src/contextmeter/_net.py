@@ -7,6 +7,8 @@ import time
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
+from .model import _ROW_DECODER
+
 #: Retries after a first failed attempt, for every backend.
 RETRIES = 2
 
@@ -20,9 +22,9 @@ def post_json(
     headers: Optional[dict] = None,
     backoff: float = 0.5,
 ) -> dict:
-    """POST JSON with exponential backoff; 4xx and a JSON reply that is not
-    an object fail fast, while 5xx, connection errors, timeouts and a reply
-    that is not JSON are retried.
+    """POST JSON with exponential backoff; 5xx, connection errors, timeouts
+    and a reply that is not JSON are retried, while 4xx and a JSON reply that
+    is not an object or holds NaN, Infinity or 1e999 fail fast.
 
     Every failure is raised as ``error_cls(message)``.
     """
@@ -38,20 +40,26 @@ def post_json(
         try:
             request = urllib.request.Request(url, data=body, headers=request_headers, method="POST")
             with urllib.request.urlopen(request, timeout=timeout) as response:
-                data = json.loads(response.read())
+                reply = response.read()
         except urllib.error.HTTPError as exc:
             exc.close()
             if 400 <= exc.code < 500:
                 raise error_cls(f"{url} returned {exc.code}") from None
             last_error = error_cls(f"{url} returned {exc.code}")
         except (OSError, http.client.HTTPException, ValueError) as exc:
-            # URLError and timeouts are OSErrors; a malformed URL and a
-            # body that is not JSON are ValueErrors.
+            # URLError and timeouts are OSErrors, a malformed URL is a ValueError.
             last_error = exc
         else:
-            if not isinstance(data, dict):
-                raise error_cls(f"{url} returned JSON {type(data).__name__}, not an object")
-            return data
+            try:
+                data = _ROW_DECODER.decode(reply.decode("utf-8"))
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                last_error = exc
+            except ValueError as exc:  # a number the decoder refuses
+                raise error_cls(f"{url} returned a malformed reply: {exc}") from exc
+            else:
+                if not isinstance(data, dict):
+                    raise error_cls(f"{url} returned JSON {type(data).__name__}, not an object")
+                return data
         if attempt < retries:
             time.sleep(backoff * (2 ** attempt))
     raise error_cls(f"{url} failed after {retries + 1} attempts: {last_error}")

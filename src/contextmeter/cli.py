@@ -38,9 +38,9 @@ from .model import (
     EvidencePiece,
     Record,
     ScoredSample,
-    _ROW_DECODER,
     canonical_json,
     csv_text,
+    read_json,
     read_jsonl,
     write_jsonl,
 )
@@ -104,15 +104,13 @@ class RunConfig(Record):
 def load_config(path: Optional[str], overrides: dict[str, Any]) -> RunConfig:
     data: dict[str, Any] = {}
     if path is not None:
-        config_path = Path(path)
-        if not config_path.exists():
+        if not Path(path).exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            data = json.loads(config_path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+            data = read_json(Path(path))
+        except ParseError as exc:  # at line 0 when the file cannot be opened
+            reason = "config file is not valid JSON" if exc.line_no else "cannot read config file"
+            raise ConfigError(f"{reason}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
     known = {f.name for f in fields(RunConfig)}
@@ -121,9 +119,8 @@ def load_config(path: Optional[str], overrides: dict[str, Any]) -> RunConfig:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     data.update({k: v for k, v in overrides.items() if v is not None})
     try:
-        canonical_json(data)  # a number the run directory could not hold, such as NaN or 1e999
         return RunConfig.from_dict(data)
-    except (InvariantViolation, ValueError) as exc:
+    except InvariantViolation as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -233,8 +230,8 @@ def _load_field_map(config: RunConfig, per_file: bool) -> Optional[dict]:
     if config.field_map_path is None:
         return None
     try:
-        field_map = json.loads(Path(config.field_map_path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+        field_map = read_json(Path(config.field_map_path))
+    except ParseError as exc:
         raise ConfigError(f"cannot read field map: {exc}") from exc
 
     def is_names(value: Any) -> bool:
@@ -305,7 +302,7 @@ def _build_search_clients(config: RunConfig) -> list:
     if config.fixture_corpus:
         try:
             clients.append(retrieval.FixtureSearchClient(Path(config.fixture_corpus)))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (ParseError, OSError, ValueError, KeyError, TypeError) as exc:
             raise ConfigError(
                 f"cannot read fixture corpus {config.fixture_corpus}: {type(exc).__name__}: {exc}"
             ) from exc
@@ -518,15 +515,7 @@ def cmd_report(config: RunConfig) -> Artifacts:
     for name in ("corpus_stats", "profile", "analysis", "grid"):
         artifact = source / f"{name}.json"
         if artifact.exists():
-            try:
-                document = _ROW_DECODER.decode(artifact.read_text(encoding="utf-8"))
-            except OSError as exc:
-                raise ParseError(str(artifact), 0, f"cannot open: {exc.strerror or exc}") from exc
-            except UnicodeDecodeError as exc:
-                line_no = exc.object.count(b"\n", 0, exc.start) + 1
-                raise ParseError(str(artifact), line_no, f"not UTF-8: {exc.reason}") from exc
-            except ValueError as exc:  # a refused NaN or Infinity carries no line: it gets line 1
-                raise ParseError(str(artifact), getattr(exc, "lineno", 1), getattr(exc, "msg", exc)) from exc
+            document = read_json(artifact)
             if not isinstance(document, dict):
                 raise ParseError(str(artifact), 1, "not a JSON object")
             document.pop("meta", None)

@@ -15,7 +15,6 @@ Fact-checked corpora are read as released: claims are not resampled.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +30,7 @@ from .model import (
     Relevance,
     StanceLabel,
     fallback_id,
+    read_json,
     read_jsonl,
 )
 
@@ -42,8 +42,7 @@ def verdict_table() -> dict[str, ClaimVerdict]:
     table's caption.
     """
     path = resources.files("contextmeter") / "data" / "verdict_mapping.json"
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    return {label: ClaimVerdict(target) for label, target in raw.items()}
+    return {label: ClaimVerdict(target) for label, target in read_json(path).items()}
 
 
 @dataclass

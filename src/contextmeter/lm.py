@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
 import math
 import os
 import re
@@ -50,6 +49,7 @@ from .model import (
     VerdictLabel,
     VerdictProbabilities,
     canonical_json,
+    read_json,
     read_jsonl,
 )
 
@@ -120,20 +120,15 @@ def load_template(template_id: str, base_dir: Optional[Path] = None) -> PromptTe
     sidecar_path = root / f"{template_id}.json"
     try:
         body = (root / f"{template_id}.txt").read_text(encoding="utf-8")
-        sidecar_text = sidecar_path.read_text(encoding="utf-8")
     except FileNotFoundError as exc:
-        raise InvariantViolation(
-            "template_id", f"no template {template_id!r} under {root}"
-        ) from exc
+        raise InvariantViolation("template_id", f"no template {template_id!r} under {root}") from exc
     try:
-        sidecar = json.loads(sidecar_text)
+        sidecar = read_json(sidecar_path)
         if isinstance(sidecar, dict):
             sidecar = {"id": template_id, **sidecar, "body": body}
         return PromptTemplate.from_dict(sidecar)
-    except (ValueError, InvariantViolation) as exc:
-        raise InvariantViolation(
-            "template_id", f"invalid template {template_id!r} ({sidecar_path}): {exc}"
-        ) from exc
+    except (ParseError, InvariantViolation) as exc:
+        raise InvariantViolation("template_id", f"invalid template {template_id!r} ({sidecar_path}): {exc}") from exc
 
 
 def render_prompt(

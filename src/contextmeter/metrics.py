@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvariantViolation
 from .model import (
@@ -96,16 +96,6 @@ def delta_p(p_with: float, p_without: float) -> float:
     return delta_p_with_flag(p_with, p_without)[0]
 
 
-def delta_p_vector(
-    probs_without: VerdictProbabilities, probs_with: VerdictProbabilities
-) -> tuple[float, float, float]:
-    """Per-token ΔP in canonical order (True, None, False)."""
-    return tuple(
-        delta_p(probs_with.get(label), probs_without.get(label))
-        for label in CANONICAL_LABELS
-    )
-
-
 ACU_FORMS = ("mean", "sum")
 
 
@@ -120,16 +110,6 @@ class AcuConfig:
             raise InvariantViolation("form", f"must be one of {ACU_FORMS}: {self.form!r}")
 
 
-def _signed_sum(deltas: Iterable[float], stance: StanceLabel, config: AcuConfig) -> float:
-    """ACU from a ΔP vector in canonical (True, None, False) order."""
-    total = 0.0
-    for label, value in zip(CANONICAL_LABELS, deltas):
-        total += desirability(label, stance) * value
-    if config.form == "mean":
-        return total / len(CANONICAL_LABELS)
-    return total
-
-
 def acu_from_triples(
     triple_without: Sequence[float],
     triple_with: Sequence[float],
@@ -142,7 +122,12 @@ def acu_from_triples(
     Unlike VerdictProbabilities inputs, the triples need not sum to 1;
     printed or otherwise rounded values feed straight into the formulas.
     """
-    return _signed_sum(map(delta_p, triple_with, triple_without), stance, config)
+    total = 0.0
+    for label, value in zip(CANONICAL_LABELS, map(delta_p, triple_with, triple_without)):
+        total += desirability(label, stance) * value
+    if config.form == "mean":
+        return total / len(CANONICAL_LABELS)
+    return total
 
 
 def score_sample(
@@ -155,15 +140,15 @@ def score_sample(
     prompt_id: str,
     config: AcuConfig = AcuConfig(),
 ) -> ScoredSample:
-    """Bundle ΔP vector and ACU into a ScoredSample record."""
-    deltas = delta_p_vector(probs_without, probs_with)
+    """Bundle the ΔP vector, in canonical order, and ACU into a ScoredSample record."""
+    without, with_ = ((p.p_true, p.p_none, p.p_false) for p in (probs_without, probs_with))
     return ScoredSample(
         claim_id=claim_id,
         evidence_id=evidence_id,
         probs_without=probs_without,
         probs_with=probs_with,
-        delta_p=deltas,
-        acu=_signed_sum(deltas, stance, config),
+        delta_p=tuple(map(delta_p, with_, without)),
+        acu=acu_from_triples(without, with_, stance, config),
         model_id=model_id,
         prompt_id=prompt_id,
     )

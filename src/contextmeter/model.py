@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import MISSING, dataclass, fields
 from datetime import date
 from enum import Enum
@@ -328,9 +329,6 @@ class VerdictProbabilities(Record):
             raise ZeroMass("all canonical labels carry zero probability mass")
         return cls(**{name: weights.get(label, 0.0) / total for label, name in _LABEL_FIELDS.items()}, mode=mode)
 
-    def get(self, label: VerdictLabel) -> float:
-        return getattr(self, _LABEL_FIELDS[label])
-
 
 
 @dataclass(frozen=True)
@@ -432,34 +430,54 @@ def _refuse_constant(name: str) -> None:
     raise ValueError(f"{name} is not a JSON number")
 
 
-#: One decoder for every row; ``json.loads`` with a keyword builds one per call.
-_ROW_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if math.isinf(value):
+        raise ValueError(f"{literal} is not a finite JSON number")
+    return value
+
+
+#: The one JSON decoder; ``json.loads`` with a keyword builds one per call.
+_ROW_DECODER = json.JSONDecoder(parse_constant=_refuse_constant, parse_float=_finite_float)
+
+
+def _decode(path: Path, line_no: int, raw: bytes) -> Any:
+    """The JSON value in UTF-8 ``raw``, which starts at line ``line_no`` of
+    ``path``. A fault is a ParseError at its line, a refused number at ``line_no``."""
+    try:
+        return _ROW_DECODER.decode(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(path), line_no + raw.count(b"\n", 0, exc.start), f"not UTF-8: {exc.reason}") from exc
+    except ValueError as exc:
+        raise ParseError(str(path), line_no + getattr(exc, "lineno", 1) - 1, str(exc)) from exc
+
+
+def _open(path: Path):
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise ParseError(str(path), 0, f"cannot open: {exc.strerror or exc}") from exc
+
+
+def read_json(path: Path) -> Any:
+    """The JSON document in ``path``; a fault is a ParseError as in ``read_jsonl``, a refused number at line 1."""
+    with _open(path) as fh:
+        return _decode(path, 1, fh.read())
 
 
 def read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line_no, object) pairs, skipping a leading header line.
+    """Yield (line_no, object) pairs, skipping blank lines and a leading header line.
 
     Lines split as text mode splits them: at LF, CRLF or a lone CR. A line
-    that is not UTF-8 or not JSON (NaN and Infinity are not) is a ParseError
-    at that line; a file that cannot be opened is one at line 0.
+    that is not UTF-8 or not JSON (NaN, Infinity and 1e999 are not) is a
+    ParseError at that line; a file that cannot be opened is one at line 0.
     """
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise ParseError(str(path), 0, f"cannot open: {exc.strerror or exc}") from exc
-    with fh:
+    with _open(path) as fh:
         lines = (line for block in fh for line in block.splitlines())
         for line_no, raw in enumerate(lines, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise ParseError(str(path), line_no, f"not UTF-8: {exc.reason}") from exc
-            if not line:
+            if not raw.strip():
                 continue
-            try:
-                obj = _ROW_DECODER.decode(line)
-            except ValueError as exc:
-                raise ParseError(str(path), line_no, str(exc)) from exc
+            obj = _decode(path, line_no, raw)
             if line_no == 1 and isinstance(obj, dict) and obj.get("kind") == "header":
                 continue
             yield line_no, obj

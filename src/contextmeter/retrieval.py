@@ -18,8 +18,6 @@ separator, concatenation order) are recorded in every pipeline trace.
 
 from __future__ import annotations
 
-import json
-import math
 import re
 from dataclasses import dataclass, replace
 from datetime import date
@@ -33,6 +31,7 @@ from .model import (
     ClaimRecord,
     EvidencePiece,
     fallback_id,
+    read_json,
     word_count,
 )
 
@@ -152,7 +151,7 @@ class FixtureSearchClient:
 
     def __init__(self, corpus_dir: Path):
         corpus_dir = Path(corpus_dir)
-        manifest = json.loads((corpus_dir / "manifest.json").read_text(encoding="utf-8"))
+        manifest = read_json(corpus_dir / "manifest.json")
         self._pages: list[tuple[str, Optional[date], str, frozenset[str]]] = []
         for entry in manifest:
             url, pub_date = entry["url"], entry.get("pub_date")
@@ -253,10 +252,8 @@ class HttpRerankClient:
         if not isinstance(scores, list) or len(scores) != len(texts):
             raise RerankBackendError("malformed scores payload")
         with reply_shape(self._endpoint, RerankBackendError):
-            for score in scores:
-                # A NaN would leave the rerank and page-selection order undefined.
-                if type(score) not in (int, float) or not math.isfinite(score):
-                    raise ValueError(f"score is not a finite number: {score!r}")
+            if not all(type(score) in (int, float) for score in scores):
+                raise TypeError("scores must be numbers")
             return [float(s) for s in scores]
 
 

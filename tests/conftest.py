@@ -1,6 +1,9 @@
 import json
 import math
+import threading
+import time
 from datetime import date
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -170,3 +173,54 @@ class PoisonProvider:
 
     def token_logprobs(self, text):
         raise AssertionError("provider contacted during replay")
+
+
+class Backend:
+    """A loopback server that answers each POST with the next scripted
+    reply (the last one repeats) and records what it received."""
+
+    def __init__(self, *replies):
+        self.replies = list(replies)
+        self.requests = []
+        backend = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers["Content-Length"]))
+                backend.requests.append({"headers": dict(self.headers), "body": json.loads(body)})
+                status, payload, delay = backend.replies[min(len(backend.requests), len(backend.replies)) - 1]
+                time.sleep(delay)
+                data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+                self.send_response(status)
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+            def log_message(self, *args):
+                pass
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.server.server_address[1]}/v1"
+        self.thread = threading.Thread(target=self.server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True)
+        self.thread.start()
+
+    def close(self):
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join(timeout=5)
+        assert not self.thread.is_alive()
+
+
+@pytest.fixture
+def serve(monkeypatch):
+    monkeypatch.setenv("no_proxy", "*")
+    started = []
+
+    def start(*replies):
+        backend = Backend(*[reply + (0.0,) if len(reply) == 2 else reply for reply in replies])
+        started.append(backend)
+        return backend
+
+    yield start
+    for backend in started:
+        backend.close()

@@ -460,6 +460,7 @@ def test_criterion_09_replay_determinism(druid_fixture_paths, tmp_path):
         recorded[claim.id] = recorder.score(claim_template, claim).probs
     for piece in pieces:
         recorder.score(evidence_template, by_id[piece.claim_id], piece)
+    recorder.close()
 
     def run_cli(*args: str) -> dict:
         import contextlib

@@ -60,6 +60,7 @@ def test_install_wraps_and_uninstall_restores(tmp_path):
         store_path = tmp_path / "store.jsonl"
         scorer = lm.VerdictScorer(provider=HashLogprobProvider(), store=lm.ReplayStore(store_path))
         scorer.score(lm.load_template("claim-0shot"), make_claim())
+        scorer.close()
         lm.ReplayStore(store_path)
         expected = {"lm.replay_misses": 1, "lm.provider.calls": 1, "lm.store_appends": 1, "lm.store_records_loaded": 1}
         assert {name: tracer.counts[name] for name in expected} == expected

@@ -81,6 +81,7 @@ def replay_store(tmp_path_factory, druid_fixture_paths) -> Path:
         piece = EvidencePiece.from_dict(row)
         if piece.stance is not None:
             scorer.score(evidence_template, by_id[piece.claim_id], piece)
+    scorer.close()
     return store_path
 
 
@@ -513,8 +514,11 @@ class TestConfigErrors:
         config.write_text("{not json")
         self.assert_config_error(["score", "--config", str(config)], "not valid JSON")
 
-    @pytest.mark.parametrize("number", ["NaN", "-Infinity", "1e999"])
-    def test_config_number_json_cannot_hold(self, druid_fixture_paths, tmp_path, number):
+    @pytest.mark.parametrize(
+        "number, refusal", [("NaN", "NaN is not a JSON number"), ("-Infinity", "-Infinity is not a JSON number"),
+                            ("1e999", "1e999 is not a finite JSON number")],
+    )
+    def test_config_number_json_cannot_hold(self, druid_fixture_paths, tmp_path, number, refusal):
         # The resolved config is echoed into the run directory as JSON.
         claims_path, evidence_path = druid_fixture_paths
         config = tmp_path / "run.json"
@@ -522,7 +526,7 @@ class TestConfigErrors:
         self.assert_config_error(
             ["ingest", "--config", str(config), "--claims", str(claims_path), "--evidence", str(evidence_path),
              "--out", str(tmp_path / "runs")],
-            "Out of range float values are not JSON compliant",
+            f"{config}:1: {refusal}",
         )
         assert not (tmp_path / "runs").exists()
 
@@ -563,9 +567,9 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "damage, fragment",
         [
-            ("no-dir", "FileNotFoundError"),
+            ("no-dir", "ParseError: {corpus}/manifest.json:0: cannot open: No such file or directory"),
             ("missing-page", "soup-recipes.txt"),
-            ("manifest-not-json", "JSONDecodeError"),
+            ("manifest-not-json", "ParseError: {corpus}/manifest.json:1: Expecting property name"),
             ("entry-without-file", "KeyError: 'file'"),
         ],
     )
@@ -591,7 +595,7 @@ class TestConfigErrors:
         assert code == 2
         payload = json.loads(stderr)
         assert payload["error"] == "ConfigError"
-        assert fragment in payload["message"]
+        assert fragment.format(corpus=corpus) in payload["message"]
         assert not out.exists()
 
     def test_bad_acu_form_in_config(self, tmp_path):
@@ -1142,6 +1146,7 @@ class TestFailureExitCode:
         template = lm.load_template("claim-0shot")
         for _, row in read_jsonl(claims_path):
             scorer.score(template, ClaimRecord.from_dict(row))
+        scorer.close()
         code, _, stderr = run_cli(
             "score",
             "--claims", str(claims_path),
@@ -1240,6 +1245,112 @@ def rows_sha256(run_dir: Path) -> dict[str, str]:
         path.name: hashlib.sha256(path.read_bytes().split(b"\n", 1)[1]).hexdigest()
         for path in sorted(run_dir.glob("*.jsonl"))
     }
+
+
+#: Each number JSON cannot hold, with the refusal every reader gives for it.
+REFUSED_NUMBERS = {
+    "NaN": "NaN is not a JSON number",
+    "Infinity": "Infinity is not a JSON number",
+    "-Infinity": "-Infinity is not a JSON number",
+    "1e999": "1e999 is not a finite JSON number",
+}
+
+
+class TestRefusedNumbers:
+    """Every kind of JSON input refuses NaN, Infinity, -Infinity and a literal
+    that overflows a float, within the error contract: one JSON object on
+    stderr, exit 2 for a config error and 1 otherwise, and no run directory.
+    A backend reply holding one fails after one request."""
+
+    @pytest.mark.parametrize("number", sorted(REFUSED_NUMBERS))
+    @pytest.mark.parametrize(
+        "kind",
+        ["jsonl-row", "replay-store", "config", "field-map", "sidecar", "manifest", "report-artifact",
+         "provider-reply", "search-reply", "rerank-reply"],
+    )
+    def test_every_input_kind_refuses(
+        self, druid_fixture_paths, fixture_corpus_dir, replay_store, scored_run, tmp_path, serve, kind, number,
+    ):
+        claims_path, evidence_path = druid_fixture_paths
+        templates = ["--claim-template", "claim-0shot", "--evidence-template", "evidence-0shot"]
+        refusal = REFUSED_NUMBERS[number]
+        first_claim = read_rows(claims_path)[0]["id"]
+        path = tmp_path / "input.json"
+        backend = None
+        if kind == "jsonl-row":
+            path = tmp_path / "scored.jsonl"
+            header, first, *rest = (scored_run / "scored.jsonl").read_text(encoding="utf-8").splitlines()
+            first, replaced = re.subn(r'"acu":[^,}]+', f'"acu":{number}', first)
+            assert replaced == 1
+            path.write_text("\n".join([header, first, *rest]) + "\n", encoding="utf-8")
+            argv = ["analyze", "--scored", path, "--evidence", evidence_path]
+            expected = (1, "ParseError", f"{path}:2: {refusal}")
+        elif kind == "replay-store":
+            path = tmp_path / "store.jsonl"
+            first, *rest = replay_store.read_text(encoding="utf-8").splitlines()
+            first, replaced = re.subn(r'"True":[^,}]+', f'"True":{number}', first, count=1)
+            assert replaced == 1
+            path.write_text("\n".join([first, *rest]) + "\n", encoding="utf-8")
+            argv = ["score", "--claims", claims_path, "--evidence", evidence_path, *templates,
+                    "--replay", path, "--provider-id", "hash-mock"]
+            expected = (1, "StoreCorruption", f"{path}:1: {refusal}")
+        elif kind == "config":
+            path.write_text(f'{{"request_timeout": {number}}}\n', encoding="utf-8")
+            argv = ["profile", "--config", path, "--claims", claims_path, "--evidence", evidence_path]
+            expected = (2, "ConfigError", f"config file is not valid JSON: {path}:1: {refusal}")
+        elif kind == "field-map":
+            path.write_text(f'{{"claims": {{"text": "claim"}},\n "weight": {number}}}\n', encoding="utf-8")
+            argv = ["ingest", "--claims", claims_path, "--evidence", evidence_path, "--field-map", path]
+            expected = (2, "ConfigError", f"cannot read field map: {path}:1: {refusal}")
+        elif kind == "sidecar":
+            shutil.copy(Path(lm.__file__).parent / "data" / "prompts" / "claim-0shot.txt", tmp_path)
+            path = tmp_path / "claim-0shot.json"
+            path.write_text(f'{{"mode": "claim-only", "shots": {number}}}\n', encoding="utf-8")
+            argv = ["score", "--claims", claims_path, "--evidence", evidence_path, *templates,
+                    "--template-dir", tmp_path, "--replay", replay_store, "--provider-id", "hash-mock"]
+            message = f"template_id: invalid template 'claim-0shot' ({path}): {path}:1: {refusal}"
+            expected = (1, "InvariantViolation", message)
+        elif kind == "manifest":
+            corpus = tmp_path / "corpus"
+            shutil.copytree(fixture_corpus_dir, corpus)
+            path = corpus / "manifest.json"
+            path.write_text(f'[{{"file": "a.txt", "url": "https://a.example", "rank": {number}}}]\n', encoding="utf-8")
+            argv = ["retrieve", "--claims", claims_path, "--fixture-corpus", corpus]
+            expected = (2, "ConfigError", f"cannot read fixture corpus {corpus}: ParseError: {path}:1: {refusal}")
+        elif kind == "report-artifact":
+            path = tmp_path / "staged" / "profile.json"
+            path.parent.mkdir()
+            path.write_text(f'{{"profile": {{"mean": {number}}}}}\n', encoding="utf-8")
+            argv = ["report", "--run-dir", path.parent]
+            expected = (1, "ParseError", f"{path}:1: {refusal}")
+        else:
+            reply = {
+                "provider-reply": f'{{"top_logprobs": {{"True": {number}, "False": -1.0}}}}',
+                "search-reply": f'{{"results": [{{"url": "https://a.example", "text": "Body.", "score": {number}}}]}}',
+                "rerank-reply": f'{{"scores": [{number}]}}',
+            }[kind]
+            backend = serve((200, reply.encode()))
+            endpoint = {"provider-reply": "provider_endpoint", "search-reply": "search_endpoints",
+                        "rerank-reply": "rerank_endpoint"}[kind]
+            url = [{"name": "web", "endpoint": backend.url}] if kind == "search-reply" else backend.url
+            path.write_text(json.dumps({endpoint: url, "max_concurrency": 1}), encoding="utf-8")
+            if kind == "provider-reply":
+                argv = ["score", "--claims", claims_path, "--evidence", evidence_path, *templates, "--provider-id", "m"]
+            else:
+                argv = ["retrieve", "--claims", claims_path]
+                argv += ["--fixture-corpus", fixture_corpus_dir] if kind == "rerank-reply" else []
+            argv += ["--config", path]
+            error = {"provider-reply": "ProviderError", "search-reply": "SearchBackendError",
+                     "rerank-reply": "RerankBackendError"}[kind]
+            expected = (1, error, f"claim {first_claim}: {backend.url} returned a malformed reply: {refusal}")
+        out = tmp_path / "runs"
+        code, stdout, stderr = run_cli(*map(str, argv), "--out", str(out))
+        assert (code, stdout) == (expected[0], "")
+        assert len(stderr.strip().splitlines()) == 1
+        assert json.loads(stderr) == {"error": expected[1], "message": expected[2]}
+        assert not out.exists()
+        if backend is not None:
+            assert len(backend.requests) == 1
 
 
 class TestIngestRecast:

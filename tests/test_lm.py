@@ -514,6 +514,7 @@ class TestReplayStore:
         assert len(store) == 0
         assert not store.path.exists()
         store.append(record)
+        store.close()
         assert len(lm.ReplayStore(store.path)) == 1
 
     def test_record_then_replay_identical(self, tmp_path):
@@ -526,6 +527,7 @@ class TestReplayStore:
             provider=provider, store=lm.ReplayStore(store_path)
         )
         recorded = recorder.score(template, claim)
+        recorder.close()
 
         replayer = lm.VerdictScorer(
             store=lm.ReplayStore(store_path), provider_id=provider.provider_id,
@@ -540,9 +542,9 @@ class TestReplayStore:
         provider = HashLogprobProvider()
         template = lm.load_template("claim-0shot")
         claim = make_claim()
-        lm.VerdictScorer(
-            provider=provider, store=lm.ReplayStore(store_path)
-        ).score(template, claim)
+        recorder = lm.VerdictScorer(provider=provider, store=lm.ReplayStore(store_path))
+        recorder.score(template, claim)
+        recorder.close()
 
         poisoned = lm.VerdictScorer(
             provider=PoisonProvider(), store=lm.ReplayStore(store_path),
@@ -554,9 +556,9 @@ class TestReplayStore:
         store_path = tmp_path / "store.jsonl"
         provider = HashLogprobProvider()
         template = lm.load_template("claim-0shot")
-        lm.VerdictScorer(
-            provider=provider, store=lm.ReplayStore(store_path)
-        ).score(template, make_claim(text="Seen claim."))
+        recorder = lm.VerdictScorer(provider=provider, store=lm.ReplayStore(store_path))
+        recorder.score(template, make_claim(text="Seen claim."))
+        recorder.close()
 
         replayer = lm.VerdictScorer(
             store=lm.ReplayStore(store_path), provider_id=provider.provider_id,
@@ -568,9 +570,9 @@ class TestReplayStore:
         store_path = tmp_path / "store.jsonl"
         provider = HashLogprobProvider()
         template = lm.load_template("claim-0shot")
-        record = lm.VerdictScorer(
-            provider=provider, store=lm.ReplayStore(store_path)
-        ).score(template, make_claim())
+        recorder = lm.VerdictScorer(provider=provider, store=lm.ReplayStore(store_path))
+        record = recorder.score(template, make_claim())
+        recorder.close()
 
         lines = store_path.read_text(encoding="utf-8").splitlines()
         payload = json.loads(lines[-1])
@@ -598,6 +600,7 @@ class TestReplayStore:
         template = lm.load_template("claim-0shot")
         scorer.score(template, make_claim(id="c1", text="First claim."))
         scorer.score(template, make_claim(id="c2", text="Second claim."))
+        scorer.close()
         lines = store_path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2
         payload = json.loads(lines[1])
@@ -614,6 +617,7 @@ class TestReplayStore:
         template = lm.load_template("claim-0shot")
         scorer.score(template, make_claim(id="c1", text="First claim."))
         scorer.score(template, make_claim(id="c2", text="Second claim."))
+        scorer.close()
         lines = store_path.read_text(encoding="utf-8").splitlines()
         store_path.write_text("\r".join(lines) + "\r", encoding="utf-8", newline="")
         assert len(lm.ReplayStore(store_path)) == 2
@@ -634,6 +638,7 @@ class TestReplayStore:
         template = lm.load_template("claim-0shot")
         for n in numbers:
             scorer.score(template, make_claim(id=f"c{n}", text=f"Claim number {n}."))
+        scorer.close()
 
     def test_torn_final_line_is_skipped_then_cut_away(self, tmp_path):
         uninterrupted = tmp_path / "uninterrupted.jsonl"
@@ -693,6 +698,7 @@ class TestVerdictScorer:
         store_path = tmp_path / "store.jsonl"
         recorder = lm.VerdictScorer(provider=HashLogprobProvider(), store=lm.ReplayStore(store_path))
         stored = {prompt: recorder.score(*request) for prompt, request in zip(prompts[::2], requests[::2])}
+        recorder.close()
 
         class Counting(HashLogprobProvider):
             def next_token_distribution(self, prompt):
@@ -702,6 +708,7 @@ class TestVerdictScorer:
         seen = Counter()
         scorer = lm.VerdictScorer(provider=Counting(), store=lm.ReplayStore(store_path))
         records = [scorer.score(*request) for request in requests]
+        scorer.close()
         assert seen == Counter(prompt for prompt in prompts if prompt not in stored)
         for prompt, record in zip(prompts, records):
             if prompt in stored:

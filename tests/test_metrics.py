@@ -126,9 +126,10 @@ class TestDeltaP:
             assert metrics.delta_p(fixed, lo) >= metrics.delta_p(fixed, hi), (fixed, lo, hi)
 
     def test_vector_order_true_none_false(self):
-        vector = metrics.delta_p_vector(
-            probs(0.2, 0.3, 0.5), probs(0.6, 0.3, 0.1, PromptMode.CLAIM_EVIDENCE)
-        )
+        vector = metrics.score_sample(
+            "c", "e", probs(0.2, 0.3, 0.5), probs(0.6, 0.3, 0.1, PromptMode.CLAIM_EVIDENCE),
+            StanceLabel.SUPPORTS, "m", "p",
+        ).delta_p
         assert vector[0] == pytest.approx(0.4 / 0.8)
         assert vector[1] == 0.0
         assert vector[2] == pytest.approx(-0.4 / 0.5)
@@ -279,7 +280,7 @@ class TestScoreSample:
             "c1", "e1", without, with_, StanceLabel.REFUTES, "m", "p"
         )
         assert sample.claim_id == "c1"
-        assert sample.delta_p == metrics.delta_p_vector(without, with_)
+        assert sample.delta_p == tuple(map(metrics.delta_p, (0.01, 0.15, 0.84), (0.14, 0.17, 0.69)))
         assert sample.acu == pytest.approx(
             acu_from_triples((0.14, 0.17, 0.69), (0.01, 0.15, 0.84), StanceLabel.REFUTES)
         )
@@ -311,7 +312,7 @@ class TestArgmax:
     @given(st.lists(st.integers(0, 4), min_size=3, max_size=3).filter(any))
     def test_first_label_of_the_highest_probability(self, weights):
         p = VerdictProbabilities.from_weights(dict(zip(CANONICAL_LABELS, map(float, weights))), PromptMode.CLAIM_ONLY)
-        values = [p.get(label) for label in CANONICAL_LABELS]
+        values = [p.p_true, p.p_none, p.p_false]
         assert metrics.argmax_label(p) is CANONICAL_LABELS[values.index(max(values))]
 
 

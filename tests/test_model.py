@@ -29,6 +29,7 @@ from contextmeter.model import (
     canonical_json,
     encode_line,
     fallback_id,
+    read_json,
     read_jsonl,
     word_count,
     write_jsonl,
@@ -194,9 +195,9 @@ class TestVerdictProbabilities:
         with pytest.raises(ZeroMass):
             VerdictProbabilities.from_weights({}, PromptMode.CLAIM_ONLY)
 
-    def test_get(self):
+    def test_positional_fields_follow_canonical_order(self):
         probs = VerdictProbabilities(0.5, 0.3, 0.2, PromptMode.CLAIM_ONLY)
-        assert probs.get(VerdictLabel.NONE) == 0.3
+        assert (probs.p_true, probs.p_none, probs.p_false) == (0.5, 0.3, 0.2)
 
 
 class TestScoredSample:
@@ -313,6 +314,15 @@ class TestJsonlIO:
         assert rows == [(1, {"a": 1.5})]
         assert str(exc_info.value) == f"{path}:2: {constant} is not a JSON number"
 
+    def test_overflowing_literal_is_parse_error_at_that_line(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1e308}\n{"a": {"b": -1e999}}\n', encoding="utf-8")
+        rows = []
+        with pytest.raises(ParseError) as exc_info:
+            rows.extend(read_jsonl(path))
+        assert rows == [(1, {"a": 1e308})]
+        assert str(exc_info.value) == f"{path}:2: -1e999 is not a finite JSON number"
+
     def test_finite_numbers_keep_their_bytes(self, tmp_path):
         line = canonical_json({"a": 0.1, "b": 1e308, "c": -0.0, "d": 5e-324, "e": -17, "f": 2.5e-7})
         path = tmp_path / "rows.jsonl"
@@ -327,6 +337,40 @@ class TestJsonlIO:
             list(read_jsonl(path))
         assert exc_info.value.line_no == 2
         assert "not UTF-8" in str(exc_info.value)
+
+
+class TestReadJson:
+    """``read_json`` reads one document with ``read_jsonl``'s faults, each at its line."""
+
+    def test_document_spans_lines(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"a": [1.5,\n  2], "b": null}\n', encoding="utf-8")
+        assert read_json(path) == {"a": [1.5, 2], "b": None}
+
+    @pytest.mark.parametrize(
+        "content, line_no, message",
+        [
+            (b'{"a": 1,\n "b": }\n', 2, "Expecting value: line 2 column 7 (char 15)"),
+            (b'{"a":\n "\xe9"}', 2, "not UTF-8: invalid continuation byte"),
+            (b'{"a":\n [NaN]}', 1, "NaN is not a JSON number"),
+            (b'{"a":\n [1e999]}', 1, "1e999 is not a finite JSON number"),
+        ],
+    )
+    def test_fault_is_parse_error_at_its_line(self, tmp_path, content, line_no, message):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        with pytest.raises(ParseError) as exc_info:
+            read_json(path)
+        assert str(exc_info.value) == f"{path}:{line_no}: {message}"
+
+    @pytest.mark.parametrize("make", [lambda path: None, lambda path: path.mkdir()], ids=["missing", "directory"])
+    def test_unopenable_file_is_parse_error_at_line_0(self, tmp_path, make):
+        path = tmp_path / "doc.json"
+        make(path)
+        with pytest.raises(ParseError) as exc_info:
+            read_json(path)
+        assert exc_info.value.line_no == 0
+        assert str(exc_info.value).startswith(f"{path}:0: cannot open: ")
 
 
 class TestHelpers:

@@ -1,11 +1,7 @@
 """post_json's retry contract and the HTTP search, rerank and model clients, against a
 loopback HTTP server."""
 
-import json
 import socket
-import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -14,57 +10,6 @@ from contextmeter._net import post_json
 from contextmeter.errors import ProviderError, RerankBackendError, SearchBackendError
 
 RETRIES = 2
-
-
-class Backend:
-    """A loopback server that answers each POST with the next scripted
-    reply (the last one repeats) and records what it received."""
-
-    def __init__(self, *replies):
-        self.replies = list(replies)
-        self.requests = []
-        backend = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                body = self.rfile.read(int(self.headers["Content-Length"]))
-                backend.requests.append({"headers": dict(self.headers), "body": json.loads(body)})
-                status, payload, delay = backend.replies[min(len(backend.requests), len(backend.replies)) - 1]
-                time.sleep(delay)
-                data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
-                self.send_response(status)
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
-
-            def log_message(self, *args):
-                pass
-
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.url = f"http://127.0.0.1:{self.server.server_address[1]}/v1"
-        self.thread = threading.Thread(target=self.server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True)
-        self.thread.start()
-
-    def close(self):
-        self.server.shutdown()
-        self.server.server_close()
-        self.thread.join(timeout=5)
-        assert not self.thread.is_alive()
-
-
-@pytest.fixture
-def serve(monkeypatch):
-    monkeypatch.setenv("no_proxy", "*")
-    started = []
-
-    def start(*replies):
-        backend = Backend(*[reply + (0.0,) if len(reply) == 2 else reply for reply in replies])
-        started.append(backend)
-        return backend
-
-    yield start
-    for backend in started:
-        backend.close()
 
 
 def call(url, timeout=5.0, headers=None):
@@ -201,6 +146,12 @@ MALFORMED_REPLIES = {
     "rerank-score-minus-infinity": (rerank, b'{"scores": [-Infinity]}', RerankBackendError),
     "rerank-score-overflows-float": (rerank, b'{"scores": [1e999]}', RerankBackendError),
     "logprob-not-number": (next_token, {"top_logprobs": {"True": "high"}}, ProviderError),
+    "logprob-nan": (next_token, b'{"top_logprobs": {"True": NaN}}', ProviderError),
+    "logprob-overflows-float": (next_token, b'{"top_logprobs": {"True": -1e999}}', ProviderError),
+    "token-logprob-infinity": (token_logprobs, b'{"token_logprobs": [-0.5, -Infinity]}', ProviderError),
+    "search-nan-in-unread-field": (
+        search, b'{"results": [{"url": "https://a.example", "text": "Body.", "score": NaN}]}', SearchBackendError,
+    ),
     "token-logprob-null": (token_logprobs, {"token_logprobs": [-0.5, None]}, ProviderError),
 }
 

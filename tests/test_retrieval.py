@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from contextmeter import retrieval as rt
 from contextmeter.characteristics import word_set
 from contextmeter.errors import InvariantViolation, SearchBackendError
+from contextmeter.model import read_json
 from contextmeter.retrieval import Chunk, SearchResult
 
 from conftest import make_claim
@@ -428,7 +429,12 @@ class TestSearch:
             reads.append(self.name)
             return original(self, *args, **kwargs)
 
+        def counting_read_json(path):
+            reads.append(path.name)
+            return read_json(path)
+
         monkeypatch.setattr(Path, "read_text", counting_read_text)
+        monkeypatch.setattr(rt, "read_json", counting_read_json)  # the manifest's reader
         client = rt.FixtureSearchClient(fixture_corpus_dir)
         queries = [CLAIM_TEXT, "gull island birds", "soup recipe", CLAIM_TEXT, "nothing matches zzz"]
         results = [client.search(query) for query in queries]
