@@ -16,7 +16,6 @@ from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
-from urllib.parse import urlsplit
 
 from .errors import (
     DegenerateClaim,
@@ -24,20 +23,12 @@ from .errors import (
     MalformedUrl,
     UnparseableJudgement,
 )
-from .model import (
-    CharacteristicVector,
-    ClaimRecord,
-    EvidencePiece,
-    Reliability,
-)
+# The word and domain helpers live in ``model``; ``in_domains`` and ``word_set`` are re-exported.
+from .model import CharacteristicVector, ClaimRecord, EvidencePiece, Reliability
+from .model import _LOWER_BYTES, _TOKEN_SPLIT_RE, _host_in, in_domains, normalize_domain, word_set, words
 
 logger = logging.getLogger(__name__)
 
-_TOKEN_SPLIT_RE = re.compile(r"[\W_]+", re.UNICODE)
-#: A ``bytes.translate`` table that lowercases A–Z and keeps every other byte.
-_LOWER_BYTES = bytes(ord(chr(code).lower()) if code < 128 else code for code in range(256))
-#: As ``_LOWER_BYTES``, but each ASCII byte that ``_TOKEN_SPLIT_RE`` splits at becomes a space.
-_WORD_BYTES = bytes(_LOWER_BYTES[code] if chr(code).isalnum() else 32 for code in range(256))
 #: Every ASCII byte that is neither a letter, a digit nor whitespace.
 _NON_WORD_BYTES = bytes(code for code in range(128) if not (chr(code).isalnum() or chr(code).isspace()))
 #: A sentence part holding a letter or digit: ``[^\W_]`` is ``str.isalnum``.
@@ -45,19 +36,6 @@ _SENTENCE_RE = re.compile(r"[^\W_][^.!?]*")
 _VOWEL_RUN_RE = re.compile(r"[aeiouy]+")
 _TRUE_WORD_RE = re.compile(r"\bTrue\b")
 _FALSE_WORD_RE = re.compile(r"\bFalse\b")
-
-
-def words(text: str) -> list[str]:
-    """Lowercased word tokens with punctuation and special characters
-    (including '-' and '_') stripped; hyphenated compounds split apart."""
-    if text.isascii():
-        return text.encode("ascii").translate(_WORD_BYTES).decode("ascii").split()
-    return [token for token in _TOKEN_SPLIT_RE.split(text.lower()) if token]
-
-
-def word_set(text: str) -> frozenset[str]:
-    """The set W of unique lowercased words in a text."""
-    return frozenset(words(text))
 
 
 class TextView(NamedTuple):
@@ -309,37 +287,6 @@ class ReliabilityList:
         if coverage_path.exists():
             coverage |= _read_lexicon_file(coverage_path)
         return cls(flagged=flagged, coverage=frozenset(coverage))
-
-
-def normalize_domain(url: str) -> str:
-    """Reduce a URL to its lowercase host: scheme, port and 'www.' stripped."""
-    if not url or not url.strip():
-        raise MalformedUrl("empty URL")
-    candidate = url.strip()
-    if "//" not in candidate:
-        candidate = "//" + candidate
-    try:
-        host = urlsplit(candidate).hostname
-    except ValueError as error:  # e.g. an unclosed "[" of an IPv6 host
-        raise MalformedUrl(f"{error}: {url!r}") from None
-    if not host:
-        raise MalformedUrl(f"no host in {url!r}")
-    host = host.lower()
-    if host.startswith("www."):
-        host = host[len("www."):]
-    return host
-
-
-def _host_in(host: str, domains: Iterable[str]) -> bool:
-    return any(host == domain or host.endswith("." + domain) for domain in domains)
-
-
-def in_domains(url: str, domains: Iterable[str]) -> bool:
-    """Whether the URL's host is one of ``domains`` or a subdomain of one; a malformed URL is in none."""
-    try:
-        return _host_in(normalize_domain(url), domains)
-    except MalformedUrl:
-        return False
 
 
 def unreliable_source(url: str, lists: ReliabilityList) -> Reliability:

@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import shutil
 import sys
 import threading
@@ -47,6 +48,8 @@ from .model import (
 
 #: Settings that never change an artifact's bytes, left out of the config hash.
 _UNHASHED = ("out_dir", "max_concurrency")
+#: An endpoint URL: an RFC 3986 scheme, "://" and a host. Any scheme is taken.
+_ENDPOINT_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://[^/?#\s]")
 
 
 @dataclass
@@ -94,6 +97,13 @@ class RunConfig(Record):
             raise ConfigError(f"acu_form must be one of {metrics.ACU_FORMS}, got {self.acu_form!r}")
         if self.max_concurrency <= 0:
             self.max_concurrency = os.cpu_count() or 1
+        # Checked before any call: a URL without a scheme would fail every retry.
+        endpoints = {"provider_endpoint": self.provider_endpoint, "rerank_endpoint": self.rerank_endpoint}
+        for i, entry in enumerate(self.search_endpoints):
+            endpoints[f"search_endpoints[{i}].endpoint"] = entry.get("endpoint") if isinstance(entry, dict) else None
+        for name, url in endpoints.items():
+            if isinstance(url, str) and url and not _ENDPOINT_RE.match(url):
+                raise ConfigError(f"{name} must be a scheme://host URL, got {url!r}")
 
     @property
     def config_hash(self) -> str:

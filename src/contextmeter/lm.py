@@ -117,11 +117,13 @@ def load_template(template_id: str, base_dir: Optional[Path] = None) -> PromptTe
     """Load ``<id>.txt`` (body) + ``<id>.json`` (sidecar: an object of the
     other fields, whose ``id`` defaults to ``template_id``) template files."""
     root = Path(base_dir) if base_dir is not None else _template_dir()
-    sidecar_path = root / f"{template_id}.json"
+    sidecar_path, body_path = root / f"{template_id}.json", root / f"{template_id}.txt"
     try:
-        body = (root / f"{template_id}.txt").read_text(encoding="utf-8")
+        body = body_path.read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise InvariantViolation("template_id", f"no template {template_id!r} under {root}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvariantViolation("template_id", f"invalid template {template_id!r} ({body_path}): not UTF-8: {exc.reason}") from exc
     try:
         sidecar = read_json(sidecar_path)
         if isinstance(sidecar, dict):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import MISSING, dataclass, fields
 from datetime import date
 from enum import Enum
@@ -20,6 +21,7 @@ from pathlib import Path
 from typing import (
     Any,
     Callable,
+    Collection,
     Iterable,
     Iterator,
     Optional,
@@ -28,8 +30,9 @@ from typing import (
     get_origin,
     get_type_hints,
 )
+from urllib.parse import urlsplit  # loaded already: pathlib imports it
 
-from .errors import InvariantViolation, ParseError, ZeroMass
+from .errors import InvariantViolation, MalformedUrl, ParseError, ZeroMass
 
 
 class StanceLabel(str, Enum):
@@ -108,6 +111,64 @@ def fallback_id(*parts: str) -> str:
 def word_count(text: str) -> int:
     """Whitespace-split token count, the convention for all word caps."""
     return len(text.split())
+
+
+_TOKEN_SPLIT_RE = re.compile(r"[\W_]+", re.UNICODE)
+#: A ``bytes.translate`` table that lowercases A–Z and keeps every other byte.
+_LOWER_BYTES = bytes(ord(chr(code).lower()) if code < 128 else code for code in range(256))
+#: As ``_LOWER_BYTES``, but each ASCII byte that ``_TOKEN_SPLIT_RE`` splits at becomes a space.
+_WORD_BYTES = bytes(_LOWER_BYTES[code] if chr(code).isalnum() else 32 for code in range(256))
+
+
+def words(text: str) -> list[str]:
+    """Lowercased word tokens with punctuation and special characters
+    (including '-' and '_') stripped; hyphenated compounds split apart."""
+    if text.isascii():
+        return text.encode("ascii").translate(_WORD_BYTES).decode("ascii").split()
+    return [token for token in _TOKEN_SPLIT_RE.split(text.lower()) if token]
+
+
+def word_set(text: str) -> frozenset[str]:
+    """The set W of unique lowercased words in a text."""
+    return frozenset(words(text))
+
+
+def normalize_domain(url: str) -> str:
+    """Reduce a URL to its lowercase host: scheme, port and 'www.' stripped."""
+    if not url or not url.strip():
+        raise MalformedUrl("empty URL")
+    candidate = url.strip()
+    if "//" not in candidate:
+        candidate = "//" + candidate
+    try:
+        host = urlsplit(candidate).hostname
+    except ValueError as error:  # e.g. an unclosed "[" of an IPv6 host
+        raise MalformedUrl(f"{error}: {url!r}") from None
+    if not host:
+        raise MalformedUrl(f"no host in {url!r}")
+    host = host.lower()
+    if host.startswith("www."):
+        host = host[len("www."):]
+    return host
+
+
+def _host_in(host: str, domains: Collection[str]) -> bool:
+    """Whether ``host`` is in ``domains`` or ends in "." + one of them: one
+    lookup of the host and of each suffix after a dot."""
+    while host not in domains:
+        dot = host.find(".")
+        if dot < 0:
+            return False
+        host = host[dot + 1:]
+    return True
+
+
+def in_domains(url: str, domains: Collection[str]) -> bool:
+    """Whether the URL's host is one of ``domains`` or a subdomain of one; a malformed URL is in none."""
+    try:
+        return _host_in(normalize_domain(url), domains)
+    except MalformedUrl:
+        return False
 
 
 def _reject(what: str, value: Any):

@@ -19,21 +19,14 @@ separator, concatenation order) are recorded in every pipeline trace.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
 from typing import NamedTuple, Optional, Protocol, Sequence
 
 from ._net import RETRIES, post_json, reply_shape
-from .characteristics import in_domains, word_set, words
 from .errors import InvariantViolation, RerankBackendError, SearchBackendError
-from .model import (
-    ClaimRecord,
-    EvidencePiece,
-    fallback_id,
-    read_json,
-    word_count,
-)
+from .model import ClaimRecord, EvidencePiece, fallback_id, in_domains, read_json, word_count, word_set, words
 
 MAX_CHUNK_WORDS = 200
 MAX_EVIDENCE_WORDS = 300
@@ -66,15 +59,17 @@ class SearchResult:
     pub_date: Optional[date] = None
 
 
-@dataclass(frozen=True)
+@dataclass
 class Chunk:
-    """A paragraph-derived passage of at most 200 words."""
+    """A paragraph-derived passage of at most 200 words. ``tokens``, set only when the text is
+    its whitespace tokens joined by single spaces, stay until ``filter_claim_repeats`` takes them."""
 
     page_url: str
     ordinal: int
     text: str
     word_count: int
     rerank_score: Optional[float] = None
+    tokens: Optional[list[str]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.word_count <= MAX_CHUNK_WORDS:
@@ -292,8 +287,9 @@ def chunk_page(page_text: str, page_url: str = "") -> list[Chunk]:
         tokens = paragraph.split()
         pieces = [tokens[start : start + MAX_CHUNK_WORDS] for start in range(0, len(tokens), MAX_CHUNK_WORDS)]
         for piece in pieces:
-            text = paragraph if len(pieces) == 1 else " ".join(piece)
-            chunks.append(Chunk(page_url=page_url, ordinal=ordinal, text=text, word_count=len(piece)))
+            text = " ".join(piece)
+            exact = len(pieces) > 1 or text == paragraph
+            chunks.append(Chunk(page_url, ordinal, text if exact else paragraph, len(piece), tokens=piece if exact else None))
             ordinal += 1
     return chunks
 
@@ -365,13 +361,16 @@ def filter_claim_repeats(chunk: Chunk, claim: Reference) -> Optional[Chunk]:
     chunk, no sentence in it is a repeat, and a chunk whose text is its
     tokens joined by single spaces is returned as is, unsplit. Otherwise the
     kept sentences are rejoined with single spaces, which normalises the
-    whitespace after them; an unchanged chunk is returned as is.
+    whitespace after them; an unchanged chunk is returned as is. The
+    chunk's ``tokens``, when ``chunk_page`` gave it some, stand in for
+    splitting its text, and the filter takes them off the chunk.
     """
     # The integer tests encode CLAIM_REPEAT_THRESHOLD = 4/5; they change with it.
     n = len(claim.tokens)
-    tokens = chunk.text.split()
+    given, chunk.tokens = chunk.tokens, None
+    tokens = given or chunk.text.split()
     if 3 * _shared_bound(tokens, claim) < 2 * n:
-        if tokens and " ".join(tokens) == chunk.text:
+        if given or (tokens and " ".join(tokens) == chunk.text):
             return chunk
         sentences = split_sentences(chunk.text)
     else:
@@ -392,16 +391,13 @@ def filter_claim_repeats(chunk: Chunk, claim: Reference) -> Optional[Chunk]:
 
 
 def rerank(claim: ClaimRecord, chunks: Sequence[Chunk], client: RerankClient) -> list[Chunk]:
-    """Score every chunk; order by score desc, ties by ordinal then URL."""
+    """Score every chunk in place; order by score desc, ties by ordinal then URL."""
     if not chunks:
         return []
     scores = client.score(claim.text, [chunk.text for chunk in chunks])
-    scored = [
-        Chunk(chunk.page_url, chunk.ordinal, chunk.text, chunk.word_count, score)
-        for chunk, score in zip(chunks, scores)
-    ]
-    scored.sort(key=lambda c: (-c.rerank_score, c.ordinal, c.page_url))
-    return scored
+    for chunk, score in zip(chunks, scores):
+        chunk.rerank_score = score
+    return sorted(chunks, key=lambda c: (-c.rerank_score, c.ordinal, c.page_url))
 
 
 @dataclass

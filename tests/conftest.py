@@ -191,15 +191,20 @@ class Backend:
                 status, payload, delay = backend.replies[min(len(backend.requests), len(backend.replies)) - 1]
                 time.sleep(delay)
                 data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
-                self.send_response(status)
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
+                try:
+                    self.send_response(status)
+                    self.send_header("Content-Length", str(len(data)))
+                    self.end_headers()
+                    self.wfile.write(data)
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # the client gave up waiting, as a timed-out client does
 
             def log_message(self, *args):
                 pass
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        # Non-daemon handlers, so close() waits for a delayed reply to finish.
+        self.server.daemon_threads = False
         self.url = f"http://127.0.0.1:{self.server.server_address[1]}/v1"
         self.thread = threading.Thread(target=self.server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True)
         self.thread.start()

@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from contextmeter import characteristics as ch
+from contextmeter import model
 from contextmeter.analysis import GRID_CHARACTERISTICS
 from contextmeter.errors import (
     DegenerateClaim,
@@ -501,7 +502,7 @@ class TestReliability:
             calls.append(args)
             return urlsplit(*args, **kwargs)
 
-        monkeypatch.setattr(ch, "urlsplit", counting_urlsplit)
+        monkeypatch.setattr(model, "urlsplit", counting_urlsplit)
         assert ch.unreliable_source(url, ch.ReliabilityList.default()) is expected
         assert len(calls) == 1
         assert ch.in_domains(url, {"bbc.co.uk"}) is (expected is Reliability.RELIABLE)

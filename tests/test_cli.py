@@ -127,7 +127,7 @@ STARTUP_MODULES = {f"contextmeter{name}" for name in ("", "._version", ".errors"
 STAGE_MODULES = {
     "ingest": {"ingest"},
     "recast": {"ingest"},
-    "retrieve": {"ingest", "retrieval", "characteristics", "_net"},
+    "retrieve": {"ingest", "retrieval", "_net"},
     "profile": {"ingest", "characteristics"},
     "score": {"ingest", "lm", "_net"},
     "analyze": {"analysis", "characteristics"},
@@ -641,6 +641,7 @@ class TestConfigErrors:
             "sidecar-without-mode", "sidecar-not-json", "sidecar-unknown-mode",
             "field-map-list", "field-map-section-list", "field-map-name-not-string",
             "field-map-recast-nested", "template-bad-shots", "template-body-without-claim-slot",
+            "template-body-not-utf8",
             "not-utf8-ingest", "not-utf8-recast", "not-utf8-profile", "not-utf8-replay-store",
             "not-utf8-config", "not-utf8-field-map", "not-utf8-report-artifact",
             "report-artifact-is-directory", "out-is-file", "out-under-file",
@@ -651,6 +652,8 @@ class TestConfigErrors:
             "duplicate-claim-profile", "duplicate-claim-retrieve", "write-fails",
             "fixture-bad-pub-date", "fixture-pub-date-number", "fixture-without-url", "fixture-url-number",
             "search-endpoint-name-list", "search-endpoint-endpoint-number",
+            "search-endpoint-without-scheme", "search-endpoint-without-host",
+            "rerank-endpoint-without-scheme", "provider-endpoint-without-scheme",
         ],
     )
     def test_config_error_leaves_no_run_dir(
@@ -777,6 +780,28 @@ class TestConfigErrors:
             "search-endpoint-name-list": {"name": ["web"], "endpoint": "http://127.0.0.1:9/search"},
             "search-endpoint-endpoint-number": {"name": "x", "endpoint": 5},
         }
+        # An endpoint URL that is not scheme://host, refused before any call:
+        # (config, argv, setting, URL).
+        retrieve = ["retrieve", "--claims", claims_path]
+        scheme_faults = {
+            "search-endpoint-without-scheme": (
+                {"search_endpoints": [{"name": "web", "endpoint": "127.0.0.1:9/search"}]},
+                retrieve, "search_endpoints[0].endpoint", "127.0.0.1:9/search",
+            ),
+            "search-endpoint-without-host": (
+                {"search_endpoints": [{"name": "web", "endpoint": "http:///search"}]},
+                retrieve, "search_endpoints[0].endpoint", "http:///search",
+            ),
+            "rerank-endpoint-without-scheme": (
+                {"fixture_corpus": str(fixture_corpus_dir), "rerank_endpoint": "localhost:9/rerank"},
+                retrieve, "rerank_endpoint", "localhost:9/rerank",
+            ),
+            "provider-endpoint-without-scheme": (
+                {"provider_endpoint": "localhost:9/v1", "provider_id": "m"},
+                ["score", "--claims", claims_path, "--evidence", evidence_path, *builtin_templates],
+                "provider_endpoint", "localhost:9/v1",
+            ),
+        }
         # case: (exit code, {input file: content}, argv)
         cases = {
             "no-templates": (2, {}, ["score", "--claims", claims_path, "--evidence", evidence_path]),
@@ -825,6 +850,11 @@ class TestConfigErrors:
             "template-body-without-claim-slot": (
                 1,
                 {sidecar: json.dumps(valid_sidecar), templates / "claim-0shot.txt": "Is it true? Answer:"},
+                score_with_templates,
+            ),
+            "template-body-not-utf8": (
+                1,
+                {sidecar: json.dumps(valid_sidecar), templates / "claim-0shot.txt": b"Claim: {claim}\n\xff"},
                 score_with_templates,
             ),
             "not-utf8-ingest": (1, {bad: not_utf8}, ["ingest", "--claims", bad, "--evidence", evidence_path]),
@@ -888,6 +918,10 @@ class TestConfigErrors:
                 )
                 for case, entry in endpoint_faults.items()
             },
+            **{
+                case: (2, {config: json.dumps(settings)}, [*argv, "--config", config])
+                for case, (settings, argv, _, _) in scheme_faults.items()
+            },
         }
         expected_code, files, argv = cases[case]
         for path, text in files.items():
@@ -920,6 +954,12 @@ class TestConfigErrors:
         if case.startswith("field-map-"):
             assert payload["error"] == "ConfigError"
             assert f"field map {field_map} must be an object of" in payload["message"]
+        elif case == "template-body-not-utf8":
+            body = templates / "claim-0shot.txt"
+            assert payload == {
+                "error": "InvariantViolation",
+                "message": f"template_id: invalid template 'claim-0shot' ({body}): not UTF-8: invalid start byte",
+            }
         elif case.startswith(("sidecar-", "template-")):
             assert payload["error"] == "InvariantViolation"
             assert f"invalid template 'claim-0shot' ({sidecar}): " in payload["message"]
@@ -958,6 +998,9 @@ class TestConfigErrors:
                 "error": "ConfigError",
                 "message": f"search_endpoints entries need a string name and endpoint, got {endpoint_faults[case]!r}",
             }
+        elif case in scheme_faults:
+            _, _, setting, url = scheme_faults[case]
+            assert payload == {"error": "ConfigError", "message": f"{setting} must be a scheme://host URL, got {url!r}"}
         elif expected_code == 1:
             assert payload["error"] == "ParseError"
             assert re.search(r"\.jsonl?:\d+: ", payload["message"])

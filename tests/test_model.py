@@ -28,7 +28,9 @@ from contextmeter.model import (
     VerdictProbabilities,
     canonical_json,
     encode_line,
+    _host_in,
     fallback_id,
+    in_domains,
     read_json,
     read_jsonl,
     word_count,
@@ -649,3 +651,34 @@ class TestReadJsonlMissingFile:
             list(read_jsonl(path))
         assert exc_info.value.line_no == 0
         assert str(path) in str(exc_info.value)
+
+
+def linear_host_in(host, domains):
+    """The per-domain rule that the suffix lookup replaced, kept as the reference."""
+    return any(host == domain or host.endswith("." + domain) for domain in domains)
+
+
+class UniterableDomains(frozenset):
+    def __iter__(self):
+        raise AssertionError("the lookup iterated the domain list")
+
+
+#: Labels in either case and empty ones, which make leading, trailing and doubled dots.
+LABELS = st.sampled_from(["a", "b", "co", "uk", "example", "Example", "CO", ""])
+HOST_NAMES = st.lists(LABELS, min_size=1, max_size=4).map(".".join)
+
+
+class TestDomainLookup:
+    @given(host=HOST_NAMES, domains=st.lists(HOST_NAMES, max_size=6))
+    def test_suffix_lookup_matches_the_linear_rule(self, host, domains):
+        assert _host_in(host, frozenset(domains)) is linear_host_in(host, domains)
+        assert _host_in(host, dict.fromkeys(domains, "flag")) is linear_host_in(host, domains)
+
+    @pytest.mark.parametrize(
+        "host, expected",
+        [("news.bbc.co.uk", True), ("bbc.co.uk", True), ("notbbc.co.uk", False), ("co.uk", False), ("", False)],
+    )
+    def test_lookup_does_not_walk_the_list(self, host, expected):
+        domains = UniterableDomains({"bbc.co.uk", "example.org"})
+        assert _host_in(host, domains) is expected
+        assert in_domains(f"https://{host}/a", domains) is expected

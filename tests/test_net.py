@@ -2,6 +2,8 @@
 loopback HTTP server."""
 
 import socket
+import struct
+import time
 
 import pytest
 
@@ -65,6 +67,22 @@ def test_timeout_is_retried(serve):
     backend = serve((200, {"late": True}, 0.6), (200, {"ok": True}))
     assert call(backend.url, timeout=0.2) == {"ok": True}
     assert len(backend.requests) == 2
+
+
+def test_reply_to_a_client_that_hung_up_prints_nothing(serve, capfd):
+    backend = serve((200, {"late": True}, 0.3))
+    port = backend.server.server_address[1]
+    body = b'{"q": "x"}'
+    with socket.create_connection(("127.0.0.1", port)) as client:
+        client.sendall(b"POST /v1 HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body))
+        deadline = time.monotonic() + 5
+        while not backend.requests and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert backend.requests
+        # Linger 0: closing resets the connection before the reply is written.
+        client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    backend.close()
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_closed_port_is_retried(monkeypatch):

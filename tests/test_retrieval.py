@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from datetime import date
 from fractions import Fraction
 from pathlib import Path
@@ -696,3 +697,106 @@ class TestPipeline:
         second, trace_b = rt.run_pipeline(claim, engines, rt.LexicalOverlapReranker())
         assert first == second
         assert trace_a == trace_b
+
+
+def splitting_chunk_page(page_text, page_url=""):
+    """``chunk_page`` without tokens: every chunk leaves the filter to split its text."""
+    chunks = []
+    for paragraph in map(str.strip, re.split(r"\n\s*\n", page_text)):
+        tokens = paragraph.split()
+        pieces = [tokens[start : start + rt.MAX_CHUNK_WORDS] for start in range(0, len(tokens), rt.MAX_CHUNK_WORDS)]
+        for piece in pieces:
+            text = paragraph if len(pieces) == 1 else " ".join(piece)
+            chunks.append(Chunk(page_url=page_url, ordinal=len(chunks), text=text, word_count=len(piece)))
+    return chunks
+
+
+def splitting_filter(chunk, claim):
+    """The claim-repeat rule on every sentence, by the DP LCS."""
+    kept = [s for s in rt.split_sentences(chunk.text) if kept_by_the_rule(s, " ".join(claim.tokens))]
+    if not kept:
+        return None
+    text = " ".join(kept)
+    return chunk if text == chunk.text else Chunk(chunk.page_url, chunk.ordinal, text, len(text.split()))
+
+
+class PageEngine:
+    name = "pages"
+
+    def __init__(self, pages):
+        self.pages = pages
+
+    def search(self, query):
+        return [
+            SearchResult(url=url, rank_per_engine=((self.name, rank),), fetched_text=text, pub_date=pub_date)
+            for rank, (url, pub_date, text) in enumerate(self.pages, start=1)
+        ]
+
+
+PAGE_WORDS = ["The", "red", "lighthouse", "Gull", "Island", "built", "1932.", "cove", "old!", "birds?", "Ünïcode"]
+#: ASCII and non-ASCII whitespace that ``str.split`` splits at, single spaces weighted up.
+PAGE_GAPS = [" "] * 6 + [
+    "  ", "\n", " \n ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2003", "\u3000",
+]
+PARAGRAPHS = st.one_of(
+    st.lists(st.tuples(st.sampled_from(PAGE_WORDS), st.sampled_from(PAGE_GAPS)), min_size=1, max_size=40).map(
+        lambda pairs: "".join(word + gap for word, gap in pairs)
+    ),
+    st.tuples(st.integers(201, 450), st.sampled_from(PAGE_GAPS)).map(
+        lambda size_gap: size_gap[1].join(PAGE_WORDS[i % len(PAGE_WORDS)] for i in range(size_gap[0]))
+    ),
+    st.just(CLAIM_TEXT),
+    st.sampled_from(PAGE_WORDS).map(lambda word: f"{word} cove. {CLAIM_TEXT}  Old birds!"),
+)
+
+
+class TestTokensHandedToTheFilter:
+    @given(
+        pages=st.lists(
+            st.tuples(
+                st.lists(PARAGRAPHS, min_size=1, max_size=6),
+                st.sampled_from(["\n\n", "\n \n", "\n\t\n\n", "\n\xa0\n"]),
+                st.sampled_from([None, date(2019, 5, 1), date(2021, 5, 1)]),
+            ),
+            min_size=1, max_size=5,
+        )
+    )
+    @example(pages=[([CLAIM_TEXT + " " + " ".join(["cove"] * 300)], "\n\n", None)])
+    def test_pipeline_matches_a_splitting_oracle(self, pages):
+        claim = lighthouse_claim()
+        engine = PageEngine([
+            (f"https://{'www.' if i % 2 else ''}p{i}.example.org/a", pub_date, separator.join(paragraphs))
+            for i, (paragraphs, separator, pub_date) in enumerate(pages)
+        ])
+        reference = rt.Reference.of(claim.text)
+        for url, _, text in engine.pages:
+            for chunk in rt.chunk_page(text, url):
+                assert chunk.tokens is None or " ".join(chunk.tokens) == chunk.text
+                filtered = rt.filter_claim_repeats(chunk, reference)
+                assert chunk.tokens is None
+                assert filtered is None or filtered.tokens is None
+        domains = frozenset({"p1.example.org", "example.org"})
+        actual = rt.run_pipeline(claim, [engine], rt.LexicalOverlapReranker(), domains)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rt, "chunk_page", splitting_chunk_page)
+            patch.setattr(rt, "filter_claim_repeats", splitting_filter)
+            assert actual == rt.run_pipeline(claim, [engine], rt.LexicalOverlapReranker(), domains)
+
+    def test_every_piece_of_a_long_paragraph_carries_tokens(self):
+        text = "\t".join(f"w{i}" for i in range(450))
+        chunks = rt.chunk_page(text, "u")
+        assert [chunk.tokens for chunk in chunks] == [text.split()[i : i + 200] for i in (0, 200, 400)]
+        assert rt.chunk_page("two\tw0rds", "u")[0].tokens is None
+
+    def test_a_rewritten_chunk_keeps_no_tokens(self):
+        text = f"Old cove. {CLAIM_TEXT} Birds nest."
+        chunk, = rt.chunk_page(text, "u")
+        assert chunk.tokens == text.split()
+        filtered = rt.filter_claim_repeats(chunk, rt.Reference.of(CLAIM_TEXT))
+        assert (filtered.text, filtered.word_count, filtered.tokens) == ("Old cove. Birds nest.", 4, None)
+
+    def test_rerank_scores_the_chunks_it_is_given(self):
+        chunks = rt.chunk_page("island red\n\nsoup", "u")
+        ranked = rt.rerank(lighthouse_claim(), chunks, rt.LexicalOverlapReranker())
+        assert [id(c) for c in ranked] == [id(c) for c in chunks]
+        assert [c.rerank_score for c in ranked] == [pytest.approx(0.2), 0.0]
