@@ -6,6 +6,7 @@ import json
 import time
 from contextlib import contextmanager
 from typing import Iterator, Optional
+from urllib.parse import urlsplit
 
 from .model import _ROW_DECODER
 
@@ -26,8 +27,15 @@ def post_json(
     and a reply that is not JSON are retried, while 4xx and a JSON reply that
     is not an object or holds NaN, Infinity or 1e999 fail fast.
 
-    Every failure is raised as ``error_cls(message)``.
+    Every failure is raised as ``error_cls(message)``, one for a URL that is
+    not ``http(s)://host`` before any attempt.
     """
+    try:  # a malformed IPv6 host or port is a ValueError too
+        parts = urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname or parts.port == 0:
+            raise ValueError
+    except ValueError:
+        raise error_cls(f"{url!r} is not an http(s)://host URL") from None
     # Imported on first use: the HTTP stack (email, ssl, socket) adds ~33 ms to every start-up.
     import http.client
     import urllib.error
@@ -47,7 +55,7 @@ def post_json(
                 raise error_cls(f"{url} returned {exc.code}") from None
             last_error = error_cls(f"{url} returned {exc.code}")
         except (OSError, http.client.HTTPException, ValueError) as exc:
-            # URLError and timeouts are OSErrors, a malformed URL is a ValueError.
+            # URLError and timeouts are OSErrors, a header urllib refuses a ValueError.
             last_error = exc
         else:
             try:

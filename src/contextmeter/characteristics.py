@@ -12,10 +12,11 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     DegenerateClaim,
@@ -225,6 +226,7 @@ class HedgeLexicon:
     hedging_discourse_markers: frozenset[str]
 
     @classmethod
+    @cache  # read once per process
     def default(cls) -> "HedgeLexicon":
         return cls(
             hedge_words=_read_lexicon_file(_data_path("hedges.txt")),
@@ -270,23 +272,19 @@ class ReliabilityList:
     the coverage universe but unflagged; unknown otherwise.
     """
 
-    flagged: dict[str, str] = field(default_factory=dict)
+    flagged: Mapping[str, str] = field(default_factory=dict)
     coverage: frozenset[str] = frozenset()
 
     @classmethod
+    @cache  # read once per process, with ``flagged`` read-only
     def default(cls) -> "ReliabilityList":
         directory = _data_path("reliability")
         flagged: dict[str, str] = {}
         for category in ("questionable", "conspiracy_pseudoscience", "satire"):
-            path = directory / f"{category}.txt"
-            if path.exists():
-                for domain in _read_lexicon_file(path):
-                    flagged[domain] = category
-        coverage = set(flagged)
-        coverage_path = directory / "coverage.txt"
-        if coverage_path.exists():
-            coverage |= _read_lexicon_file(coverage_path)
-        return cls(flagged=flagged, coverage=frozenset(coverage))
+            for domain in _read_lexicon_file(directory / f"{category}.txt"):
+                flagged[domain] = category
+        coverage = _read_lexicon_file(directory / "coverage.txt") | set(flagged)
+        return cls(flagged=MappingProxyType(flagged), coverage=frozenset(coverage))
 
 
 def unreliable_source(url: str, lists: ReliabilityList) -> Reliability:

@@ -27,6 +27,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -582,6 +583,7 @@ _FLAGS = (
 )
 
 
+@cache  # one parser per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="contextmeter",

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
-from typing import Any, Optional
+from types import MappingProxyType
+from typing import Any, Mapping, Optional
 
 from importlib import resources
 
@@ -35,14 +37,15 @@ from .model import (
 )
 
 
-def verdict_table() -> dict[str, ClaimVerdict]:
-    """Raw fact-checker verdict labels mapped to {True, Half-true, False}.
+@cache
+def verdict_table() -> Mapping[str, ClaimVerdict]:
+    """Raw fact-checker verdict labels mapped to {True, Half-true, False}, read once and read-only.
 
     Labels absent from the table mean "drop the claim", per the mapping
     table's caption.
     """
     path = resources.files("contextmeter") / "data" / "verdict_mapping.json"
-    return {label: ClaimVerdict(target) for label, target in read_json(path).items()}
+    return MappingProxyType({label: ClaimVerdict(target) for label, target in read_json(path).items()})
 
 
 @dataclass

@@ -91,11 +91,15 @@ class PromptMode(str, Enum):
 
 #: One encoder for every call; ``json.dumps`` with keywords builds one per call.
 _ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"), allow_nan=False)
+#: ``_ENCODER``'s C encoder, made once (``encode`` makes one per call). With no
+#: markers dict it keeps no state between calls; None without ``_json``.
+_C_ENCODER = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, _ENCODER.default, json.encoder.encode_basestring, None, ":", ",", True, False, False)
 
 
 def canonical_json(obj: Any) -> str:
     """Serialize with sorted keys and fixed separators (byte-stable); NaN or Infinity is a ValueError."""
-    return _ENCODER.encode(obj)
+    return "".join(_C_ENCODER(obj, 0)) if _C_ENCODER else _ENCODER.encode(obj)
 
 
 def fallback_id(*parts: str) -> str:

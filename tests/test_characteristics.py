@@ -454,6 +454,14 @@ class TestHedging:
 
 
 class TestReliability:
+    def test_bundled_data_is_read_once_and_read_only(self):
+        lists = ch.ReliabilityList.default()
+        assert ch.ReliabilityList.default() is lists
+        assert ch.HedgeLexicon.default() is ch.HedgeLexicon.default()
+        with pytest.raises(TypeError):
+            lists.flagged["bbc.co.uk"] = "satire"
+        assert ch.unreliable_source("https://www.bbc.co.uk/news", ch.ReliabilityList.default()) is Reliability.RELIABLE
+
     def test_flagged_domain(self):
         lists = ch.ReliabilityList.default()
         assert (

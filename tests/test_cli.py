@@ -343,6 +343,39 @@ class TestRunContract:
         assert [r["config"]["max_concurrency"] for r in resolved] == [1, 4, 8]
         assert len({r["config"]["out_dir"] for r in resolved}) == 3
 
+    def test_in_process_reuse_keeps_no_state(self, druid_fixture_paths, tmp_path, capsys):
+        """One interpreter runs a command, ``--version``, a usage error, the
+        command with other flags and the first command again: each run's
+        files equal those of the same command in a fresh interpreter."""
+        claims_path, evidence_path = druid_fixture_paths
+        first = ["ingest", "--claims", claims_path, "--evidence", evidence_path, "--out", tmp_path]
+        other = [*first, "--acu-form", "mean", "--dataset", "druid", "--max-concurrency", "1"]
+
+        def files(run_dir: Path) -> dict[str, bytes]:
+            return {path.name: path.read_bytes() for path in run_dir.iterdir()}
+
+        def in_process(argv) -> dict[str, bytes]:
+            code, stdout, stderr = run_cli(*map(str, argv))
+            assert code == 0, stderr
+            return files(run_dir_of(stdout))
+
+        def fresh(argv) -> dict[str, bytes]:
+            code, output, _, stderr = probe_cli(*argv)
+            assert code == 0, stderr
+            return files(run_dir_of(output[-1]))
+
+        runs = [in_process(first)]
+        for argv, code in ((["--version"], 0), (["ingest", "--max-concurrency", "many"], 2)):
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv)
+            assert info.value.code == code
+        runs += [in_process(other), in_process(first)]
+        assert cli.build_parser() is cli.build_parser()
+        expected = fresh(first), fresh(other)
+        assert expected[0] != expected[1]
+        assert runs == [expected[0], expected[1], expected[0]]
+        assert "invalid int value: 'many'" in capsys.readouterr().err
+
     def test_version_flag_prints_package_version(self):
         proc = subprocess.run(
             [sys.executable, "-m", "contextmeter.cli", "--version"],

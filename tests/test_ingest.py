@@ -43,6 +43,13 @@ class TestVerdictMapping:
         assert table.get("Pants on Fire!") is None
         assert table.get("") is None
 
+    def test_table_is_read_once_and_read_only(self):
+        table = ing.verdict_table()
+        assert ing.verdict_table() is table
+        with pytest.raises(TypeError):
+            table["Pants on Fire!"] = ClaimVerdict.FALSE
+        assert "Pants on Fire!" not in ing.verdict_table()
+
 
 class TestLoadDruid:
     def test_fixture_statistics(self, druid_fixture_paths):

@@ -1,6 +1,9 @@
 """Invariants and canonical serialization of the core record types."""
 
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from datetime import date
 
 import pytest
@@ -375,6 +378,32 @@ class TestReadJson:
         assert str(exc_info.value).startswith(f"{path}:0: cannot open: ")
 
 
+def stdlib_encoder() -> json.JSONEncoder:
+    """A new encoder with canonical_json's settings, built as ``json.dumps`` builds one."""
+    return json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+#: Text with non-ASCII letters, control characters, the characters JSON
+#: escapes, and U+2028 and U+2029, which the encoder writes as they are.
+JSON_TEXT = st.text(
+    st.characters() | st.sampled_from(["\u2028", "\u2029", "\x00", "\x1f", "\x7f", '"', "\\", "é", "\U0001f600"])
+)
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**63, -(2**64), 10**40])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 1.7976931348623157e308])
+    | JSON_TEXT
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(JSON_TEXT, children, max_size=4),
+    max_leaves=24,
+)
+
+
 class TestHelpers:
     def test_canonical_json_sorted_and_compact(self):
         assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
@@ -383,6 +412,49 @@ class TestHelpers:
     def test_canonical_json_refuses_what_json_cannot_hold(self, value):
         with pytest.raises(ValueError, match="not JSON compliant"):
             canonical_json({"a": [value]})
+
+    @given(JSON_VALUES)
+    def test_canonical_json_matches_a_fresh_stdlib_encoder(self, value):
+        assert canonical_json(value) == stdlib_encoder().encode(value)
+
+    @pytest.mark.parametrize(
+        "value", [{"a": [1, object()]}, {"b": {"c": {1, 2}}}, b"bytes"], ids=["object", "set", "bytes"]
+    )
+    def test_value_json_cannot_hold_raises_the_stdlib_type_error(self, value):
+        with pytest.raises(TypeError) as ours:
+            canonical_json(value)
+        with pytest.raises(TypeError) as stdlib:
+            stdlib_encoder().encode(value)
+        assert str(ours.value) == str(stdlib.value)
+        assert str(ours.value).endswith("is not JSON serializable")
+        assert getattr(ours.value, "__notes__", None) == getattr(stdlib.value, "__notes__", None)
+
+    def test_a_failed_encode_leaves_the_next_one_unchanged(self):
+        value = {"a": [1.5, {"b": "c"}]}
+        for refused in ({"a": [float("nan")]}, [object()]):
+            with pytest.raises((ValueError, TypeError)):
+                canonical_json(refused)
+            assert canonical_json(value) == '{"a":[1.5,{"b":"c"}]}'
+
+    def test_four_threads_encode_identical_bytes(self):
+        values = [
+            {"id": i, "text": "é\u2028\x00" * (i % 7), "nested": [i, -0.0, 1e16, {"z": None, "a": True}]}
+            for i in range(300)
+        ]
+        expected = [stdlib_encoder().encode(value) for value in values]
+        start = threading.Barrier(4)
+
+        def encode_all(_):
+            start.wait(timeout=30)
+            return [canonical_json(value) for value in values]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                assert list(pool.map(encode_all, range(4), timeout=60)) == [expected] * 4
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_fallback_id_deterministic(self):
         assert fallback_id("a", "b") == fallback_id("a", "b")

@@ -96,6 +96,46 @@ def test_closed_port_is_retried(monkeypatch):
     assert sleeps == [0, 0]
 
 
+#: URLs urllib cannot open on any attempt; every host is the loopback one.
+UNOPENABLE_URLS = {
+    "no-scheme": "127.0.0.1:9/v1",
+    "no-scheme-host-name": "localhost:9/v1",
+    "other-scheme": "ftp://127.0.0.1/v1",
+    "no-host": "http:///v1",
+    "unclosed-ipv6-host": "http://[::1/v1",
+    "port-not-a-number": "http://127.0.0.1:abc/v1",
+    "port-out-of-range": "http://127.0.0.1:99999/v1",
+    "port-zero": "https://127.0.0.1:0/v1",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("url", UNOPENABLE_URLS.values(), ids=UNOPENABLE_URLS)
+def test_url_it_cannot_open_fails_at_once(monkeypatch, url):
+    sleeps = []
+    monkeypatch.setattr("contextmeter._net.time.sleep", sleeps.append)
+    with pytest.raises(SearchBackendError, match=r"is not an http\(s\)://host URL$"):
+        call(url)
+    assert sleeps == []
+
+
+@pytest.mark.parametrize(
+    ("call_client", "error"),
+    [
+        (lambda url: retrieval.HttpSearchClient(url, name="web").search("q"), SearchBackendError),
+        (lambda url: retrieval.HttpRerankClient(url).score("q", ["text"]), RerankBackendError),
+        (lambda url: lm.HttpLogprobProvider(url, "m").next_token_distribution("p"), ProviderError),
+    ],
+    ids=["search", "rerank", "provider"],
+)
+def test_client_built_in_code_with_a_scheme_less_url_fails_at_once(monkeypatch, call_client, error):
+    sleeps = []
+    monkeypatch.setattr("contextmeter._net.time.sleep", sleeps.append)
+    with pytest.raises(error, match="is not an http"):
+        call_client("localhost:9/v1")
+    assert sleeps == []
+
+
 def test_headers_reach_the_server(serve):
     backend = serve((200, {}))
     call(backend.url, headers={"Authorization": "Bearer t0k"})
