@@ -32,11 +32,15 @@ logger = logging.getLogger(__name__)
 
 #: Every ASCII byte that is neither a letter, a digit nor whitespace.
 _NON_WORD_BYTES = bytes(code for code in range(128) if not (chr(code).isalnum() or chr(code).isspace()))
+#: Every ASCII byte that is not a letter.
+_NON_LETTER_BYTES = bytes(code for code in range(128) if not chr(code).isalpha())
+#: A ``bytes.translate`` table that keeps the vowels (aeiouy) and makes every other byte a space.
+_VOWEL_BYTES = bytes(code if chr(code) in "aeiouy" else 32 for code in range(256))
 #: A sentence part holding a letter or digit: ``[^\W_]`` is ``str.isalnum``.
 _SENTENCE_RE = re.compile(r"[^\W_][^.!?]*")
-_VOWEL_RUN_RE = re.compile(r"[aeiouy]+")
-_TRUE_WORD_RE = re.compile(r"\bTrue\b")
-_FALSE_WORD_RE = re.compile(r"\bFalse\b")
+#: With ``_NON_SENTENCE_BYTES`` deleted: "a" for a letter or digit, "." for a sentence end (".", "!", "?").
+_SENTENCE_BYTES = bytes(97 if chr(code).isalnum() else 46 for code in range(256))
+_NON_SENTENCE_BYTES = bytes(code for code in range(128) if not (chr(code).isalnum() or chr(code) in ".!?"))
 
 
 class TextView(NamedTuple):
@@ -95,16 +99,37 @@ def repeats_claim(claim: TextView, evidence: TextView) -> bool:
 def count_syllables(word: str) -> int:
     """Deterministic syllable heuristic: count vowel groups (aeiouy), subtract
     one for a silent trailing 'e' (unless the word ends in 'le'), minimum 1
-    for a word with letters. A word without letters, such as "1932", has 0."""
-    letters = word.lower()
-    if not letters.isalpha():
-        letters = "".join(filter(str.isalpha, letters))
-        if not letters:
-            return 0
-    groups = len(_VOWEL_RUN_RE.findall(letters))
-    if groups > 1 and letters.endswith("e") and not letters.endswith("le"):
+    for a word with letters. A word without letters, such as "1932", has 0.
+
+    The letters are lowercased bytes; in UTF-8 a non-ASCII letter is bytes
+    past ASCII, never a vowel or an 'e', so it splits vowel groups."""
+    if word.isascii():
+        letters = word.encode("ascii").translate(_LOWER_BYTES, _NON_LETTER_BYTES)
+    else:
+        letters = "".join(filter(str.isalpha, word.lower())).encode()
+    if not letters:
+        return 0
+    groups = len(letters.translate(_VOWEL_BYTES).split())
+    if groups > 1 and letters.endswith(b"e") and not letters.endswith(b"le"):
         groups -= 1
     return max(groups, 1)
+
+
+class SyllableMemo(dict):
+    """Word → syllable count, filled on lookup: a missing word is counted
+    once, by ``count_syllables``, and kept."""
+
+    def __missing__(self, word: str) -> int:
+        self[word] = count = count_syllables(word)
+        return count
+
+
+def _sentence_count(text: str) -> int:
+    """The number of sentence parts ('.', '!' or '?' ends one) holding a letter or digit."""
+    if text.isascii():
+        marks = text.encode("ascii").translate(_SENTENCE_BYTES, _NON_SENTENCE_BYTES)
+        return marks.count(b".a") + marks.startswith(b"a")
+    return len(_SENTENCE_RE.findall(text))
 
 
 def flesch_reading_ease(text: str, syllables: dict[str, int]) -> float:
@@ -113,8 +138,9 @@ def flesch_reading_ease(text: str, syllables: dict[str, int]) -> float:
     Words are whitespace tokens containing at least one letter or digit;
     sentences are runs terminated by '.', '!' or '?' (minimum one).
     ``syllables`` memoizes the syllable count of each word, keyed by its
-    letters and digits (lowercased in ASCII text); a batch passes one dict
-    to every call.
+    letters and digits (lowercased in ASCII text); a batch passes one memo
+    to every call. A ``SyllableMemo`` counts each missing word as it is
+    read; a plain dict gets the missing words' counts added first.
     """
     if text.isascii():
         tokens = text.encode("ascii").translate(_LOWER_BYTES, _NON_WORD_BYTES).decode("ascii").split()
@@ -122,10 +148,11 @@ def flesch_reading_ease(text: str, syllables: dict[str, int]) -> float:
         tokens = [word for token in text.split() if (word := _TOKEN_SPLIT_RE.sub("", token))]
     if not tokens:
         raise DegenerateText("no countable words")
-    for token in set(tokens).difference(syllables):
-        syllables[token] = count_syllables(token)
+    if not isinstance(syllables, SyllableMemo):
+        for token in set(tokens).difference(syllables):
+            syllables[token] = count_syllables(token)
     # A word holds a letter or digit, so at least one sentence part does.
-    n_sentences = len(_SENTENCE_RE.findall(text))
+    n_sentences = _sentence_count(text)
     n_words = len(tokens)
     n_syllables = sum(map(syllables.__getitem__, tokens))
     return 206.835 - 1.015 * (n_words / n_sentences) - 84.6 * (n_syllables / n_words)
@@ -297,12 +324,22 @@ def unreliable_source(url: str, lists: ReliabilityList) -> Reliability:
     return Reliability.UNKNOWN
 
 
+def _has_word(text: str, word: str) -> bool:
+    """Whether ``word`` occurs with no word character (``str.isalnum`` or "_")
+    next to it on either side: ``re``'s ``\\b`` rule for ``str`` patterns."""
+    at = text.find(word)
+    while at >= 0:
+        end = at + len(word)
+        before, after = text[at - 1 : at], text[end : end + 1]
+        if not (before.isalnum() or before == "_" or after.isalnum() or after == "_"):
+            return True
+        at = text.find(word, at + 1)
+    return False
+
+
 def verdict_word_flags(text: str) -> tuple[bool, bool]:
     """Whole-word, case-sensitive detection of "True" and "False"."""
-    return (
-        "True" in text and bool(_TRUE_WORD_RE.search(text)),
-        "False" in text and bool(_FALSE_WORD_RE.search(text)),
-    )
+    return _has_word(text, "True"), _has_word(text, "False")
 
 
 # -- per-sample vector and corpus profile ----------------------------------------------
@@ -381,7 +418,7 @@ def profile(
     lexicon = lexicon or HedgeLexicon.default()
     reliability = reliability or ReliabilityList.default()
     claim_views: dict[str, tuple[TextView, list[TextView]]] = {}
-    syllables: dict[str, int] = {}
+    syllables = SyllableMemo()
     vectors = []
     for claim, evidence in pairs:
         if claim.text not in claim_views:

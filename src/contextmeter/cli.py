@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -96,7 +97,9 @@ class RunConfig(Record):
     def __post_init__(self) -> None:
         if self.acu_form not in metrics.ACU_FORMS:
             raise ConfigError(f"acu_form must be one of {metrics.ACU_FORMS}, got {self.acu_form!r}")
-        if self.max_concurrency <= 0:
+        if self.max_concurrency < 0:
+            raise ConfigError(f"max_concurrency must be 0 (the CPU count) or more, got {self.max_concurrency}")
+        if self.max_concurrency == 0:
             self.max_concurrency = os.cpu_count() or 1
         # Checked before any call: a URL without a scheme would fail every retry.
         endpoints = {"provider_endpoint": self.provider_endpoint, "rerank_endpoint": self.rerank_endpoint}
@@ -162,11 +165,13 @@ def write_run(config: RunConfig, command: str, artifacts: Artifacts) -> Path:
     run_dir = base / name
     try:
         base.mkdir(parents=True, exist_ok=True)
-        suffix = 1
-        while run_dir.exists():
-            run_dir = base / f"{name}-{suffix}"
-            suffix += 1
-        run_dir.mkdir()
+        # A run of the same config in the same second takes the next free suffix.
+        for suffix in itertools.count(1):
+            try:
+                run_dir.mkdir()
+                break
+            except FileExistsError:
+                run_dir = base / f"{name}-{suffix}"
     except OSError as exc:
         raise ConfigError(f"cannot create a run directory under {base}: {exc}") from exc
     try:

@@ -271,8 +271,8 @@ def oracle_flesch_reading_ease(text, syllables):
 # ``str.split`` splits at, and non-ASCII letters, digits and numerals whose
 # lowercase differs in length or is context-dependent (İ, Σ).
 ASCII_PIECES = [
-    "cake", "little", "le", "e", "The", "queue", "rhythm", "Agreed", "1932", "x1e", "_", "-", "'",
-    ".", "!", "?", "...", " ", "\n", "\x0b", "\x1c",
+    "cake", "cake2", "little", "le", "e", "The", "queue", "rhythm", "Agreed", "1932", "x1e", "_", "-", "'",
+    ".", "!", "?", "...", " ", "\n", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f",
 ]
 OTHER_PIECES = ["état", "ÉTÉ", "ß", "İle", "ΑΣ", "٣", "²", "½", "Ⅻ", "\u3000"]
 FLESCH_TEXT = st.one_of(
@@ -290,9 +290,20 @@ class TestReadabilityMatchesOracles:
     def test_count_syllables(self, word):
         assert ch.count_syllables(word) == oracle_count_syllables(word)
 
+    @given(word=st.one_of(
+        st.text(st.characters(max_codepoint=127)),
+        st.lists(st.sampled_from(ASCII_PIECES), max_size=8).map("".join),
+    ))
+    @example("x1e")
+    @example("cake2")
+    @example("Le")
+    def test_count_syllables_on_ascii_words(self, word):
+        assert ch.count_syllables(word) == oracle_count_syllables(word)
+
     @given(text=FLESCH_TEXT)
+    @example("\x1d.a!\x1f?1")
     def test_sentence_count(self, text):
-        assert len(ch._SENTENCE_RE.findall(text)) == len(oracle_sentence_parts(text))
+        assert ch._sentence_count(text) == len(oracle_sentence_parts(text))
 
     @given(texts=st.lists(FLESCH_TEXT, max_size=5))
     @example(["Cake. _ !", "Cake\x1ccake, cake-le."])
@@ -308,6 +319,18 @@ class TestReadabilityMatchesOracles:
                 continue
             assert ch.flesch_reading_ease(text, syllables) == expected
         assert all(count == oracle_count_syllables(key) for key, count in syllables.items())
+
+    @given(texts=st.lists(FLESCH_TEXT, max_size=5))
+    @example(["Cake. _ !", "Cake\x1ccake, cake-le.", "ΑΣ İle. ½ _! ²"])
+    def test_a_self_filling_memo_gives_what_a_plain_dict_gives(self, texts):
+        plain, memo = {}, ch.SyllableMemo()
+        for text in texts:
+            try:
+                expected = ch.flesch_reading_ease(text, plain)
+            except DegenerateText:
+                continue
+            assert ch.flesch_reading_ease(text, memo) == expected
+        assert memo == plain
 
 
 class TestReadability:
@@ -553,7 +576,15 @@ class TestVerdictWords:
     def test_word_characters_next_to_the_word(self, text, expected):
         assert ch.verdict_word_flags(text) == expected
 
-    @given(text=st.lists(st.sampled_from(["True", "False", "Un", "_", "1", "é", " ", ".", "\n"]), max_size=8).map("".join))
+    @given(text=st.one_of(
+        st.text(),
+        st.lists(st.sampled_from(["True", "False", "Un", "_", "1", "é", " ", ".", "\n"]), max_size=8).map("".join),
+        st.lists(st.sampled_from(
+            ["True", "False", "TrueTrue", "x1e", "2", "e", "le", "_", "é", "½", "\x1c", "\x1d", "\x1e", "\x1f", " "]
+        ), max_size=8).map("".join),
+    ))
+    @example("TrueTrue True")
+    @example("FalseFalse_False")
     def test_matches_the_word_regex(self, text):
         assert ch.verdict_word_flags(text) == (
             re.search(r"\bTrue\b", text) is not None,

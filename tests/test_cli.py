@@ -317,6 +317,29 @@ class TestRunContract:
         for name in ("characteristics.jsonl", "profile.json", "resolved_config.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    def test_run_dir_taken_just_before_it_is_made_gets_the_next_suffix(
+        self, druid_fixture_paths, tmp_path, monkeypatch
+    ):
+        """Another run of the same config, started in the same second, makes
+        the run directory between this run's choice of name and its mkdir."""
+        claims_path, evidence_path = druid_fixture_paths
+        out = tmp_path / "runs"
+        original, taken = Path.mkdir, []
+
+        def mkdir_after_a_rival(path, *args, **kwargs):
+            if path.parent == out and not taken:
+                taken.append(path)
+                original(path)
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", mkdir_after_a_rival)
+        code, stdout, stderr = run_cli(
+            "ingest", "--claims", str(claims_path), "--evidence", str(evidence_path), "--out", str(out)
+        )
+        assert code == 0, stderr
+        assert run_dir_of(stdout) == out / f"{taken[0].name}-1"
+        assert sorted(out.iterdir()) == [taken[0], out / f"{taken[0].name}-1"]
+
     @pytest.mark.parametrize("command", ["profile", "score", "retrieve"])
     def test_out_root_and_concurrency_leave_artifacts_unchanged(
         self, druid_fixture_paths, fixture_corpus_dir, replay_store, tmp_path, command
@@ -562,6 +585,29 @@ class TestConfigErrors:
             f"{config}:1: {refusal}",
         )
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config file"])
+    def test_negative_max_concurrency(self, druid_fixture_paths, tmp_path, source):
+        claims_path, evidence_path = druid_fixture_paths
+        config = tmp_path / "run.json"
+        config.write_text('{"max_concurrency": -3}\n')
+        setting = ["--max-concurrency", "-3"] if source == "flag" else ["--config", str(config)]
+        out = tmp_path / "runs"
+        self.assert_config_error(
+            ["ingest", *setting, "--claims", str(claims_path), "--evidence", str(evidence_path), "--out", str(out)],
+            "max_concurrency must be 0 (the CPU count) or more, got -3",
+        )
+        assert not out.exists()
+
+    def test_zero_max_concurrency_means_the_cpu_count(self, druid_fixture_paths, tmp_path):
+        claims_path, evidence_path = druid_fixture_paths
+        code, stdout, stderr = run_cli(
+            "ingest", "--max-concurrency", "0", "--claims", str(claims_path), "--evidence", str(evidence_path),
+            "--out", str(tmp_path),
+        )
+        assert code == 0, stderr
+        resolved = json.loads((run_dir_of(stdout) / "resolved_config.json").read_text())
+        assert resolved["config"]["max_concurrency"] == (os.cpu_count() or 1)
 
     def test_config_file_must_be_object(self, tmp_path):
         config = tmp_path / "run.json"
